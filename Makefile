@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check serve obs-smoke jobs-smoke loadgen-smoke router-smoke chaos-smoke tenants-smoke bench-baseline bench-smoke pipeline-smoke clean
+.PHONY: all build vet test race check serve obs-smoke jobs-smoke loadgen-smoke router-smoke chaos-smoke tenants-smoke bench-smoke clean
 
 all: check
 
@@ -66,24 +66,12 @@ chaos-smoke:
 tenants-smoke:
 	./scripts/tenants_smoke.sh
 
-# Regenerates the committed BENCH_serve.json performance baseline on the
-# pinned small fig5 configuration plus a 100k-body tree section, gating
-# on par >= seq speedup (see scripts/bench_baseline.sh).
-bench-baseline:
-	./scripts/bench_baseline.sh
-
 # Short N=2048 seq-vs-par benchmark pass over both force layouts with the
-# race detector on, plus the tree-reuse equivalence tests under race — a
-# correctness smoke for the benchmark harness and the flat kernels, not a
-# performance measurement (see scripts/bench_smoke.sh).
+# race detector on — a correctness smoke for the nbody-bench harness and
+# the flat kernels, not a performance measurement (see
+# scripts/bench_smoke.sh).
 bench-smoke:
 	./scripts/bench_smoke.sh
-
-# Race-detector gate for pipelined stepping: the internal/exec suite, the
-# core pipelined-vs-synchronous bit-exactness matrix and the serve-level
-# multi-session overlap + HTTP tests (see scripts/pipeline_smoke.sh).
-pipeline-smoke:
-	./scripts/pipeline_smoke.sh
 
 clean:
 	$(GO) clean ./...

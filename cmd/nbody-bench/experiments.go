@@ -369,9 +369,6 @@ func runAblate(fs *flag.FlagSet, args []string) error {
 		// collapse these variants into one.
 		{"presort", "unsorted insert (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
 		{"presort", "morton presort", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
-		{"traversal", "per-body (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
-		{"traversal", "grouped (32)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true, GroupSize: 32}}},
-		{"traversal", "flat list (32)", core.Config{Algorithm: core.Octree}},
 		{"layout", "walk (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
 		{"layout", "flat lists (octree)", core.Config{Algorithm: core.Octree}},
 		{"layout", "walk (bvh)", core.Config{Algorithm: core.BVH, Layout: core.LayoutWalk}},

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
+	"nbody/internal/allpairs"
 	"nbody/internal/body"
 	"nbody/internal/bvh"
 	"nbody/internal/grav"
@@ -181,24 +183,49 @@ func TestSequentialMatchesParallel(t *testing.T) {
 
 func TestRebuildEveryApproximation(t *testing.T) {
 	// Tree reuse must stay close to the every-step-rebuild trajectory
-	// over a short horizon.
-	run := func(rebuildEvery int, a Algorithm) Diagnostics {
+	// over a short horizon, and every structure pass is either a rebuild
+	// or a refit.
+	const steps = 20
+	run := func(rebuildEvery int, a Algorithm) (*Sim, Diagnostics) {
 		sys := workload.GalaxyCollision(1000, 23)
 		sim, err := New(Config{Algorithm: a, DT: 0.0005, RebuildEvery: rebuildEvery,
 			Params: grav.Params{G: 1, Eps: 0.05, Theta: 0.3}}, sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(20); err != nil {
+		if err := sim.Run(steps); err != nil {
 			t.Fatal(err)
 		}
-		return sim.Diagnostics(true)
+		return sim, sim.Diagnostics(true)
 	}
 	for _, a := range []Algorithm{Octree, BVH} {
-		every := run(1, a)
-		reuse := run(4, a)
+		_, every := run(1, a)
+		sim, reuse := run(4, a)
 		if math.Abs(every.TotalEnergy-reuse.TotalEnergy) > 0.02*math.Abs(every.TotalEnergy) {
 			t.Errorf("%v: rebuild-every-4 energy %v vs %v", a, reuse.TotalEnergy, every.TotalEnergy)
+		}
+		if sim.Rebuilds()+sim.Refits() != steps+1 || sim.Refits() == 0 {
+			t.Errorf("%v: rebuilds+refits = %d+%d, want %d force passes with some refits",
+				a, sim.Rebuilds(), sim.Refits(), steps+1)
+		}
+		if sim.Breakdown().Elapsed(metrics.PhaseRefit) <= 0 {
+			t.Errorf("%v: cadence reuse recorded no refit time", a)
+		}
+		// BVH sums are schedule-independent, so its final state is
+		// reproducible bit for bit (on amd64: compilers that fuse
+		// multiply-adds round differently). The checksum was recorded
+		// before the cadence arm was folded into the refit arm —
+		// relabelling the phase must not move a body.
+		if a == BVH && runtime.GOARCH == "amd64" {
+			var sum uint64
+			for _, pos := range positionsByID(sim.System()) {
+				for _, v := range pos {
+					sum = (sum ^ math.Float64bits(v)) * 1099511628211
+				}
+			}
+			if want := uint64(0xea29b12f29967961); sum != want {
+				t.Errorf("bvh rebuild-every-4 position checksum %#x, want %#x", sum, want)
+			}
 		}
 	}
 }
@@ -282,6 +309,27 @@ func TestDiagnosticsApproxVsExact(t *testing.T) {
 		}
 		if exact.Mass != approx.Mass {
 			t.Errorf("%v: mass differs", a)
+		}
+	}
+}
+
+// Up to exactPotentialMaxN bodies the pairwise sum is cheaper than a tree
+// walk, so Diagnostics(false) must return it — not a θ-approximation.
+func TestDiagnosticsSmallNIsExact(t *testing.T) {
+	for _, a := range []Algorithm{Octree, BVH} {
+		for _, n := range []int{exactPotentialMaxN, exactPotentialMaxN + 1} {
+			sys := workload.Plummer(n, 34)
+			sim, err := New(Config{Algorithm: a, DT: 0.01, Sequential: true, Params: grav.Params{G: 1, Eps: 0.05, Theta: 0.8}}, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Run(1); err != nil {
+				t.Fatal(err)
+			}
+			exact, approx := sim.Diagnostics(true).Potential, sim.Diagnostics(false).Potential
+			if small := n <= exactPotentialMaxN; (exact == approx) != small {
+				t.Errorf("%v n=%d: Diagnostics(false) potential %v, pairwise %v", a, n, approx, exact)
+			}
 		}
 	}
 }
@@ -474,5 +522,42 @@ func TestRunIsRunContextBackground(t *testing.T) {
 	}
 	if sim.StepCount() != 3 {
 		t.Fatalf("Run(3) advanced %d steps", sim.StepCount())
+	}
+}
+
+// TestQuadrupoleHonoredUnderEveryGroupSize guards against a Quadrupole
+// request being evaluated by a monopole-only kernel: whatever GroupSize and
+// Layout say, the quadrupole run's accelerations must be closer to the
+// direct sum than the same configuration's monopole run.
+func TestQuadrupoleHonoredUnderEveryGroupSize(t *testing.T) {
+	p := grav.Params{G: 1, Eps: 0.05, Theta: 0.6}
+	l2 := func(cfg Config) float64 {
+		sys := workload.GalaxyCollision(2000, 43)
+		cfg.Algorithm, cfg.DT, cfg.Params = Octree, 1e-3, p
+		sim, err := New(cfg, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+		// After a step sys.Acc is the force pass at the final positions.
+		ref := sys.Clone()
+		allpairs.AllPairs(par.Default(), par.ParUnseq, ref, p)
+		var num, den float64
+		for i := 0; i < sys.N(); i++ {
+			num += sys.Acc(i).Sub(ref.Acc(i)).Norm2()
+			den += ref.Acc(i).Norm2()
+		}
+		return math.Sqrt(num / den)
+	}
+	for _, lay := range Layouts() {
+		for _, gs := range []int{0, 32} {
+			mono := l2(Config{Layout: lay, Octree: octree.Config{GroupSize: gs}})
+			quad := l2(Config{Layout: lay, Octree: octree.Config{GroupSize: gs, Quadrupole: true}})
+			if !(quad < mono) {
+				t.Errorf("layout=%v group=%d: quadrupole L2 %.3g does not beat monopole %.3g", lay, gs, quad, mono)
+			}
+		}
 	}
 }

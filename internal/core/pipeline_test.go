@@ -9,6 +9,7 @@ import (
 
 	"nbody/internal/body"
 	"nbody/internal/exec"
+	"nbody/internal/octree"
 	"nbody/internal/par"
 	"nbody/internal/workload"
 )
@@ -78,6 +79,11 @@ func TestPipelinedMatchesSynchronous(t *testing.T) {
 						RebuildEvery:   reuse.rebuildEvery,
 						RefitThreshold: reuse.refitThreshold,
 						Runtime:        par.NewRuntime(2, par.Dynamic),
+						// Scattered moments add floats in arrival order,
+						// so two octree runs agree only to rounding;
+						// gathering sums the eight children in octant
+						// order and is reproducible bit for bit.
+						Octree: octree.Config{GatherMoments: true},
 					}
 
 					sync_, err := New(cfg, workload.Plummer(n, seed))
@@ -145,6 +151,7 @@ func TestPipelinedCancelResumeBitExact(t *testing.T) {
 		DT:             0.001,
 		RefitThreshold: 0.02,
 		Runtime:        par.NewRuntime(2, par.Dynamic),
+		Octree:         octree.Config{GatherMoments: true}, // bit-reproducible sums, see above
 	}
 
 	ref, err := New(cfg, workload.Plummer(n, seed))

@@ -9,8 +9,9 @@ import (
 	"nbody/internal/soa"
 )
 
-// AccelerationsList is the flat-layout CALCULATEFORCE variant: the group
-// traversal of AccelerationsGrouped with traversal and evaluation
+// AccelerationsList is the flat-layout CALCULATEFORCE variant: a group
+// traversal (the "multiple-walk" optimization of Hamada et al., the
+// paper's related work, Section VI) with traversal and evaluation
 // *separated*. One walk per group of consecutive bodies collects every
 // accepted far-field node (as a point mass at its center of mass) and
 // every near-field leaf body into a soa.List; a second pass then evaluates
@@ -20,16 +21,18 @@ import (
 // the evaluation loop touches no tree state — which is the interaction-
 // list batching of Tokuue & Ishiyama and Bédorf et al.
 //
-// The opening test is the same conservative group criterion as
-// AccelerationsGrouped (size < θ·dist(com, group box)), so accuracy is
-// never worse than per-body Barnes-Hut at equal θ. Group bodies appear in
-// their own near field; the self term contributes exactly zero under the
-// kernel convention, so no index test is needed (see package soa).
+// The opening test must hold for every body of the group, so it is made
+// conservative (size < θ·dist(com, group box)): accuracy is never worse
+// than per-body Barnes-Hut at equal θ, and θ = 0 remains exact. Group
+// bodies appear in their own near field; the self term contributes exactly
+// zero under the kernel convention, so no index test is needed (see
+// package soa).
 //
 // The list approximates accepted nodes by their monopole only; core routes
-// Quadrupole configurations to the walk kernels instead. Like the grouped
-// walk, this traversal profits greatly from Config.PresortMorton (compact
-// groups open far fewer nodes); core enables it for the flat layout.
+// Quadrupole configurations to the walk kernels instead. Groups are runs of
+// consecutive bodies, so this traversal profits greatly from
+// Config.PresortMorton (compact groups open far fewer nodes); core enables
+// it for the flat layout.
 func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupSize int) {
 	n := s.N()
 	if groupSize <= 0 {

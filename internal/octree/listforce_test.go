@@ -9,6 +9,9 @@ import (
 	"nbody/internal/par"
 )
 
+// The tests below cover AccelerationsList, the group traversal: "Grouped"
+// names the shared walk and its conservative opening criterion.
+
 func TestGroupedExactWhenThetaZero(t *testing.T) {
 	r := par.NewRuntime(0, par.Dynamic)
 	for _, n := range []int{2, 63, 500} {
@@ -20,7 +23,7 @@ func TestGroupedExactWhenThetaZero(t *testing.T) {
 
 			tree := buildTree(t, Config{}, s, r)
 			tree.ComputeMoments(r, s)
-			tree.AccelerationsGrouped(r, par.ParUnseq, s, p, groupSize)
+			tree.AccelerationsList(r, par.ParUnseq, s, p, groupSize)
 			for i := 0; i < n; i++ {
 				if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-10*(1+ref.Acc(i).Norm()) {
 					t.Fatalf("n=%d group=%d body %d: %v vs %v", n, groupSize, i, s.Acc(i), ref.Acc(i))
@@ -66,16 +69,16 @@ func TestGroupedConservativeAccuracy(t *testing.T) {
 	perBody := meanErr(func(tree *Tree, s *parBody) {
 		tree.Accelerations(r, par.ParUnseq, s, p)
 	})
-	grouped := meanErr(func(tree *Tree, s *parBody) {
-		tree.AccelerationsGrouped(r, par.ParUnseq, s, p, 32)
+	list := meanErr(func(tree *Tree, s *parBody) {
+		tree.AccelerationsList(r, par.ParUnseq, s, p, 32)
 	})
-	if grouped > perBody*1.01 {
-		t.Errorf("grouped error %g exceeds per-body error %g — criterion not conservative", grouped, perBody)
+	if list > perBody*1.01 {
+		t.Errorf("list error %g exceeds per-body error %g — criterion not conservative", list, perBody)
 	}
 }
 
 func TestGroupedWithChains(t *testing.T) {
-	// Coincident bodies (chained leaves) through the group path.
+	// Coincident bodies (leaves chained at MaxDepth) through the list path.
 	r := par.NewRuntime(4, par.Dynamic)
 	s := randomSystem(50, 311)
 	for i := 0; i < 10; i++ {
@@ -86,7 +89,7 @@ func TestGroupedWithChains(t *testing.T) {
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
 	tree := buildTree(t, Config{MaxDepth: 6}, s, r)
 	tree.ComputeMoments(r, s)
-	tree.AccelerationsGrouped(r, par.ParUnseq, s, p, 16)
+	tree.AccelerationsList(r, par.ParUnseq, s, p, 16)
 	for i := 0; i < s.N(); i++ {
 		if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-9*(1+ref.Acc(i).Norm()) {
 			t.Fatalf("body %d: %v vs %v", i, s.Acc(i), ref.Acc(i))
@@ -103,7 +106,20 @@ func TestGroupedEmptyAndDefaults(t *testing.T) {
 		t.Skip("empty build unsupported shape")
 	}
 	tree.ComputeMoments(r, s)
-	tree.AccelerationsGrouped(r, par.ParUnseq, s, grav.DefaultParams(), 0) // default group size path
+	tree.AccelerationsList(r, par.ParUnseq, s, grav.DefaultParams(), 0)
+
+	// A non-positive group size selects the default of 32.
+	def := randomSystem(200, 317)
+	tree = buildTree(t, Config{}, def, r)
+	tree.ComputeMoments(r, def)
+	want := def.Clone()
+	tree.AccelerationsList(r, par.ParUnseq, want, grav.DefaultParams(), 32)
+	tree.AccelerationsList(r, par.ParUnseq, def, grav.DefaultParams(), 0)
+	for i := 0; i < def.N(); i++ {
+		if def.Acc(i) != want.Acc(i) {
+			t.Fatalf("body %d: group size 0 gave %v, 32 gave %v", i, def.Acc(i), want.Acc(i))
+		}
+	}
 }
 
 // parBody aliases the body system type to keep helper signatures short.

@@ -74,10 +74,10 @@ type Config struct {
 	// uses them during force evaluation — the paper's "extends to
 	// multipoles" note, implemented.
 	Quadrupole bool
-	// GroupSize, when positive, switches CALCULATEFORCE to the group
-	// traversal (AccelerationsGrouped) with this many bodies per walk.
-	// Zero keeps the paper's per-body traversal. Combine with
-	// PresortMorton for compact groups.
+	// GroupSize is the number of consecutive bodies that share one walk
+	// and one interaction list in AccelerationsList (0 selects 32). The
+	// per-body traversal ignores it. Combine with PresortMorton for
+	// compact groups.
 	GroupSize int
 	// PresortMorton sorts the bodies along the Morton curve before
 	// insertion (permuting the system like the BVH's Hilbert sort does).

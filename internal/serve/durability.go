@@ -13,7 +13,6 @@ import (
 
 	"nbody/internal/body"
 	"nbody/internal/core"
-	"nbody/internal/grav"
 	"nbody/internal/simcfg"
 	"nbody/internal/store"
 	"nbody/internal/trace"
@@ -293,31 +292,28 @@ func (m *Manager) recoverSessions() error {
 // the pre-crash one, resuming at the checkpointed step/time. Sessions that
 // failed before the restart come back quarantined, not runnable.
 func (m *Manager) restore(meta store.Meta, sys *body.System) error {
-	alg, err := core.ParseAlgorithm(meta.Algorithm)
+	eff := simcfg.Effective{
+		Algorithm:  meta.Algorithm,
+		Layout:     meta.Layout,
+		DT:         meta.DT,
+		Theta:      meta.Theta,
+		Eps:        meta.Eps,
+		G:          meta.G,
+		Sequential: meta.Sequential,
+		TreeReuse: simcfg.TreeReuse{
+			RebuildEvery:   meta.RebuildEvery,
+			RefitThreshold: meta.RefitThreshold,
+		},
+		Pipeline: meta.Pipeline,
+	}
+	ccfg, err := eff.CoreConfig()
 	if err != nil {
 		return err
 	}
-	// Checkpoints written before the layout field existed ran the walk
-	// kernels; absent means walk so a restore reproduces them exactly.
-	lay := core.LayoutWalk
-	if meta.Layout != "" {
-		if lay, err = core.ParseLayout(meta.Layout); err != nil {
-			return err
-		}
-	}
-	sim, err := core.New(core.Config{
-		Algorithm:      alg,
-		Params:         grav.Params{G: meta.G, Theta: meta.Theta, Eps: meta.Eps},
-		DT:             meta.DT,
-		Runtime:        m.cfg.Runtime,
-		Sequential:     meta.Sequential,
-		Layout:         lay,
-		RebuildEvery:   meta.RebuildEvery,
-		RefitThreshold: meta.RefitThreshold,
-		Pipeline:       meta.Pipeline,
-		ValidateEvery:  meta.ValidateEvery,
-		PublishCommits: true,
-	}, sys)
+	ccfg.Runtime = m.cfg.Runtime
+	ccfg.ValidateEvery = meta.ValidateEvery
+	ccfg.PublishCommits = true
+	sim, err := core.New(ccfg, sys)
 	if err != nil {
 		return err
 	}
@@ -335,7 +331,7 @@ func (m *Manager) restore(meta store.Meta, sys *body.System) error {
 		baseStep:  meta.Step,
 		baseTime:  meta.Time,
 		created:   created,
-		algorithm: alg.String(),
+		algorithm: meta.Algorithm,
 		workload:  meta.Workload,
 		seed:      meta.Seed,
 		dt:        meta.DT,

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"nbody/internal/simcfg"
 	"nbody/internal/store"
 )
 
@@ -50,13 +51,18 @@ func closeManager(t *testing.T, m *Manager) {
 
 // TestRestartRecoversSessions is the crash-safety acceptance test: sessions
 // checkpointed by one manager must come back in a fresh manager over the
-// same state directory with byte-identical snapshot state, resume stepping
-// at the checkpointed step, and never collide with newly created IDs.
+// same state directory with byte-identical snapshot state and config echo
+// (restore converts through the same simcfg.Effective as create, so values
+// far from the defaults — an explicit zero included — must survive), resume
+// stepping at the checkpointed step, and never collide with new IDs.
 func TestRestartRecoversSessions(t *testing.T) {
 	dir := t.TempDir()
 	m1 := newStoreManager(t, dir, nil)
 
-	info, err := m1.Create(context.Background(), CreateRequest{Workload: "plummer", N: 64, Seed: 5, DT: 1e-3})
+	zero, theta, seq := 0.0, 0.3, true
+	info, err := m1.Create(context.Background(), CreateRequest{Workload: "plummer", N: 64, Seed: 5, ValidateEvery: 2,
+		Config: &simcfg.Config{Algorithm: "bvh", Layout: "walk", DT: 1e-3, Theta: &theta, Eps: &zero, Sequential: &seq,
+			TreeReuse: &simcfg.TreeReuse{RebuildEvery: 5, RefitThreshold: 0.03}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +84,9 @@ func TestRestartRecoversSessions(t *testing.T) {
 	}
 	if got.Steps != 7 || got.N != 64 || got.Workload != "plummer" || got.Algorithm != info.Algorithm {
 		t.Fatalf("recovered info %+v, want 7 steps of the original session", got)
+	}
+	if got.Config != info.Config || got.Config.Layout != "walk" || got.Config.Eps != 0 {
+		t.Fatalf("config echo across restart:\nbefore %+v\nafter  %+v", info.Config, got.Config)
 	}
 	var after bytes.Buffer
 	if err := m2.WriteSnapshot(info.ID, &after); err != nil {
@@ -109,16 +118,17 @@ func TestRestartRecoversSessions(t *testing.T) {
 	}
 }
 
-// TestRecoveryQuarantinesCorruptCheckpoints damages two of three on-disk
-// checkpoints (a flipped payload byte, a truncation) and requires the next
-// boot to quarantine exactly those two and recover the intact one — never
-// failing startup.
+// TestRecoveryQuarantinesCorruptCheckpoints damages three of four on-disk
+// checkpoints (a flipped payload byte, a truncation, metadata that names no
+// force layout and so is not runnable) and requires the next boot to
+// quarantine exactly those three and recover the intact one — never failing
+// startup.
 func TestRecoveryQuarantinesCorruptCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	m1 := newStoreManager(t, dir, nil)
 
 	req := CreateRequest{Workload: "plummer", N: 48, DT: 1e-3}
-	var ids [3]string
+	var ids [4]string
 	for i := range ids {
 		info, err := m1.Create(context.Background(), req)
 		if err != nil {
@@ -143,15 +153,28 @@ func TestRecoveryQuarantinesCorruptCheckpoints(t *testing.T) {
 		}
 	})
 
+	metaPath := filepath.Join(dir, ids[2]+".json")
+	meta, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := bytes.Replace(meta, []byte(`  "layout": "flat",`+"\n"), nil, 1)
+	if len(stripped) == len(meta) {
+		t.Fatalf("checkpoint metadata carries no layout line:\n%s", meta)
+	}
+	if err := os.WriteFile(metaPath, stripped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	m2 := newStoreManager(t, dir, nil)
 	defer closeManager(t, m2)
 
-	for _, id := range ids[:2] {
+	for _, id := range ids[:3] {
 		if _, err := m2.Get(id); !errors.Is(err, ErrNotFound) {
 			t.Errorf("corrupt session %s after restart = %v, want ErrNotFound", id, err)
 		}
 	}
-	good, err := m2.Get(ids[2])
+	good, err := m2.Get(ids[3])
 	if err != nil {
 		t.Fatalf("intact session lost: %v", err)
 	}
@@ -159,15 +182,13 @@ func TestRecoveryQuarantinesCorruptCheckpoints(t *testing.T) {
 		t.Fatalf("intact session at step %d, want 2", good.Steps)
 	}
 	snap := m2.Metrics()
-	if snap.RecoveredTotal != 1 || snap.QuarantinedTotal != 2 {
-		t.Fatalf("recovered %d quarantined %d, want 1 and 2", snap.RecoveredTotal, snap.QuarantinedTotal)
+	if snap.RecoveredTotal != 1 || snap.QuarantinedTotal != 3 {
+		t.Fatalf("recovered %d quarantined %d, want 1 and 3", snap.RecoveredTotal, snap.QuarantinedTotal)
 	}
-	quarantined, err := filepath.Glob(filepath.Join(dir, "quarantine", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(quarantined) == 0 {
-		t.Error("quarantine directory is empty after corrupt recovery")
+	for _, id := range ids[:3] {
+		if kept, _ := filepath.Glob(filepath.Join(dir, "quarantine", id+".*")); len(kept) == 0 {
+			t.Errorf("corrupt checkpoint %s was not moved to quarantine", id)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"nbody/internal/par"
 )
 
-// FuzzCreateSessionJSON throws arbitrary bytes at POST /sessions. The
+// FuzzCreateSessionJSON throws arbitrary bytes at POST /v1/sessions. The
 // handler must never panic and must answer every malformed body with a
 // well-formed 4xx; the only accepted bodies are valid JSON within the
 // service limits (answered 201 or, once the cap is hit, 429).
@@ -53,7 +53,7 @@ func FuzzCreateSessionJSON(f *testing.F) {
 	handler := NewHandler(m)
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/sessions", strings.NewReader(string(body)))
+		req := httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(string(body)))
 		req.Header.Set("Content-Type", "application/json")
 		rr := httptest.NewRecorder()
 		handler.ServeHTTP(rr, req) // must not panic

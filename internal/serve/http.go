@@ -44,6 +44,8 @@ const (
 	CodeJobNotQueued     = "job_not_queued"
 	CodeUnauthorized     = "unauthorized"
 	CodeQuotaExceeded    = "quota_exceeded"
+	CodeNotFound         = "not_found"
+	CodeMethodNotAllowed = "method_not_allowed"
 )
 
 // ErrorDetail is the body of every 4xx/5xx response:
@@ -109,17 +111,15 @@ type listResponse struct {
 // When a jobs.Manager is wired in (NewHandlerWithJobs), the batch-job API
 // is mounted under /v1/jobs — see registerJobRoutes for the route table.
 //
-// Unversioned session routes (/sessions...) remain as deprecated aliases
-// of their /v1 equivalents: same handlers and payloads, plus a
-// Deprecation header and a successor-version Link. Operational endpoints
-// stay at the root:
+// Operational endpoints stay at the root:
 //
 //	GET    /metrics                   Prometheus text exposition
 //	GET    /healthz                   liveness probe
 //	GET    /readyz                    readiness probe (503 while draining)
 //
 // Every response carries X-Request-ID (honouring the client's, if sent),
-// and every 4xx/5xx body is the JSON error envelope (ErrorDetail).
+// and every 4xx/5xx body is the JSON error envelope (ErrorDetail) —
+// including the 404/405 of a request no route serves (see handleUnrouted).
 func NewHandler(m *Manager) http.Handler { return NewHandlerWithJobs(m, nil) }
 
 // NewHandlerWithJobs is NewHandler plus the batch-job API under /v1/jobs
@@ -139,37 +139,25 @@ func NewHandlerWithJobs(m *Manager, jm *jobs.Manager) http.Handler {
 			h(w, r)
 		}
 	}
-	// handle registers a /v1 route and its deprecated unversioned alias.
-	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, record(h))
-		method, v1Path, _ := strings.Cut(pattern, " ")
-		legacy := strings.TrimPrefix(v1Path, "/v1")
-		mux.HandleFunc(method+" "+legacy, record(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-			h(w, r)
-		}))
-	}
-
-	handle("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) { handleCreate(m, w, r) })
-	handle("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) { handleList(m, w, r) })
-	handle("GET /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/sessions", record(func(w http.ResponseWriter, r *http.Request) { handleCreate(m, w, r) }))
+	mux.HandleFunc("GET /v1/sessions", record(func(w http.ResponseWriter, r *http.Request) { handleList(m, w, r) }))
+	mux.HandleFunc("GET /v1/sessions/{id}", record(func(w http.ResponseWriter, r *http.Request) {
 		info, err := m.Get(r.PathValue("id"))
 		if err != nil {
 			writeError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, info)
-	})
-	handle("POST /v1/sessions/{id}/step", func(w http.ResponseWriter, r *http.Request) { handleStep(m, w, r) })
-	handle("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+	}))
+	mux.HandleFunc("POST /v1/sessions/{id}/step", record(func(w http.ResponseWriter, r *http.Request) { handleStep(m, w, r) }))
+	mux.HandleFunc("DELETE /v1/sessions/{id}", record(func(w http.ResponseWriter, r *http.Request) {
 		if err := m.Delete(r.Context(), r.PathValue("id")); err != nil {
 			writeError(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
-	})
-	handle("GET /v1/sessions/{id}/snapshot", func(w http.ResponseWriter, r *http.Request) {
+	}))
+	mux.HandleFunc("GET /v1/sessions/{id}/snapshot", record(func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		w.Header().Set("Content-Type", snapshotContentType)
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+".nbsnap"))
@@ -184,9 +172,9 @@ func NewHandlerWithJobs(m *Manager, jm *jobs.Manager) http.Handler {
 				writeError(w, err)
 			}
 		}
-	})
-	handle("GET /v1/sessions/{id}/watch", func(w http.ResponseWriter, r *http.Request) { handleWatch(m, w, r) })
-	handle("GET /v1/sessions/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
+	}))
+	mux.HandleFunc("GET /v1/sessions/{id}/watch", record(func(w http.ResponseWriter, r *http.Request) { handleWatch(m, w, r) }))
+	mux.HandleFunc("GET /v1/sessions/{id}/trace", record(func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		w.Header().Set("Content-Type", "text/csv")
 		if err := m.WriteTrace(id, w); err != nil {
@@ -197,12 +185,12 @@ func NewHandlerWithJobs(m *Manager, jm *jobs.Manager) http.Handler {
 				writeError(w, err)
 			}
 		}
-	})
+	}))
 
 	if jm != nil {
 		registerJobRoutes(mux, record, jm)
 	}
-	handle("GET /v1/scenarios", func(w http.ResponseWriter, r *http.Request) { handleScenarios(w) })
+	mux.HandleFunc("GET /v1/scenarios", record(func(w http.ResponseWriter, r *http.Request) { handleScenarios(w) }))
 
 	// Versioned JSON metrics (the pre-v1 ad-hoc /metrics payload, kept as
 	// a stable JSON surface for dashboards that do not scrape Prometheus).
@@ -228,6 +216,10 @@ func NewHandlerWithJobs(m *Manager, jm *jobs.Manager) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}))
 
+	// Not wrapped in record: requests no route serves keep the constant
+	// "unmatched" label.
+	mux.HandleFunc(catchAll, func(w http.ResponseWriter, r *http.Request) { handleUnrouted(mux, w, r) })
+
 	var h http.Handler = mux
 	if m.tenants != nil {
 		// Auth sits between instrument (request ID, final log line) and the
@@ -236,6 +228,42 @@ func NewHandlerWithJobs(m *Manager, jm *jobs.Manager) http.Handler {
 		h = withTenantAuth(h, m)
 	}
 	return instrument(h, m)
+}
+
+// catchAll is the mux pattern every request matches when no route does.
+const catchAll = "/"
+
+// handleUnrouted answers a request no route serves with the error
+// envelope instead of net/http's plain-text body: 405 plus Allow when the
+// path exists under other methods, 404 otherwise. A path that would be
+// routed with a /v1 prefix — the unversioned spelling retired with the
+// /sessions aliases — is told so.
+func handleUnrouted(mux *http.ServeMux, w http.ResponseWriter, r *http.Request) {
+	methodsFor := func(path string) []string {
+		var methods []string
+		u := *r.URL
+		u.Path = path
+		for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodPatch, http.MethodDelete} {
+			if _, pattern := mux.Handler(&http.Request{Method: method, URL: &u, Host: r.Host}); pattern != catchAll {
+				methods = append(methods, method)
+			}
+		}
+		return methods
+	}
+	status, detail := http.StatusNotFound, ErrorDetail{
+		Code:    CodeNotFound,
+		Message: fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path),
+	}
+	if allow := methodsFor(r.URL.Path); len(allow) > 0 {
+		w.Header().Set("Allow", strings.Join(allow, ", "))
+		status = http.StatusMethodNotAllowed
+		detail.Code = CodeMethodNotAllowed
+		detail.Message = fmt.Sprintf("%s is not allowed on %s", r.Method, r.URL.Path)
+	} else if successor := "/v1" + r.URL.Path; len(methodsFor(successor)) > 0 {
+		detail.Message += fmt.Sprintf("; the API is served under /v1: use %s", successor)
+	}
+	detail.Shard = w.Header().Get(ShardHeader)
+	writeJSONStatus(w, status, errorResponse{Error: detail})
 }
 
 // scenarioInfo is one entry of GET /v1/scenarios.

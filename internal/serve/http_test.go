@@ -73,7 +73,7 @@ func TestHandlerCreateValidation(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := postJSON(t, srv.URL+"/sessions", tc.body)
+			resp := postJSON(t, srv.URL+"/v1/sessions", tc.body)
 			defer resp.Body.Close()
 			if resp.StatusCode != tc.status {
 				b, _ := io.ReadAll(resp.Body)
@@ -97,7 +97,7 @@ func TestHandlerSessionLifecycle(t *testing.T) {
 	_, srv := newTestServer(t, testConfig())
 
 	// Create.
-	resp := postJSON(t, srv.URL+"/sessions", `{"workload":"plummer","n":64,"seed":3,"dt":0.001}`)
+	resp := postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":64,"seed":3,"dt":0.001}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d", resp.StatusCode)
 	}
@@ -110,7 +110,7 @@ func TestHandlerSessionLifecycle(t *testing.T) {
 	}
 
 	// Step.
-	resp = postJSON(t, srv.URL+"/sessions/"+info.ID+"/step", `{"steps":5}`)
+	resp = postJSON(t, srv.URL+"/v1/sessions/"+info.ID+"/step", `{"steps":5}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("step status %d", resp.StatusCode)
 	}
@@ -120,7 +120,7 @@ func TestHandlerSessionLifecycle(t *testing.T) {
 	}
 
 	// Info reflects the steps and the idle state.
-	resp, err := http.Get(srv.URL + "/sessions/" + info.ID)
+	resp, err := http.Get(srv.URL + "/v1/sessions/" + info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestHandlerSessionLifecycle(t *testing.T) {
 	}
 
 	// List contains it.
-	resp, err = http.Get(srv.URL + "/sessions")
+	resp, err = http.Get(srv.URL + "/v1/sessions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestHandlerSessionLifecycle(t *testing.T) {
 	}
 
 	// Trace CSV has a header and one sample row.
-	resp, err = http.Get(srv.URL + "/sessions/" + info.ID + "/trace")
+	resp, err = http.Get(srv.URL + "/v1/sessions/" + info.ID + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestHandlerSessionLifecycle(t *testing.T) {
 	}
 
 	// Delete, then everything 404s.
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/sessions/"+info.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/sessions/"+info.ID, nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +161,9 @@ func TestHandlerSessionLifecycle(t *testing.T) {
 		t.Fatalf("delete status %d", resp.StatusCode)
 	}
 	for _, path := range []string{
-		"/sessions/" + info.ID,
-		"/sessions/" + info.ID + "/snapshot",
-		"/sessions/" + info.ID + "/trace",
+		"/v1/sessions/" + info.ID,
+		"/v1/sessions/" + info.ID + "/snapshot",
+		"/v1/sessions/" + info.ID + "/trace",
 	} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -181,12 +181,12 @@ func TestHandlerAdmission429(t *testing.T) {
 	cfg.MaxSessions = 1
 	_, srv := newTestServer(t, cfg)
 
-	resp := postJSON(t, srv.URL+"/sessions", `{"workload":"plummer","n":32,"dt":0.01}`)
+	resp := postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"dt":0.01}`)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first create %d", resp.StatusCode)
 	}
-	resp = postJSON(t, srv.URL+"/sessions", `{"workload":"plummer","n":32,"dt":0.01}`)
+	resp = postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"dt":0.01}`)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-cap create = %d, want 429", resp.StatusCode)
@@ -205,7 +205,7 @@ func TestHandlerStepConflict409(t *testing.T) {
 	release, done := blockedWatch(t, m, info.ID)
 	defer release()
 
-	resp := postJSON(t, srv.URL+"/sessions/"+info.ID+"/step", `{"steps":1}`)
+	resp := postJSON(t, srv.URL+"/v1/sessions/"+info.ID+"/step", `{"steps":1}`)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("conflicting step = %d, want 409", resp.StatusCode)
@@ -231,7 +231,7 @@ func TestSnapshotHTTPRoundTrip(t *testing.T) {
 	}
 
 	// Upload as a new session (dt via query parameters).
-	resp, err := http.Post(srv.URL+"/sessions?dt=0.001&algorithm=bvh",
+	resp, err := http.Post(srv.URL+"/v1/sessions?dt=0.001&algorithm=bvh",
 		snapshotContentType, bytes.NewReader(local.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestSnapshotHTTPRoundTrip(t *testing.T) {
 	}
 
 	// Download before stepping: must be byte-identical to the upload.
-	resp, err = http.Get(srv.URL + "/sessions/" + info.ID + "/snapshot")
+	resp, err = http.Get(srv.URL + "/v1/sessions/" + info.ID + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +277,9 @@ func TestSnapshotHTTPRoundTrip(t *testing.T) {
 	}
 
 	// After stepping, the snapshot metadata advances from the base.
-	resp = postJSON(t, srv.URL+"/sessions/"+info.ID+"/step", `{"steps":3}`)
+	resp = postJSON(t, srv.URL+"/v1/sessions/"+info.ID+"/step", `{"steps":3}`)
 	resp.Body.Close()
-	resp, err = http.Get(srv.URL + "/sessions/" + info.ID + "/snapshot")
+	resp, err = http.Get(srv.URL + "/v1/sessions/" + info.ID + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestHandlerSnapshotUploadValidation(t *testing.T) {
 	_, srv := newTestServer(t, testConfig())
 
 	// Corrupt payload.
-	resp, err := http.Post(srv.URL+"/sessions?dt=0.001", snapshotContentType,
+	resp, err := http.Post(srv.URL+"/v1/sessions?dt=0.001", snapshotContentType,
 		strings.NewReader("NBODYSNP garbage"))
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestHandlerSnapshotUploadValidation(t *testing.T) {
 	if err := snapshot.Write(&buf, sys, snapshot.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post(srv.URL+"/sessions", snapshotContentType, bytes.NewReader(buf.Bytes()))
+	resp, err = http.Post(srv.URL+"/v1/sessions", snapshotContentType, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestHandlerSnapshotUploadValidation(t *testing.T) {
 	}
 
 	// Bad query parameter.
-	resp, err = http.Post(srv.URL+"/sessions?dt=fast", snapshotContentType, bytes.NewReader(buf.Bytes()))
+	resp, err = http.Post(srv.URL+"/v1/sessions?dt=fast", snapshotContentType, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestHandlerSnapshotUploadValidation(t *testing.T) {
 	forged := []byte("NBODYSNP")
 	forged = binary.LittleEndian.AppendUint32(forged, 1)     // version
 	forged = binary.LittleEndian.AppendUint64(forged, 1<<39) // n, far over MaxBodies
-	resp, err = http.Post(srv.URL+"/sessions?dt=0.001", snapshotContentType, bytes.NewReader(forged))
+	resp, err = http.Post(srv.URL+"/v1/sessions?dt=0.001", snapshotContentType, bytes.NewReader(forged))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestHandlerWatchStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(srv.URL + "/sessions/" + info.ID + "/watch?steps=6&every=2")
+	resp, err := http.Get(srv.URL + "/v1/sessions/" + info.ID + "/watch?steps=6&every=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestHandlerWatchStream(t *testing.T) {
 
 	// Invalid parameters are rejected before any stepping.
 	for _, q := range []string{"steps=abc", "steps=0", "steps=1000000000", "every=x"} {
-		resp, err := http.Get(srv.URL + "/sessions/" + info.ID + "/watch?" + q)
+		resp, err := http.Get(srv.URL + "/v1/sessions/" + info.ID + "/watch?" + q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,13 +437,21 @@ func TestHandlerNotFoundAndMethods(t *testing.T) {
 	for _, tc := range []struct {
 		method, path string
 		status       int
+		code         string
+		message      string // substring the envelope's message must carry
 	}{
-		{http.MethodGet, "/sessions/nope", http.StatusNotFound},
-		{http.MethodPost, "/sessions/nope/step", http.StatusNotFound},
-		{http.MethodDelete, "/sessions/nope", http.StatusNotFound},
-		{http.MethodGet, "/sessions/nope/watch", http.StatusNotFound},
-		{http.MethodPut, "/sessions", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/bogus", http.StatusNotFound},
+		{http.MethodGet, "/v1/sessions/nope", http.StatusNotFound, CodeSessionNotFound, ""},
+		{http.MethodPost, "/v1/sessions/nope/step", http.StatusNotFound, CodeSessionNotFound, ""},
+		{http.MethodDelete, "/v1/sessions/nope", http.StatusNotFound, CodeSessionNotFound, ""},
+		{http.MethodGet, "/v1/sessions/nope/watch", http.StatusNotFound, CodeSessionNotFound, ""},
+		{http.MethodPut, "/v1/sessions", http.StatusMethodNotAllowed, CodeMethodNotAllowed, "PUT"},
+		{http.MethodGet, "/bogus", http.StatusNotFound, CodeNotFound, "/bogus"},
+		{http.MethodGet, "/v1/nope", http.StatusNotFound, CodeNotFound, "/v1/nope"},
+		// The unversioned prefix is retired: no route, but the envelope
+		// names the /v1 successor whatever the method.
+		{http.MethodGet, "/sessions", http.StatusNotFound, CodeNotFound, "use /v1/sessions"},
+		{http.MethodPost, "/sessions/s-1/step", http.StatusNotFound, CodeNotFound, "use /v1/sessions/s-1/step"},
+		{http.MethodPut, "/sessions", http.StatusNotFound, CodeNotFound, "use /v1/sessions"},
 	} {
 		var body io.Reader
 		if tc.method == http.MethodPost {
@@ -454,9 +462,19 @@ func TestHandlerNotFoundAndMethods(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.status)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s content type %q, want the JSON envelope", tc.method, tc.path, ct)
+		}
+		if tc.status == http.StatusMethodNotAllowed && resp.Header.Get("Allow") != "GET, POST" {
+			t.Errorf("%s %s Allow = %q, want \"GET, POST\"", tc.method, tc.path, resp.Header.Get("Allow"))
+		}
+		env := decodeBody[errorResponse](t, resp)
+		if env.Error.Code != tc.code || !strings.Contains(env.Error.Message, tc.message) {
+			t.Errorf("%s %s envelope %+v, want code %s and message containing %q",
+				tc.method, tc.path, env.Error, tc.code, tc.message)
 		}
 	}
 }
@@ -522,7 +540,7 @@ func TestHandlerFailedSession422(t *testing.T) {
 	}
 	m.stepHook = func(*Session) { panic("http containment fault") }
 
-	resp := postJSON(t, srv.URL+"/sessions/"+info.ID+"/step", `{"steps":1}`)
+	resp := postJSON(t, srv.URL+"/v1/sessions/"+info.ID+"/step", `{"steps":1}`)
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
@@ -532,7 +550,7 @@ func TestHandlerFailedSession422(t *testing.T) {
 		t.Fatalf("422 body %s lacks the failure reason", body)
 	}
 
-	resp, err = http.Get(srv.URL + "/sessions/" + info.ID + "/watch?steps=1")
+	resp, err = http.Get(srv.URL + "/v1/sessions/" + info.ID + "/watch?steps=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +560,7 @@ func TestHandlerFailedSession422(t *testing.T) {
 	}
 
 	// Info still serves, carrying the reason.
-	resp, err = http.Get(srv.URL + "/sessions/" + info.ID)
+	resp, err = http.Get(srv.URL + "/v1/sessions/" + info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +569,7 @@ func TestHandlerFailedSession422(t *testing.T) {
 		t.Fatalf("failed session info %+v", got)
 	}
 	// So does the snapshot download.
-	resp, err = http.Get(srv.URL + "/sessions/" + info.ID + "/snapshot")
+	resp, err = http.Get(srv.URL + "/v1/sessions/" + info.ID + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +610,7 @@ func TestHandlerOverload429(t *testing.T) {
 
 	queued := make(chan int, 1)
 	go func() {
-		resp := postJSON(t, srv.URL+"/sessions/"+ids[1]+"/step", `{"steps":1}`)
+		resp := postJSON(t, srv.URL+"/v1/sessions/"+ids[1]+"/step", `{"steps":1}`)
 		resp.Body.Close()
 		queued <- resp.StatusCode
 	}()
@@ -600,7 +618,7 @@ func TestHandlerOverload429(t *testing.T) {
 		return m.Metrics().QueueDepth == 1
 	})
 
-	resp := postJSON(t, srv.URL+"/sessions/"+ids[2]+"/step", `{"steps":1}`)
+	resp := postJSON(t, srv.URL+"/v1/sessions/"+ids[2]+"/step", `{"steps":1}`)
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("overload 429 without Retry-After")
 	}

@@ -114,40 +114,6 @@ func readAll(resp *http.Response) (string, error) {
 	return sb.String(), sc.Err()
 }
 
-// TestLegacyAliasDeprecation: unversioned routes answer identically to
-// their /v1 equivalents but advertise the deprecation and the successor.
-func TestLegacyAliasDeprecation(t *testing.T) {
-	_, srv := newTestServer(t, testConfig())
-
-	legacy, err := http.Get(srv.URL + "/sessions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyBody, _ := readAll(legacy)
-	if legacy.StatusCode != http.StatusOK {
-		t.Fatalf("legacy list = %d", legacy.StatusCode)
-	}
-	if dep := legacy.Header.Get("Deprecation"); dep != "true" {
-		t.Errorf("legacy route Deprecation header %q, want \"true\"", dep)
-	}
-	if link := legacy.Header.Get("Link"); !strings.Contains(link, "</v1/sessions>") ||
-		!strings.Contains(link, `rel="successor-version"`) {
-		t.Errorf("legacy route Link header %q", link)
-	}
-
-	v1, err := http.Get(srv.URL + "/v1/sessions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1Body, _ := readAll(v1)
-	if v1.Header.Get("Deprecation") != "" {
-		t.Error("/v1 route must not carry a Deprecation header")
-	}
-	if legacyBody != v1Body {
-		t.Errorf("alias body diverged:\nlegacy %s\nv1     %s", legacyBody, v1Body)
-	}
-}
-
 // TestListPagination walks GET /v1/sessions?limit=&cursor= across pages and
 // requires the union to be every session exactly once, in ID order.
 func TestListPagination(t *testing.T) {

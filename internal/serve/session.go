@@ -323,7 +323,7 @@ type StepResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// WatchEvent is one NDJSON record of GET /sessions/{id}/watch: the
+// WatchEvent is one NDJSON record of GET /v1/sessions/{id}/watch: the
 // conservation diagnostics of internal/trace plus spatial bounds and the
 // per-phase wall-time of the interval since the previous event.
 type WatchEvent struct {

@@ -54,8 +54,8 @@ type Meta struct {
 	// restart restores quota accounting and the config echo.
 	Tenant   string `json:"tenant,omitempty"`
 	Scenario string `json:"scenario,omitempty"`
-	// Layout is the force-evaluation layout ("flat" or "walk"); empty in
-	// checkpoints written before the field existed (those ran walk).
+	// Layout is the force-evaluation layout ("flat" or "walk"). Every
+	// checkpoint names it; the serving layer quarantines one that does not.
 	Layout       string `json:"layout,omitempty"`
 	RebuildEvery int    `json:"rebuild_every,omitempty"`
 	// RefitThreshold is the adaptive tree-reuse threshold (0 = rebuild on

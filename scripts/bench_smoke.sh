@@ -4,11 +4,12 @@
 #
 # Builds cmd/nbody-bench with -race and runs a two-step N=2048 fig5 pass
 # over the tree algorithms in both layouts. This is a correctness gate,
-# not a performance one: it drives the flat interaction-list kernels, the
-# walk kernels and the tree-reuse machinery through the real harness with
-# the race detector watching, and asserts only that every expected row
-# comes back with a positive throughput (race builds are ~10-20x slower,
-# so speedups are meaningless here and not checked).
+# not a performance one: it drives the flat interaction-list kernels and
+# the walk kernels through the real harness with the race detector
+# watching, and asserts only that every expected row comes back with a
+# positive throughput (race builds are ~10-20x slower, so speedups are
+# meaningless here and not checked). Nothing else runs this binary under
+# race; the package tests get theirs from check.sh's `go test -race ./...`.
 #
 # Usage: ./scripts/bench_smoke.sh  (or: make bench-smoke)
 set -eu
@@ -49,11 +50,5 @@ for layout in flat walk; do
         exit bad
     }' "$WORK/$layout.csv"
 done
-
-# Adaptive tree reuse under race: the refit/rebuild equivalence and golden
-# accuracy tests drive the refit kernels and drift bookkeeping with the
-# race detector watching.
-echo "bench-smoke: tree-reuse + golden accuracy (race)"
-go test -race -run 'TestRefitMatchesRebuild|TestRefitFallsBackOnFastBodies|TestGoldenL2SolarValidation' ./internal/core/
 
 echo "bench-smoke: OK"
