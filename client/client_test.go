@@ -176,6 +176,7 @@ func TestEnvelopeDecoding(t *testing.T) {
 		{CodeOverloaded, http.StatusTooManyRequests},
 		{CodeShuttingDown, http.StatusServiceUnavailable},
 		{CodeInvalidRequest, http.StatusBadRequest},
+		{CodeInvalidConfig, http.StatusBadRequest},
 		{CodeInvalidSnapshot, http.StatusUnprocessableEntity},
 		{CodeClientClosed, 499},
 		{CodeInternal, http.StatusInternalServerError},

@@ -21,16 +21,15 @@ type TreeReuseConfig struct {
 // SessionConfig mirrors the `config` object of POST /v1/sessions and
 // POST /v1/jobs. Every field is optional; absent fields inherit server
 // defaults. Pointer fields distinguish an explicit zero (Eps: Float64(0)
-// = unsoftened exact Newtonian gravity) from absence — the deprecated
-// flat fields cannot express that.
+// = unsoftened exact Newtonian gravity) from absence.
 type SessionConfig struct {
 	// Algorithm is the force solver ("octree", "bvh", "all-pairs", ...).
 	Algorithm string `json:"algorithm,omitempty"`
 	// Layout is the force-evaluation data path: "flat" (interaction
 	// lists, the default) or "walk" (per-body tree walks).
 	Layout string `json:"layout,omitempty"`
-	// DT is the integration timestep; required here or via the deprecated
-	// flat field.
+	// DT is the integration timestep; required here or from a scenario
+	// pack.
 	DT float64 `json:"dt,omitempty"`
 	// Theta is the Barnes-Hut opening threshold.
 	Theta *float64 `json:"theta,omitempty"`

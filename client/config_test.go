@@ -52,9 +52,9 @@ func TestCreateSessionConfigWire(t *testing.T) {
 	if _, present := cfg["theta"]; present {
 		t.Errorf("unset theta must be omitted: %s", gotBody)
 	}
-	for _, deprecated := range []string{"algorithm", "dt", "theta", "eps", "g"} {
-		if _, present := wire[deprecated]; present {
-			t.Errorf("unused deprecated flat field %q serialized: %s", deprecated, gotBody)
+	for _, retired := range []string{"algorithm", "dt", "theta", "eps", "g"} {
+		if _, present := wire[retired]; present {
+			t.Errorf("retired flat field %q serialized beside config: %s", retired, gotBody)
 		}
 	}
 
@@ -64,17 +64,17 @@ func TestCreateSessionConfigWire(t *testing.T) {
 	}
 }
 
-// TestJobSpecRoundTrip checks the drain-handoff reconstruction: records
-// carrying the resolved config resubmit through it with every field
-// pinned; records from servers predating the config surface fall back to
-// the flat fields.
+// TestJobSpecRoundTrip checks the drain-handoff reconstruction: a record
+// resubmits through its resolved config with every field pinned, and a
+// scenario-submitted one re-spells its generator inside the scenario
+// object.
 func TestJobSpecRoundTrip(t *testing.T) {
 	eff := EffectiveConfig{
 		Algorithm:  "octree",
 		Layout:     "flat",
 		DT:         0.5,
 		Theta:      0.5,
-		Eps:        0, // explicit zero — the flat fields cannot carry this
+		Eps:        0, // explicit zero: must be pinned, not dropped
 		G:          2,
 		Sequential: false,
 		TreeReuse:  TreeReuseConfig{RebuildEvery: 4, RefitThreshold: 0.01},
@@ -84,7 +84,7 @@ func TestJobSpecRoundTrip(t *testing.T) {
 
 	spec := j.Spec()
 	if spec.Config == nil {
-		t.Fatal("resolved-config record must resubmit through the config object")
+		t.Fatal("record must resubmit through the config object")
 	}
 	if spec.Config.Eps == nil || *spec.Config.Eps != 0 {
 		t.Errorf("explicit eps=0 not pinned: %+v", spec.Config.Eps)
@@ -93,18 +93,17 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		spec.Config.TreeReuse == nil || spec.Config.TreeReuse.RebuildEvery != 4 {
 		t.Errorf("pinned config %+v", spec.Config)
 	}
-	if spec.Algorithm != "" || spec.DT != 0 {
-		t.Errorf("deprecated flat fields must stay empty alongside config: %+v", spec)
+	if spec.ID != "j-1" || spec.Workload != "plummer" || spec.N != 128 || spec.Seed != 9 ||
+		spec.Steps != 100 || spec.Class != "high" || spec.ChunkSteps != 10 || spec.Scenario != nil {
+		t.Errorf("spec %+v", spec)
 	}
 
-	// Old-server record: no config echo, flat fields only.
-	old := Job{ID: "j-2", Workload: "plummer", N: 64, Steps: 10,
-		Algorithm: "bvh", DT: 0.25, Theta: 0.7}
-	ospec := old.Spec()
-	if ospec.Config != nil {
-		t.Errorf("old record should not invent a config object: %+v", ospec.Config)
+	j.Config.Scenario = "solar-system"
+	spec = j.Spec()
+	if spec.Scenario == nil || *spec.Scenario != (ScenarioSpec{Name: "solar-system", N: 128, Seed: 9}) {
+		t.Errorf("scenario handoff %+v", spec.Scenario)
 	}
-	if ospec.Algorithm != "bvh" || ospec.DT != 0.25 || ospec.Theta != 0.7 {
-		t.Errorf("flat fields lost: %+v", ospec)
+	if spec.Workload != "" || spec.N != 0 || spec.Seed != 0 {
+		t.Errorf("scenario spec must not also spell workload/n/seed: %+v", spec)
 	}
 }

@@ -17,6 +17,11 @@ const (
 	CodeOverloaded      = "overloaded"
 	CodeShuttingDown    = "shutting_down"
 	CodeInvalidRequest  = "invalid_request"
+	// CodeInvalidConfig: a field of the physics config failed validation,
+	// or the request used one of the flat physics fields (dt, theta, …
+	// beside workload) the config object replaced; the message names the
+	// field or its successor.
+	CodeInvalidConfig   = "invalid_config"
 	CodeInvalidSnapshot = "invalid_snapshot"
 	CodeClientClosed    = "client_closed_request"
 	// CodeDeadlineExceeded: the request's propagated time budget

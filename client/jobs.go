@@ -48,14 +48,6 @@ type JobSpec struct {
 	// a scenario it is merged over the pack's preset.
 	Config *SessionConfig `json:"config,omitempty"`
 
-	// Deprecated: flat physics fields, superseded by Config.
-	Algorithm  string  `json:"algorithm,omitempty"`
-	DT         float64 `json:"dt,omitempty"`
-	Theta      float64 `json:"theta,omitempty"`
-	Eps        float64 `json:"eps,omitempty"`
-	G          float64 `json:"g,omitempty"`
-	Sequential bool    `json:"sequential,omitempty"`
-
 	Steps      int    `json:"steps"`
 	Class      string `json:"class,omitempty"`
 	ChunkSteps int    `json:"chunk_steps,omitempty"`
@@ -63,24 +55,19 @@ type JobSpec struct {
 
 // Job mirrors the service's job description (jobs.Info).
 type Job struct {
-	ID        string  `json:"id"`
-	State     string  `json:"state"`
-	Class     string  `json:"class"`
-	Workload  string  `json:"workload,omitempty"`
-	Algorithm string  `json:"algorithm,omitempty"`
-	N         int     `json:"n"`
-	DT        float64 `json:"dt"`
-	Seed      uint64  `json:"seed"`
-	// Theta/Eps/G/Sequential/ChunkSteps echo the submitted spec, so a
-	// record fetched from one shard can be resubmitted verbatim on
-	// another (the router's drain handoff).
-	Theta      float64 `json:"theta,omitempty"`
-	Eps        float64 `json:"eps,omitempty"`
-	G          float64 `json:"g,omitempty"`
-	Sequential bool    `json:"sequential,omitempty"`
+	ID       string `json:"id"`
+	State    string `json:"state"`
+	Class    string `json:"class"`
+	Workload string `json:"workload,omitempty"`
+	// Algorithm and DT summarize Config, like a Session's.
+	Algorithm  string  `json:"algorithm,omitempty"`
+	N          int     `json:"n"`
+	DT         float64 `json:"dt"`
+	Seed       uint64  `json:"seed"`
 	ChunkSteps int     `json:"chunk_steps,omitempty"`
 	// Config is the fully resolved physics configuration the job runs
-	// with (servers predating the config surface leave it zero).
+	// with. With Workload/N/Seed, ChunkSteps and Class it is everything
+	// Spec needs to resubmit the job on another shard.
 	Config EffectiveConfig `json:"config"`
 	// Scenario echoes the scenario-pack name for pack-submitted jobs.
 	Scenario string `json:"scenario,omitempty"`
@@ -98,15 +85,15 @@ type Job struct {
 
 // Spec reconstructs the submission spec from a job record, the input a
 // drain handoff needs to resubmit the job elsewhere under the same ID.
-// Records from servers that echo the resolved config are resubmitted
-// through it with every field pinned, so the handoff reproduces the
-// exact physics — including explicit zeros the flat fields can't carry.
+// The resolved config is resubmitted with every field pinned, so the
+// handoff reproduces the exact physics, explicit zeros included.
 func (j Job) Spec() JobSpec {
 	spec := JobSpec{
 		ID:         j.ID,
 		Workload:   j.Workload,
 		N:          j.N,
 		Seed:       j.Seed,
+		Config:     j.Config.Request(),
 		Steps:      j.Steps,
 		Class:      j.Class,
 		ChunkSteps: j.ChunkSteps,
@@ -118,20 +105,10 @@ func (j Job) Spec() JobSpec {
 	if name != "" {
 		// Scenario and top-level workload/n/seed are mutually exclusive on
 		// submission, so the handoff re-spells the generator parameters
-		// inside the scenario object; the pinned config below reproduces
-		// the physics regardless of the pack preset.
+		// inside the scenario object; the pinned config reproduces the
+		// physics regardless of the pack preset.
 		spec.Scenario = &ScenarioSpec{Name: name, N: j.N, Seed: j.Seed}
 		spec.Workload, spec.N, spec.Seed = "", 0, 0
-	}
-	if j.Config.Algorithm != "" {
-		spec.Config = j.Config.Request()
-	} else {
-		spec.Algorithm = j.Algorithm
-		spec.DT = j.DT
-		spec.Theta = j.Theta
-		spec.Eps = j.Eps
-		spec.G = j.G
-		spec.Sequential = j.Sequential
 	}
 	return spec
 }

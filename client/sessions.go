@@ -34,12 +34,7 @@ type Session struct {
 	FailReason string `json:"fail_reason,omitempty"`
 }
 
-// CreateSessionRequest mirrors the JSON body of POST /v1/sessions. Put
-// physics settings in Config; the flat Algorithm/DT/Theta/Eps/G/
-// Sequential/RebuildEvery fields are deprecated aliases (zero inherits
-// the server default, so explicit zeros are not expressible through
-// them), and responses to requests using them carry a Deprecation header.
-// When both are present the server resolves Config with precedence.
+// CreateSessionRequest mirrors the JSON body of POST /v1/sessions.
 type CreateSessionRequest struct {
 	Workload string `json:"workload,omitempty"`
 	N        int    `json:"n"`
@@ -53,15 +48,6 @@ type CreateSessionRequest struct {
 	// Config is the physics configuration (explicit zeros honoured). With
 	// a scenario it is merged over the pack's preset.
 	Config *SessionConfig `json:"config,omitempty"`
-
-	// Deprecated: flat physics fields, superseded by Config.
-	Algorithm    string  `json:"algorithm,omitempty"`
-	DT           float64 `json:"dt,omitempty"`
-	Theta        float64 `json:"theta,omitempty"`
-	Eps          float64 `json:"eps,omitempty"`
-	G            float64 `json:"g,omitempty"`
-	Sequential   bool    `json:"sequential,omitempty"`
-	RebuildEvery int     `json:"rebuild_every,omitempty"`
 
 	ValidateEvery int `json:"validate_every,omitempty"`
 }
@@ -173,22 +159,11 @@ const snapshotContentType = "application/x-nbody-snapshot"
 
 // SnapshotParams are the simulation parameters accompanying a snapshot
 // upload (the checkpoint carries positions/velocities/masses but not the
-// solver configuration). Put physics settings in Config (sent as the
-// JSON-encoded `config` query parameter); the flat fields are deprecated
-// aliases with zero-inherits-default semantics. DT is required > 0, in
-// either form.
+// solver configuration), sent as the JSON-encoded `config` query
+// parameter. Config.DT is required > 0.
 type SnapshotParams struct {
 	// Config is the physics configuration (explicit zeros honoured).
 	Config *SessionConfig
-
-	// Deprecated: flat physics fields, superseded by Config.
-	Algorithm    string
-	DT           float64
-	Theta        float64
-	Eps          float64
-	G            float64
-	Sequential   bool
-	RebuildEvery int
 }
 
 func (p SnapshotParams) query() (url.Values, error) {
@@ -199,24 +174,6 @@ func (p SnapshotParams) query() (url.Values, error) {
 			return nil, fmt.Errorf("client: encoding snapshot config: %w", err)
 		}
 		q.Set("config", string(b))
-	}
-	if p.Algorithm != "" {
-		q.Set("algorithm", p.Algorithm)
-	}
-	setF := func(key string, v float64) {
-		if v != 0 {
-			q.Set(key, strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	setF("dt", p.DT)
-	setF("theta", p.Theta)
-	setF("eps", p.Eps)
-	setF("g", p.G)
-	if p.Sequential {
-		q.Set("sequential", "true")
-	}
-	if p.RebuildEvery != 0 {
-		q.Set("rebuild_every", strconv.Itoa(p.RebuildEvery))
 	}
 	return q, nil
 }

@@ -344,25 +344,17 @@ func (g *generator) buildPool(ctx context.Context, rng *rand.Rand) ([]poolSessio
 	}
 	var created []poolSession
 	for i := 0; i < g.cfg.Sessions; i++ {
-		var req client.CreateSessionRequest
+		req := client.CreateSessionRequest{Config: &client.SessionConfig{}}
 		if scen := g.pickScenario(rng); scen != "" {
 			// The pack owns the physics; only the size and seed are
 			// overridden so runs stay small and reproducible.
 			req.Scenario = &client.ScenarioSpec{Name: scen, N: g.cfg.N, Seed: g.cfg.Seed + uint64(i)}
-			if g.cfg.Pipeline {
-				req.Config = &client.SessionConfig{Pipeline: client.Bool(true)}
-			}
 		} else {
-			req = client.CreateSessionRequest{
-				Workload: "plummer",
-				N:        g.cfg.N,
-				DT:       g.cfg.DT,
-				Seed:     g.cfg.Seed + uint64(i),
-			}
-			if g.cfg.Pipeline {
-				req.DT = 0
-				req.Config = &client.SessionConfig{DT: g.cfg.DT, Pipeline: client.Bool(true)}
-			}
+			req.Workload, req.N, req.Seed = "plummer", g.cfg.N, g.cfg.Seed+uint64(i)
+			req.Config.DT = g.cfg.DT
+		}
+		if g.cfg.Pipeline {
+			req.Config.Pipeline = client.Bool(true)
 		}
 		owner := i % len(g.clients)
 		s, err := g.clients[owner].c.CreateSession(ctx, req)
@@ -453,8 +445,8 @@ func (g *generator) execute(ctx context.Context, cl string, tc int, scen string)
 		} else {
 			spec.Workload = "plummer"
 			spec.N = g.cfg.N
-			spec.DT = g.cfg.DT
 			spec.Seed = g.cfg.Seed
+			spec.Config = &client.SessionConfig{DT: g.cfg.DT}
 		}
 		_, err := g.clients[tc].c.SubmitJob(ctx, spec)
 		return g.clients[tc].name, err

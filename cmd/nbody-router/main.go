@@ -9,7 +9,7 @@
 //	nbody-serve  -addr :8081 -shard-id a &
 //	nbody-serve  -addr :8082 -shard-id b &
 //	nbody-router -addr :8080 -shard a=http://127.0.0.1:8081 -shard b=http://127.0.0.1:8082
-//	curl -s localhost:8080/v1/sessions -d '{"workload":"plummer","n":2048,"dt":1e-3}'
+//	curl -s localhost:8080/v1/sessions -d '{"workload":"plummer","n":2048,"config":{"dt":1e-3}}'
 //	curl -s localhost:8080/v1/shards
 //	curl -s -X POST localhost:8080/v1/shards/a/drain
 //

@@ -5,7 +5,7 @@
 // Examples:
 //
 //	nbody-serve -addr :8080 -max-sessions 64 -max-bodies 1000000 -idle-ttl 10m
-//	curl -s localhost:8080/v1/sessions -d '{"workload":"galaxy","n":10000,"dt":1e-3}'
+//	curl -s localhost:8080/v1/sessions -d '{"workload":"galaxy","n":10000,"config":{"dt":1e-3}}'
 //	curl -s localhost:8080/v1/sessions/s-1/step -d '{"steps":100}'
 //	curl -s localhost:8080/metrics   # Prometheus exposition
 //

@@ -163,7 +163,7 @@ func createSessionOn(t *testing.T, frontURL, want string) string {
 	t.Helper()
 	for i := 0; i < 64; i++ {
 		resp, body := doReq(t, http.MethodPost, frontURL+"/v1/sessions",
-			map[string]any{"workload": "plummer", "n": 64, "dt": 1e-3})
+			map[string]any{"workload": "plummer", "n": 64, "config": map[string]any{"dt": 1e-3}})
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create session: status %d body %s", resp.StatusCode, body)
 		}
@@ -380,7 +380,7 @@ func TestE2EHedgedReadBeatsSlowShard(t *testing.T) {
 	}
 	for i := 0; i < 128 && queuedOnA() == ""; i++ {
 		resp, body := doReq(t, http.MethodPost, front.URL+"/v1/jobs",
-			map[string]any{"workload": "plummer", "n": 32, "dt": 1e-3, "steps": 20})
+			map[string]any{"workload": "plummer", "n": 32, "config": map[string]any{"dt": 1e-3}, "steps": 20})
 		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusCreated {
 			t.Fatalf("submit: status %d body %s", resp.StatusCode, body)
 		}
@@ -396,7 +396,7 @@ func TestE2EHedgedReadBeatsSlowShard(t *testing.T) {
 	// Evict the handoff's cache entry (capacity 1) so the next read walks
 	// the ring from the slow owner, then make the owner slow.
 	if resp, body := doReq(t, http.MethodPost, front.URL+"/v1/sessions",
-		map[string]any{"workload": "plummer", "n": 32, "dt": 1e-3}); resp.StatusCode != http.StatusCreated {
+		map[string]any{"workload": "plummer", "n": 32, "config": map[string]any{"dt": 1e-3}}); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("cache-evicting create: status %d body %s", resp.StatusCode, body)
 	}
 	p.Injector().SetRules(chaos.Rule{Latency: 1500 * time.Millisecond})

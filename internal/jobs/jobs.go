@@ -5,7 +5,8 @@
 // event-driven execution model decouples tree-code task issue from
 // completion.
 //
-// A job is a session spec plus a total step count and a priority class.
+// A job is a simulation spec (simcfg.Spec, the same one a session is created
+// from) plus a total step count and a priority class.
 // Submission enqueues and returns immediately (the HTTP layer answers 202);
 // workers drain the queues under smooth weighted round-robin across the
 // classes (high:normal:low = 4:2:1), so a burst of low-priority bulk work
@@ -146,22 +147,12 @@ func validClass(name string) bool {
 	return false
 }
 
-// SessionSpec is the simulation half of a job spec — the parameters the
-// Runner needs to create the backing session. Zero workload/algorithm
-// inherit the session layer's defaults ("plummer"/"octree"). Physics
-// settings belong in Config; the flat fields are deprecated aliases with
-// the same semantics as the session create surface (Config wins).
-type SessionSpec struct {
-	Workload string `json:"workload"`
-	N        int    `json:"n"`
-	Seed     uint64 `json:"seed"`
-
-	// Scenario, when set, derives the backing session from a named scenario
-	// pack instead of raw workload/n/seed: the pack supplies the generator,
-	// a default body count and a preset physics config merged beneath
-	// Config. Mutually exclusive with Workload/N/Seed (the pack owns those);
-	// Submit expands it in place via ApplyScenario.
-	Scenario *simcfg.Scenario `json:"scenario,omitempty"`
+// Spec is the JSON body of POST /v1/jobs: what to simulate plus the batch
+// parameters. Submit resolves the embedded simcfg.Spec once; from then on
+// Workload/N/Seed hold the generator the job runs (a scenario pack
+// expanded) and the resolved config travels beside the spec.
+type Spec struct {
+	simcfg.Spec
 
 	// Tenant is the submitting tenant's name, stamped server-side from the
 	// authenticated request context — never decoded from the wire (the HTTP
@@ -169,77 +160,6 @@ type SessionSpec struct {
 	// drives the per-tenant queue quota and tenant-fair dequeueing.
 	Tenant string `json:"-"`
 
-	// Config is the physics configuration (snake_case object, explicit
-	// zeros honoured). See simcfg.Config.
-	Config *simcfg.Config `json:"config,omitempty"`
-
-	// Deprecated: flat physics fields, superseded by Config.
-	Algorithm  string  `json:"algorithm,omitempty"`
-	DT         float64 `json:"dt,omitempty"`
-	Theta      float64 `json:"theta,omitempty"`
-	Eps        float64 `json:"eps,omitempty"`
-	G          float64 `json:"g,omitempty"`
-	Sequential bool    `json:"sequential,omitempty"`
-}
-
-// legacy collects the spec's deprecated flat physics fields.
-func (s SessionSpec) legacy() simcfg.Legacy {
-	return simcfg.Legacy{
-		Algorithm:  s.Algorithm,
-		DT:         s.DT,
-		Theta:      s.Theta,
-		Eps:        s.Eps,
-		G:          s.G,
-		Sequential: s.Sequential,
-	}
-}
-
-// ResolveConfig merges the spec's config object and deprecated flat fields
-// over the service defaults and validates the result.
-func (s SessionSpec) ResolveConfig() (simcfg.Effective, error) {
-	return simcfg.Resolve(s.legacy(), s.Config)
-}
-
-// DeprecatedFieldsUsed reports whether the spec relies on the flat physics
-// aliases (drives the Deprecation response header).
-func (s SessionSpec) DeprecatedFieldsUsed() bool { return s.legacy().Used() }
-
-// ApplyScenario expands a scenario-pack spec in place, mirroring the
-// session-create surface: the pack supplies Workload/N (with scenario.n and
-// scenario.seed as overrides) and its preset config is merged beneath the
-// spec's own. The spec must not also spell workload/n/seed at the top level.
-// No-op without a scenario; the Scenario pointer is kept so the record and
-// Info echo which pack the job came from.
-func (s *SessionSpec) ApplyScenario() error {
-	if s.Scenario == nil {
-		return nil
-	}
-	if s.Workload != "" || s.N != 0 || s.Seed != 0 {
-		return fmt.Errorf("%w: scenario and top-level workload/n/seed are mutually exclusive (use scenario.n and scenario.seed)", ErrBadRequest)
-	}
-	pack, n, cfg, err := s.Scenario.Apply(s.Config)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	s.Workload = pack.Workload
-	s.N = n
-	s.Seed = s.Scenario.Seed
-	s.Config = cfg
-	return nil
-}
-
-// ScenarioName is the pack name of a scenario spec ("" otherwise).
-func (s SessionSpec) ScenarioName() string {
-	if s.Scenario == nil {
-		return ""
-	}
-	return s.Scenario.Name
-}
-
-// Spec is the JSON body of POST /v1/jobs: a session spec plus the batch
-// parameters.
-type Spec struct {
-	SessionSpec
 	// ID, when non-empty, is the job ID to create under instead of a
 	// manager-minted one. It must satisfy store.ValidID and must not be
 	// taken. The router tier uses this (via the X-NBody-ID header) so the
@@ -260,25 +180,21 @@ type Spec struct {
 
 // Info is the JSON description of a job.
 type Info struct {
-	ID        string  `json:"id"`
-	State     State   `json:"state"`
-	Class     string  `json:"class"`
-	Workload  string  `json:"workload,omitempty"`
-	Algorithm string  `json:"algorithm,omitempty"`
-	N         int     `json:"n"`
-	DT        float64 `json:"dt"`
-	Seed      uint64  `json:"seed"`
-	// Theta/Eps/G/Sequential/ChunkSteps echo the submitted spec so a
-	// router drain handoff can resubmit a queued job elsewhere without
-	// losing physics parameters.
-	Theta      float64 `json:"theta,omitempty"`
-	Eps        float64 `json:"eps,omitempty"`
-	G          float64 `json:"g,omitempty"`
-	Sequential bool    `json:"sequential,omitempty"`
+	ID       string `json:"id"`
+	State    State  `json:"state"`
+	Class    string `json:"class"`
+	Workload string `json:"workload,omitempty"`
+	// Algorithm and DT summarize Config, like a session description's.
+	Algorithm  string  `json:"algorithm,omitempty"`
+	N          int     `json:"n"`
+	DT         float64 `json:"dt"`
+	Seed       uint64  `json:"seed"`
 	ChunkSteps int     `json:"chunk_steps,omitempty"`
 	// Config is the fully resolved physics configuration the job's
-	// sessions run with (every default applied). Its Scenario field echoes
-	// the pack name when the job was submitted from a scenario.
+	// sessions run with (every default applied) — with Workload/N/Seed,
+	// ChunkSteps and Class, everything a router drain handoff needs to
+	// resubmit a queued job elsewhere. Its Scenario field echoes the pack
+	// name when the job was submitted from a scenario.
 	Config simcfg.Effective `json:"config"`
 	// Scenario is the scenario-pack name the job was submitted from ("" for
 	// raw workload/n/seed submissions).

@@ -6,18 +6,22 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nbody/internal/simcfg"
 	"nbody/internal/store"
 )
 
 // fakeSession is one simulated session owned by fakeRunner.
 type fakeSession struct {
-	spec  SessionSpec
+	spec  Spec
+	eff   simcfg.Effective
 	steps int
 }
 
@@ -41,9 +45,9 @@ func newFakeRunner() *fakeRunner {
 	return &fakeRunner{sessions: make(map[string]*fakeSession)}
 }
 
-func (f *fakeRunner) ValidateSession(spec SessionSpec) error { return f.validateErr }
+func (f *fakeRunner) ValidateSession(spec Spec) error { return f.validateErr }
 
-func (f *fakeRunner) CreateSession(ctx context.Context, spec SessionSpec) (string, error) {
+func (f *fakeRunner) CreateSession(ctx context.Context, spec Spec, eff simcfg.Effective) (string, error) {
 	if f.createErr != nil {
 		return "", f.createErr
 	}
@@ -51,7 +55,7 @@ func (f *fakeRunner) CreateSession(ctx context.Context, spec SessionSpec) (strin
 	defer f.mu.Unlock()
 	f.nextID++
 	id := fmt.Sprintf("fs-%d", f.nextID)
-	f.sessions[id] = &fakeSession{spec: spec}
+	f.sessions[id] = &fakeSession{spec: spec, eff: eff}
 	f.created = append(f.created, spec.Workload)
 	return id, nil
 }
@@ -160,10 +164,21 @@ func waitState(t *testing.T, m *Manager, id string, want State) Info {
 	return info
 }
 
+// effective resolves cfg the way Submit would, for tests that seed the
+// store with hand-written records.
+func effective(t *testing.T, cfg simcfg.Config) simcfg.Effective {
+	t.Helper()
+	eff, err := (&simcfg.Spec{Config: &cfg}).Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eff
+}
+
 func spec(workload string, steps int) Spec {
 	return Spec{
-		SessionSpec: SessionSpec{Workload: workload, N: 32, DT: 1e-3},
-		Steps:       steps,
+		Spec:  simcfg.Spec{Workload: workload, N: 32, Config: &simcfg.Config{DT: 1e-3}},
+		Steps: steps,
 	}
 }
 
@@ -577,6 +592,106 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 	}
 }
 
+// TestRestartReproducesEffectiveConfig: a job still queued at a crash comes
+// back with exactly the config it was submitted with — every field far from
+// its default, an explicit eps 0, pipeline and the scenario echo included —
+// reads the same through Get before and after, and creates its session from
+// that config.
+func TestRestartReproducesEffectiveConfig(t *testing.T) {
+	js, err := store.OpenJobs(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFakeRunner()
+	parked := make(chan struct{})
+	var once sync.Once
+	f.stepHook = func(ctx context.Context, call int, sid string, n int) error {
+		once.Do(func() { close(parked) })
+		<-ctx.Done() // pin the only worker so the second job stays queued
+		return ctx.Err()
+	}
+	m1, err := NewManager(Config{Runner: f, Workers: 1, Store: js})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.Submit(context.Background(), spec("blocker", 10)); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+
+	zero, theta, g, yes := 0.0, 0.9, 2.0, true
+	before, err := m1.Submit(context.Background(), Spec{
+		Spec: simcfg.Spec{
+			Scenario: &simcfg.Scenario{Name: "solar-system", N: 48, Seed: 9},
+			Config: &simcfg.Config{
+				Algorithm: "bvh", Layout: "walk", DT: 0.004,
+				Theta: &theta, Eps: &zero, G: &g, Sequential: &yes, Pipeline: &yes,
+				TreeReuse: &simcfg.TreeReuse{RebuildEvery: 4, RefitThreshold: 0.05},
+			},
+		},
+		Steps: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := simcfg.Effective{
+		Algorithm: "bvh", Layout: "walk", DT: 0.004, Theta: 0.9, Eps: 0, G: 2,
+		Sequential: true, Pipeline: true, Scenario: "solar-system",
+		TreeReuse: simcfg.TreeReuse{RebuildEvery: 4, RefitThreshold: 0.05},
+	}
+	if before.Config != want {
+		t.Fatalf("submitted config %+v, want %+v", before.Config, want)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := m1.Close(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	f.stepHook = nil
+	m2 := newTestManager(t, Config{Runner: f, Workers: 1, Store: js})
+	after := waitState(t, m2, before.ID, StateSucceeded)
+	if after.Config != before.Config {
+		t.Errorf("config after restart %+v, want %+v", after.Config, before.Config)
+	}
+	if after.Algorithm != before.Algorithm || after.DT != before.DT || after.Scenario != before.Scenario ||
+		after.Workload != before.Workload || after.N != before.N || after.Seed != before.Seed {
+		t.Errorf("echo after restart %+v, was %+v", after, before)
+	}
+	f.mu.Lock()
+	got := f.sessions[after.SessionID].eff
+	f.mu.Unlock()
+	if got != want {
+		t.Errorf("session created with %+v, want %+v", got, want)
+	}
+}
+
+// TestRecordWithoutLayoutQuarantined: a record that predates the config
+// object (flat physics fields, no config.layout) is moved aside at boot
+// rather than re-enqueued with guessed defaults, and boot continues.
+func TestRecordWithoutLayoutQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	js, err := store.OpenJobs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := `{"id":"j-1","class":"normal","state":"queued","workload":"plummer","n":16,"seed":0,` +
+		`"algorithm":"octree","dt":0.001,"steps":5,"steps_done":0,"created":"2026-01-01T00:00:00Z"}`
+	if err := os.WriteFile(filepath.Join(dir, "j-1.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, Config{Runner: newFakeRunner(), Workers: 1, Store: js})
+	if got := m.List(); len(got) != 0 {
+		t.Errorf("recovered %+v from a record without config.layout", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", "j-1.json")); err != nil {
+		t.Errorf("record not quarantined: %v", err)
+	}
+	if _, err := m.Submit(context.Background(), spec("plummer", 1)); err != nil {
+		t.Errorf("submit after quarantine: %v", err)
+	}
+}
+
 func TestRestartWithLostSessionStartsOver(t *testing.T) {
 	dir := t.TempDir()
 	js, err := store.OpenJobs(dir)
@@ -587,7 +702,7 @@ func TestRestartWithLostSessionStartsOver(t *testing.T) {
 	// exists (evicted or wiped between runs).
 	rec := store.JobRecord{
 		ID: "j-1", Class: ClassNormal, State: string(StateRunning),
-		Workload: "plummer", N: 16, DT: 1e-3, Steps: 20, ChunkSteps: 10,
+		Workload: "plummer", N: 16, Config: effective(t, simcfg.Config{DT: 1e-3}), Steps: 20, ChunkSteps: 10,
 		SessionID: "fs-gone", StepsDone: 10, Created: time.Now().UTC(),
 	}
 	if err := js.Save(rec); err != nil {
@@ -698,7 +813,7 @@ func TestListOrdersNumerically(t *testing.T) {
 	for _, id := range []string{"j-2", "j-10", "j-1"} {
 		rec := store.JobRecord{
 			ID: id, Class: ClassNormal, State: string(StateSucceeded),
-			Workload: "plummer", N: 16, DT: 1e-3, Steps: 1, StepsDone: 1,
+			Workload: "plummer", N: 16, Config: effective(t, simcfg.Config{DT: 1e-3}), Steps: 1, StepsDone: 1,
 			Created: time.Now().UTC(), Finished: time.Now().UTC(),
 		}
 		if err := js.Save(rec); err != nil {

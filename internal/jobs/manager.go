@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -24,11 +23,13 @@ import (
 // retryable failures (admission shedding, slot contention) with
 // ErrTransient; any other error is treated as permanent and fails the job.
 type Runner interface {
-	// ValidateSession vets a spec at submit time so a bad job is rejected
-	// synchronously (400) rather than failing asynchronously.
-	ValidateSession(spec SessionSpec) error
-	// CreateSession builds the job's backing session and returns its ID.
-	CreateSession(ctx context.Context, spec SessionSpec) (string, error)
+	// ValidateSession vets a resolved spec's generator (workload name,
+	// body count against service limits) at submit time so a bad job is
+	// rejected synchronously (400) rather than failing asynchronously.
+	ValidateSession(spec Spec) error
+	// CreateSession builds the job's backing session from the resolved
+	// spec and its effective config, and returns the session's ID.
+	CreateSession(ctx context.Context, spec Spec, eff simcfg.Effective) (string, error)
 	// StepSession advances the session by up to n steps, returning how
 	// many completed — on interruption the partial count still counts
 	// toward job progress.
@@ -47,11 +48,12 @@ type Runner interface {
 // Job is one batch job owned by the Manager. All mutable fields are
 // guarded by the manager's mutex.
 type job struct {
-	id   string
+	id string
+	// spec is resolved: Workload/N/Seed are the generator the job runs.
 	spec Spec
-	// eff is the spec's fully resolved physics configuration (defaults
-	// applied), fixed at submit/recovery; echoed in Info and persisted so
-	// restarts and drain handoffs reproduce it exactly.
+	// eff is what spec.Resolve returned at submit: echoed in Info, handed
+	// to the session layer, and persisted whole so restarts and drain
+	// handoffs reproduce it exactly.
 	eff simcfg.Effective
 
 	state     State
@@ -78,14 +80,10 @@ func (j *job) infoLocked() Info {
 		State:      j.state,
 		Class:      j.spec.Class,
 		Workload:   j.spec.Workload,
-		Algorithm:  j.spec.Algorithm,
+		Algorithm:  j.eff.Algorithm,
 		N:          j.spec.N,
-		DT:         j.spec.DT,
+		DT:         j.eff.DT,
 		Seed:       j.spec.Seed,
-		Theta:      j.spec.Theta,
-		Eps:        j.spec.Eps,
-		G:          j.spec.G,
-		Sequential: j.spec.Sequential,
 		ChunkSteps: j.spec.ChunkSteps,
 		Config:     j.eff,
 		Scenario:   j.eff.Scenario,
@@ -102,36 +100,24 @@ func (j *job) infoLocked() Info {
 }
 
 func (j *job) recordLocked() store.JobRecord {
-	// Physics fields are persisted RESOLVED (from j.eff, not the raw
-	// spec); Layout being non-empty marks the record as resolved-style so
-	// recovery knows explicit zeros are real values, not inherit-default.
 	return store.JobRecord{
-		ID:             j.id,
-		Class:          j.spec.Class,
-		State:          string(j.state),
-		Workload:       j.spec.Workload,
-		N:              j.spec.N,
-		Seed:           j.spec.Seed,
-		Tenant:         j.spec.Tenant,
-		Scenario:       j.eff.Scenario,
-		Algorithm:      j.eff.Algorithm,
-		DT:             j.eff.DT,
-		Theta:          j.eff.Theta,
-		Eps:            j.eff.Eps,
-		G:              j.eff.G,
-		Sequential:     j.eff.Sequential,
-		Layout:         j.eff.Layout,
-		RebuildEvery:   j.eff.TreeReuse.RebuildEvery,
-		RefitThreshold: j.eff.TreeReuse.RefitThreshold,
-		Steps:          j.spec.Steps,
-		ChunkSteps:     j.spec.ChunkSteps,
-		SessionID:      j.sessionID,
-		StepsDone:      j.stepsDone,
-		Attempts:       j.attempts,
-		Error:          j.errMsg,
-		Created:        j.created,
-		Started:        j.started,
-		Finished:       j.finished,
+		ID:         j.id,
+		Class:      j.spec.Class,
+		State:      string(j.state),
+		Workload:   j.spec.Workload,
+		N:          j.spec.N,
+		Seed:       j.spec.Seed,
+		Tenant:     j.spec.Tenant,
+		Config:     j.eff,
+		Steps:      j.spec.Steps,
+		ChunkSteps: j.spec.ChunkSteps,
+		SessionID:  j.sessionID,
+		StepsDone:  j.stepsDone,
+		Attempts:   j.attempts,
+		Error:      j.errMsg,
+		Created:    j.created,
+		Started:    j.started,
+		Finished:   j.finished,
 	}
 }
 
@@ -153,6 +139,7 @@ type Manager struct {
 	queuedN  int
 	wrr      map[string]int // per-class smooth weighted-round-robin credits
 	draining bool
+	ids      store.IDs // the "j" scheme on cfg.ShardID
 	nextID   uint64
 
 	wg sync.WaitGroup // worker goroutines
@@ -187,6 +174,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		jobs:      make(map[string]*job),
 		queues:    make(map[string]*classQueue, len(classWeights)),
 		wrr:       make(map[string]int),
+		ids:       store.NewIDs("j", cfg.ShardID),
 		randFloat: rand.Float64,
 		ins:       newInstruments(cfg.Obs.Registry),
 		log:       cfg.Obs.Logger,
@@ -222,51 +210,16 @@ func (m *Manager) recover() error {
 		m.log.Log(context.Background(), "job record quarantined", "job", q.ID, "reason", q.Reason)
 	}
 	for _, rec := range recs {
-		ss := SessionSpec{
-			Workload:   rec.Workload,
-			N:          rec.N,
-			Seed:       rec.Seed,
-			Tenant:     rec.Tenant,
-			Algorithm:  rec.Algorithm,
-			DT:         rec.DT,
-			Theta:      rec.Theta,
-			Eps:        rec.Eps,
-			G:          rec.G,
-			Sequential: rec.Sequential,
-		}
-		if rec.Layout != "" {
-			// Resolved-style record: the flat fields hold fully resolved
-			// values, so rebuild the config object with explicit pointers —
-			// otherwise a real zero (eps 0) would re-inherit the default
-			// through the legacy flat-field semantics.
-			theta, eps, g, seq := rec.Theta, rec.Eps, rec.G, rec.Sequential
-			ss.Config = &simcfg.Config{
-				Algorithm:  rec.Algorithm,
-				Layout:     rec.Layout,
-				DT:         rec.DT,
-				Theta:      &theta,
-				Eps:        &eps,
-				G:          &g,
-				Sequential: &seq,
-				TreeReuse: &simcfg.TreeReuse{
-					RebuildEvery:   rec.RebuildEvery,
-					RefitThreshold: rec.RefitThreshold,
-				},
-			}
-		}
-		eff, _ := ss.ResolveConfig()
-		// The record holds resolved parameters, not the original scenario
-		// object; the pack name survives as an echo only.
-		eff.Scenario = rec.Scenario
 		j := &job{
 			id: rec.ID,
 			spec: Spec{
-				SessionSpec: ss,
-				Steps:       rec.Steps,
-				Class:       rec.Class,
-				ChunkSteps:  rec.ChunkSteps,
+				Spec:       simcfg.Spec{Workload: rec.Workload, N: rec.N, Seed: rec.Seed},
+				Tenant:     rec.Tenant,
+				Steps:      rec.Steps,
+				Class:      rec.Class,
+				ChunkSteps: rec.ChunkSteps,
 			},
-			eff:       eff,
+			eff:       rec.Config,
 			state:     State(rec.State),
 			sessionID: rec.SessionID,
 			stepsDone: rec.StepsDone,
@@ -293,37 +246,11 @@ func (m *Manager) recover() error {
 			m.log.Log(context.Background(), "job re-enqueued", "job", j.id,
 				"class", j.spec.Class, "steps_done", j.stepsDone)
 		}
-		if n, ok := m.mintedSeq(j.id); ok && n > m.nextID {
+		if n, ok := m.ids.Seq(j.id); ok && n > m.nextID {
 			m.nextID = n
 		}
 	}
 	return nil
-}
-
-// mintedID formats the n-th manager-minted job ID, shard-prefixed when the
-// manager runs as a named replica so IDs stay globally unique behind a
-// router.
-func (m *Manager) mintedID(n uint64) string {
-	if m.cfg.ShardID != "" {
-		return fmt.Sprintf("%s-j-%d", m.cfg.ShardID, n)
-	}
-	return fmt.Sprintf("j-%d", n)
-}
-
-// mintedSeq reports the sequence number of an ID this manager minted;
-// requested IDs (router-minted or from another shard) don't parse and never
-// advance the counter.
-func (m *Manager) mintedSeq(id string) (uint64, bool) {
-	prefix := "j-"
-	if m.cfg.ShardID != "" {
-		prefix = m.cfg.ShardID + "-j-"
-	}
-	suffix, ok := strings.CutPrefix(id, prefix)
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(suffix, 10, 64)
-	return n, err == nil
 }
 
 // Submit validates spec, enqueues a new job and returns its description.
@@ -331,9 +258,6 @@ func (m *Manager) mintedSeq(id string) (uint64, bool) {
 // ErrQueueFull rather than queued, the backpressure signal the HTTP layer
 // turns into 429 + Retry-After.
 func (m *Manager) Submit(ctx context.Context, spec Spec) (Info, error) {
-	if err := spec.ApplyScenario(); err != nil {
-		return Info{}, err
-	}
 	if spec.Class == "" {
 		spec.Class = ClassNormal
 	}
@@ -358,12 +282,14 @@ func (m *Manager) Submit(ctx context.Context, spec Spec) (Info, error) {
 	if spec.ChunkSteps == 0 {
 		spec.ChunkSteps = m.cfg.ChunkSteps
 	}
-	eff, err := spec.ResolveConfig()
+	eff, err := spec.Resolve()
+	if errors.Is(err, simcfg.ErrScenarioExclusive) {
+		return Info{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
 	if err != nil {
 		return Info{}, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
-	eff.Scenario = spec.ScenarioName()
-	if err := m.cfg.Runner.ValidateSession(spec.SessionSpec); err != nil {
+	if err := m.cfg.Runner.ValidateSession(spec); err != nil {
 		return Info{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 
@@ -398,8 +324,8 @@ func (m *Manager) Submit(ctx context.Context, spec Spec) (Info, error) {
 	} else {
 		for id == "" {
 			m.nextID++
-			if _, taken := m.jobs[m.mintedID(m.nextID)]; !taken {
-				id = m.mintedID(m.nextID)
+			if minted := m.ids.Mint(m.nextID); m.jobs[minted] == nil {
+				id = minted
 			}
 		}
 	}
@@ -423,8 +349,8 @@ func (m *Manager) Submit(ctx context.Context, spec Spec) (Info, error) {
 	m.persist(j)
 	kv := []any{"job", j.id, "class", spec.Class,
 		"workload", spec.Workload, "n", spec.N, "steps", spec.Steps}
-	if s := spec.ScenarioName(); s != "" {
-		kv = append(kv, "scenario", s)
+	if eff.Scenario != "" {
+		kv = append(kv, "scenario", eff.Scenario)
 	}
 	if spec.Tenant != "" {
 		kv = append(kv, "tenant", spec.Tenant)
@@ -490,28 +416,8 @@ func (m *Manager) List() []Info {
 		infos = append(infos, j.infoLocked())
 	}
 	m.mu.Unlock()
-	sort.Slice(infos, func(i, k int) bool { return idLess(infos[i].ID, infos[k].ID) })
+	sort.Slice(infos, func(i, k int) bool { return m.ids.Less(infos[i].ID, infos[k].ID) })
 	return infos
-}
-
-// idLess orders job IDs: manager-assigned "j-<n>" sort numerically,
-// anything else lexicographically after them.
-func idLess(a, b string) bool {
-	an, as := idSortKey(a)
-	bn, bs := idSortKey(b)
-	if an != bn {
-		return an < bn
-	}
-	return as < bs
-}
-
-func idSortKey(id string) (uint64, string) {
-	if suffix, ok := strings.CutPrefix(id, "j-"); ok {
-		if n, err := strconv.ParseUint(suffix, 10, 64); err == nil {
-			return n, ""
-		}
-	}
-	return ^uint64(0), id
 }
 
 // Cancel cancels or deletes job id. A queued job is removed from its queue
@@ -848,7 +754,7 @@ func (m *Manager) ensureSession(j *job) (string, error) {
 	}
 	ctx, cancel := m.chunkContext(j)
 	defer cancel()
-	id, err := m.cfg.Runner.CreateSession(ctx, j.spec.SessionSpec)
+	id, err := m.cfg.Runner.CreateSession(ctx, j.spec, j.eff)
 	if err != nil {
 		return "", m.watchdogErr(ctx, j, err)
 	}

@@ -66,7 +66,7 @@ func TestIdleClassForfeitsBankedCredit(t *testing.T) {
 func TestIdleTenantForfeitsBankedCredit(t *testing.T) {
 	q := newClassQueue()
 	jb := func(tenant, workload string) *job {
-		return &job{spec: Spec{SessionSpec: SessionSpec{Workload: workload, Tenant: tenant}}}
+		return &job{spec: Spec{Spec: simcfg.Spec{Workload: workload}, Tenant: tenant}}
 	}
 	// Stale bank: alice accrued credit, then her queue emptied.
 	q.wrr["alice"] = 10
@@ -202,8 +202,8 @@ func TestSubmitScenario(t *testing.T) {
 	m := newTestManager(t, Config{Runner: f, Workers: 1})
 
 	s := Spec{
-		SessionSpec: SessionSpec{Scenario: &simcfg.Scenario{Name: "plummer", N: 64, Seed: 7}},
-		Steps:       5,
+		Spec:  simcfg.Spec{Scenario: &simcfg.Scenario{Name: "plummer", N: 64, Seed: 7}},
+		Steps: 5,
 	}
 	info, err := m.Submit(context.Background(), s)
 	if err != nil {
@@ -220,7 +220,7 @@ func TestSubmitScenario(t *testing.T) {
 	}
 
 	bad := Spec{
-		SessionSpec: SessionSpec{
+		Spec: simcfg.Spec{
 			Workload: "plummer", N: 32,
 			Scenario: &simcfg.Scenario{Name: "plummer"},
 		},
@@ -231,8 +231,8 @@ func TestSubmitScenario(t *testing.T) {
 	}
 
 	unknown := Spec{
-		SessionSpec: SessionSpec{Scenario: &simcfg.Scenario{Name: "warp-core"}},
-		Steps:       5,
+		Spec:  simcfg.Spec{Scenario: &simcfg.Scenario{Name: "warp-core"}},
+		Steps: 5,
 	}
 	if _, err := m.Submit(context.Background(), unknown); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("unknown pack submit err = %v, want ErrInvalidConfig", err)

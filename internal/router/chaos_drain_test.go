@@ -71,7 +71,7 @@ func closeShardStack(s *testShard) {
 func submitJobVia(t *testing.T, frontURL string, steps int) (jobInfo, string) {
 	t.Helper()
 	resp, body := doReq(t, http.MethodPost, frontURL+"/v1/jobs",
-		map[string]any{"workload": "plummer", "n": 32, "dt": 1e-3, "steps": steps})
+		map[string]any{"workload": "plummer", "n": 32, "config": map[string]any{"dt": 1e-3}, "steps": steps})
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit job: status %d body %s", resp.StatusCode, body)
 	}

@@ -153,7 +153,7 @@ func envelopeCode(t *testing.T, body []byte) string {
 func createSession(t *testing.T, frontURL string) (id, shardName string) {
 	t.Helper()
 	resp, body := doReq(t, http.MethodPost, frontURL+"/v1/sessions",
-		map[string]any{"workload": "plummer", "n": 64, "dt": 1e-3})
+		map[string]any{"workload": "plummer", "n": 64, "config": map[string]any{"dt": 1e-3}})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create session: status %d body %s", resp.StatusCode, body)
 	}
@@ -197,6 +197,10 @@ type jobInfo struct {
 	State     string `json:"state"`
 	Class     string `json:"class"`
 	StepsDone int    `json:"steps_done"`
+	Config    struct {
+		DT  float64  `json:"dt"`
+		Eps *float64 `json:"eps"`
+	} `json:"config"`
 }
 
 func getJobVia(t *testing.T, baseURL, id string) (jobInfo, *http.Response) {
@@ -466,7 +470,7 @@ func TestRouterHealthShardDown(t *testing.T) {
 		t.Fatalf("router readyz with all shards down: status %d body %s", resp.StatusCode, body)
 	}
 	if resp, body := doReq(t, http.MethodPost, front.URL+"/v1/sessions",
-		map[string]any{"workload": "plummer", "n": 64, "dt": 1e-3}); resp.StatusCode != http.StatusServiceUnavailable ||
+		map[string]any{"workload": "plummer", "n": 64, "config": map[string]any{"dt": 1e-3}}); resp.StatusCode != http.StatusServiceUnavailable ||
 		envelopeCode(t, body) != "no_healthy_shards" {
 		t.Fatalf("placement with all shards down: status %d body %s", resp.StatusCode, body)
 	}
@@ -499,7 +503,7 @@ func TestRouterStaleCancelledRecord(t *testing.T) {
 	blockers := make([]string, 2)
 	for i := range blockers {
 		resp, body := doReq(t, http.MethodPost, a.srv.URL+"/v1/jobs",
-			map[string]any{"workload": "plummer", "n": 64, "dt": 1e-3, "steps": 50})
+			map[string]any{"workload": "plummer", "n": 64, "config": map[string]any{"dt": 1e-3}, "steps": 50})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("blocker submit: status %d body %s", resp.StatusCode, body)
 		}
@@ -529,7 +533,7 @@ func TestRouterStaleCancelledRecord(t *testing.T) {
 		return ""
 	}
 	makeStaleRecord := func(id string) {
-		spec := map[string]any{"id": id, "workload": "plummer", "n": 64, "dt": 1e-3, "steps": 2}
+		spec := map[string]any{"id": id, "workload": "plummer", "n": 64, "config": map[string]any{"dt": 1e-3}, "steps": 2}
 		if resp, body := doReq(t, http.MethodPost, a.srv.URL+"/v1/jobs", spec); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %s on a: status %d body %s", id, resp.StatusCode, body)
 		}
@@ -544,7 +548,7 @@ func TestRouterStaleCancelledRecord(t *testing.T) {
 	shadowed := mintOwnedByA()
 	makeStaleRecord(shadowed)
 	if resp, body := doReq(t, http.MethodPost, b.srv.URL+"/v1/jobs",
-		map[string]any{"id": shadowed, "workload": "plummer", "n": 64, "dt": 1e-3, "steps": 2}); resp.StatusCode != http.StatusAccepted {
+		map[string]any{"id": shadowed, "workload": "plummer", "n": 64, "config": map[string]any{"dt": 1e-3}, "steps": 2}); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit live copy on b: status %d body %s", resp.StatusCode, body)
 	}
 	j, resp := getJobVia(t, front.URL, shadowed)
@@ -629,7 +633,7 @@ func TestRouterDrainHandoff(t *testing.T) {
 	blockers := make([]string, 2)
 	for i := range blockers {
 		resp, body := doReq(t, http.MethodPost, a.srv.URL+"/v1/jobs",
-			map[string]any{"workload": "plummer", "n": 64, "dt": 1e-3, "steps": 50})
+			map[string]any{"workload": "plummer", "n": 64, "config": map[string]any{"dt": 1e-3}, "steps": 50})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("blocker submit: status %d body %s", resp.StatusCode, body)
 		}
@@ -654,8 +658,10 @@ func TestRouterDrainHandoff(t *testing.T) {
 		if i >= 60 {
 			t.Fatalf("60 submissions did not cover both shards (a=%d b=%d)", len(onA), len(onB))
 		}
+		// eps 0 (the exact Newtonian law) is the value a handoff that
+		// resubmitted anything but the resolved config would lose.
 		resp, body := doReq(t, http.MethodPost, front.URL+"/v1/jobs",
-			map[string]any{"workload": "plummer", "n": 64, "dt": 1e-3, "steps": 2})
+			map[string]any{"workload": "plummer", "n": 64, "config": map[string]any{"dt": 1e-3, "eps": 0}, "steps": 2})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit via router: status %d body %s", resp.StatusCode, body)
 		}
@@ -724,6 +730,11 @@ func TestRouterDrainHandoff(t *testing.T) {
 	}
 	if j, _ := getJobVia(t, front.URL, onA[0]); j.Class != "high" {
 		t.Fatalf("handed-off job class %q, want high (reprioritization lost in handoff)", j.Class)
+	}
+	for _, id := range onA {
+		if j, _ := getJobVia(t, front.URL, id); j.Config.DT != 1e-3 || j.Config.Eps == nil || *j.Config.Eps != 0 {
+			t.Fatalf("handed-off job %s runs with config %+v, want dt 1e-3 and eps 0", id, j.Config)
+		}
 	}
 
 	// The global listing still holds every job exactly once: no record

@@ -43,7 +43,7 @@ func TestStepRetryAfterEstimate(t *testing.T) {
 // the estimate is derived from.
 func TestStepSlotHoldObserved(t *testing.T) {
 	m := newTestManager(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 1e-3})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestStepShed429RetryAfterHeader(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 3; i++ {
-		info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 1e-3})
+		info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 1e-3}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,10 +132,7 @@ func TestPipelinedShedRetryAfterParity(t *testing.T) {
 	cfg.MaxQueue = 2 // pipelined admission bound = slots + queue = 3
 	m := newTestManager(t, cfg)
 
-	info, err := m.Create(context.Background(), CreateRequest{
-		Workload: "plummer", N: 32,
-		Config: &simcfg.Config{DT: 1e-3, Pipeline: boolPtr(true)},
-	})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 1e-3, Pipeline: boolPtr(true)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +173,13 @@ func TestSessionShed429RetryAfterHeader(t *testing.T) {
 	cfg.IdleTTL = 20 * time.Second
 	_, srv := newTestServer(t, cfg)
 
-	resp := postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"dt":0.001}`)
+	resp := postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"config":{"dt":0.001}}`)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status = %d, want 201", resp.StatusCode)
 	}
 
-	resp = postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"dt":0.001}`)
+	resp = postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"config":{"dt":0.001}}`)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-cap create status = %d, want 429", resp.StatusCode)
@@ -221,7 +218,7 @@ func (w *noFlushWriter) Write(b []byte) (int, error) {
 func TestWatchWithoutFlusherFails(t *testing.T) {
 	m := newTestManager(t, testConfig())
 	h := NewHandler(m)
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 1e-3})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +250,7 @@ func TestWatchHeartbeat(t *testing.T) {
 	m, srv := newTestServer(t, cfg)
 	m.stepHook = func(*Session) { time.Sleep(250 * time.Millisecond) }
 
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 1e-3})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +292,7 @@ func TestWatchHeartbeat(t *testing.T) {
 // TestWatchHeartbeatParamValidation rejects malformed heartbeat overrides.
 func TestWatchHeartbeatParamValidation(t *testing.T) {
 	m, srv := newTestServer(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 1e-3})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +315,7 @@ func TestListPageEvictedCursor(t *testing.T) {
 	m := newTestManager(t, testConfig())
 	var ids []string
 	for i := 0; i < 4; i++ {
-		info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 1e-3})
+		info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 1e-3}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,16 +1,19 @@
 package serve
 
-// Tests for the redesigned /v1 physics-config surface: the config object
-// on session and job creation, the effective-config echo, resolution
-// precedence, and the deprecation headers on the legacy flat fields.
+// Tests for the /v1 physics-config surface: the config object on session
+// and job creation, the effective-config echo, and the legible refusal of
+// the retired flat spelling.
 
 import (
+	"bytes"
+	"fmt"
 	"net/http"
-	"net/url"
 	"strings"
 	"testing"
 
 	"nbody/internal/jobs"
+	"nbody/internal/snapshot"
+	"nbody/internal/workload"
 )
 
 func TestCreateSessionConfigEcho(t *testing.T) {
@@ -22,9 +25,6 @@ func TestCreateSessionConfigEcho(t *testing.T) {
 			"tree_reuse":{"rebuild_every":3,"refit_threshold":0.02}}}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d", resp.StatusCode)
-	}
-	if d := resp.Header.Get("Deprecation"); d != "" {
-		t.Errorf("config-object request must not be marked deprecated (Deprecation: %q)", d)
 	}
 	info := decodeBody[Info](t, resp)
 
@@ -52,48 +52,61 @@ func TestCreateSessionConfigEcho(t *testing.T) {
 	}
 }
 
-func TestCreateSessionLegacyFieldsDeprecated(t *testing.T) {
-	_, srv := newTestServer(t, testConfig())
+// TestRetiredFlatFieldsRejected pins how the retired spelling fails: each of
+// the seven flat physics names, in a session body, a job body or a
+// snapshot-upload query string, answers 400 invalid_config with a message
+// naming its successor inside the config object — not the generic
+// unknown-field 400, and not a silently ignored query parameter.
+func TestRetiredFlatFieldsRejected(t *testing.T) {
+	_, _, srv := newJobServer(t, testConfig(), jobs.Config{Workers: 1})
+	var snap bytes.Buffer
+	if err := snapshot.Write(&snap, workload.Plummer(8, 1), snapshot.Meta{}); err != nil {
+		t.Fatal(err)
+	}
 
-	resp := postJSON(t, srv.URL+"/v1/sessions",
-		`{"workload":"plummer","n":64,"dt":0.002,"algorithm":"octree","theta":0.7}`)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create status %d", resp.StatusCode)
+	retired := []struct{ name, value, successor string }{
+		{"algorithm", `"bvh"`, "config.algorithm"},
+		{"dt", "0.001", "config.dt"},
+		{"theta", "0.7", "config.theta"},
+		{"eps", "0.01", "config.eps"},
+		{"g", "2", "config.g"},
+		{"sequential", "true", "config.sequential"},
+		{"rebuild_every", "3", "config.tree_reuse.rebuild_every"},
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy flat fields must set the Deprecation header")
+	if len(retired) != len(retiredFields) {
+		t.Fatalf("table covers %d names, the handler retires %v", len(retired), retiredFields)
 	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, `rel="successor-version"`) {
-		t.Errorf("Link header %q must point at the successor config surface", link)
-	}
-	eff := decodeBody[Info](t, resp).Config
-	if eff.Algorithm != "octree" || eff.DT != 0.002 || eff.Theta != 0.7 {
-		t.Errorf("legacy fields not resolved into config echo: %+v", eff)
-	}
-	if eff.Eps != 1e-3 || eff.G != 1 {
-		t.Errorf("legacy zero fields must inherit defaults: %+v", eff)
-	}
-}
-
-func TestCreateSessionConfigPrecedence(t *testing.T) {
-	_, srv := newTestServer(t, testConfig())
-
-	// Config object wins over legacy flat fields; legacy fields the config
-	// leaves unset still apply.
-	resp := postJSON(t, srv.URL+"/v1/sessions",
-		`{"workload":"plummer","n":64,"dt":0.002,"theta":0.7,"config":{"dt":0.004}}`)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("mixed request still uses legacy fields, must carry Deprecation")
-	}
-	eff := decodeBody[Info](t, resp).Config
-	if eff.DT != 0.004 {
-		t.Errorf("config dt must win over legacy: %v", eff.DT)
-	}
-	if eff.Theta != 0.7 {
-		t.Errorf("legacy theta must apply when config leaves it unset: %v", eff.Theta)
+	for _, tc := range retired {
+		name, value, successor := tc.name, tc.value, tc.successor
+		surfaces := map[string]func() (*http.Response, error){
+			"session body": func() (*http.Response, error) {
+				body := fmt.Sprintf(`{"workload":"plummer","n":64,"config":{"dt":0.001},%q:%s}`, name, value)
+				return http.Post(srv.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+			},
+			"job body": func() (*http.Response, error) {
+				body := fmt.Sprintf(`{"workload":"plummer","n":64,"steps":4,"config":{"dt":0.001},%q:%s}`, name, value)
+				return http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			},
+			"upload query": func() (*http.Response, error) {
+				u := srv.URL + "/v1/sessions" + configQuery(`{"dt":0.001}`) + "&" + name + "=" + strings.Trim(value, `"`)
+				return http.Post(u, snapshotContentType, bytes.NewReader(snap.Bytes()))
+			},
+		}
+		for surface, send := range surfaces {
+			t.Run(name+"/"+surface, func(t *testing.T) {
+				resp, err := send()
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := decodeBody[errorResponse](t, resp)
+				if resp.StatusCode != http.StatusBadRequest || e.Error.Code != CodeInvalidConfig {
+					t.Fatalf("status %d code %q, want 400 %s (%s)", resp.StatusCode, e.Error.Code, CodeInvalidConfig, e.Error.Message)
+				}
+				if !strings.Contains(e.Error.Message, successor) {
+					t.Errorf("message %q does not name the successor %s", e.Error.Message, successor)
+				}
+			})
+		}
 	}
 }
 
@@ -101,7 +114,7 @@ func TestSnapshotUploadConfigQueryParam(t *testing.T) {
 	_, srv := newTestServer(t, testConfig())
 
 	// Source session to snapshot.
-	resp := postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"dt":0.001}`)
+	resp := postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"config":{"dt":0.001}}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d", resp.StatusCode)
 	}
@@ -112,8 +125,7 @@ func TestSnapshotUploadConfigQueryParam(t *testing.T) {
 	}
 	defer snap.Body.Close()
 
-	q := url.Values{"config": {`{"algorithm":"bvh","dt":0.005,"eps":0}`}}
-	up, err := http.Post(srv.URL+"/v1/sessions?"+q.Encode(), snapshotContentType, snap.Body)
+	up, err := http.Post(srv.URL+"/v1/sessions"+configQuery(`{"algorithm":"bvh","dt":0.005,"eps":0}`), snapshotContentType, snap.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,18 +153,18 @@ func TestSnapshotUploadConfigQueryParam(t *testing.T) {
 func TestJobConfigSurface(t *testing.T) {
 	_, _, srv := newJobServer(t, testConfig(), jobs.Config{Workers: 1})
 
-	// Config object: accepted, echoed resolved, no deprecation.
+	// Config object: accepted, echoed resolved.
 	resp := postJSON(t, srv.URL+"/v1/jobs",
 		`{"workload":"plummer","n":48,"steps":4,"config":{"algorithm":"octree","dt":0.001,"eps":0}}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
 	}
-	if d := resp.Header.Get("Deprecation"); d != "" {
-		t.Errorf("config-object job marked deprecated (%q)", d)
-	}
 	info := decodeBody[jobs.Info](t, resp)
 	if info.Config.Algorithm != "octree" || info.Config.DT != 0.001 || info.Config.Eps != 0 {
 		t.Errorf("job config echo %+v", info.Config)
+	}
+	if info.Algorithm != "octree" || info.DT != 0.001 {
+		t.Errorf("job summary fields algorithm=%q dt=%v do not mirror the config", info.Algorithm, info.DT)
 	}
 
 	// The explicit eps=0 really reaches the session the worker creates.
@@ -164,19 +176,6 @@ func TestJobConfigSurface(t *testing.T) {
 	if eff := decodeBody[Info](t, sresp).Config; eff.Eps != 0 || eff.Algorithm != "octree" {
 		t.Errorf("backing session config %+v", eff)
 	}
-
-	// Legacy flat fields: deprecation headers on the submit response.
-	resp = postJSON(t, srv.URL+"/v1/jobs", `{"workload":"plummer","n":48,"dt":0.001,"steps":4}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy submit status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy job fields must set the Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/jobs#config") {
-		t.Errorf("Link header %q", link)
-	}
-	decodeBody[jobs.Info](t, resp)
 
 	// Invalid config fails with the stable invalid_config code.
 	resp = postJSON(t, srv.URL+"/v1/jobs", `{"workload":"plummer","n":48,"steps":4,"config":{"dt":-1}}`)

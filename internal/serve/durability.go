@@ -178,7 +178,7 @@ func (m *Manager) persist(ctx context.Context, s *Session) {
 		Workload:       s.workload,
 		Seed:           s.seed,
 		Tenant:         s.tenant,
-		Scenario:       s.scenario,
+		Scenario:       s.eff.Scenario,
 		DT:             s.dt,
 		Theta:          cfg.Params.Theta,
 		Eps:            cfg.Params.Eps,
@@ -276,7 +276,7 @@ func (m *Manager) recoverSessions() error {
 		m.recoveredTotal.Add(1)
 		m.ins.sessionsRecovered.Inc()
 		m.log.Log(context.Background(), "session recovered", "session", r.Meta.ID, "step", r.Meta.Step)
-		if n, ok := m.mintedSeq(r.Meta.ID); ok && n > maxID {
+		if n, ok := m.ids.Seq(r.Meta.ID); ok && n > maxID {
 			maxID = n
 		}
 	}
@@ -337,11 +337,10 @@ func (m *Manager) restore(meta store.Meta, sys *body.System) error {
 		dt:        meta.DT,
 		n:         sys.N(),
 		tenant:    meta.Tenant,
-		scenario:  meta.Scenario,
 		eff:       simcfg.EffectiveOf(sim.Config()),
 		savedStep: meta.Step,
 	}
-	s.eff.Scenario = s.scenario
+	s.eff.Scenario = meta.Scenario
 	s.touch()
 	// Drift is measured from the recovered state: the checkpoint already
 	// passed validation, and the pre-crash baseline was not persisted.

@@ -60,9 +60,10 @@ func TestRestartRecoversSessions(t *testing.T) {
 	m1 := newStoreManager(t, dir, nil)
 
 	zero, theta, seq := 0.0, 0.3, true
-	info, err := m1.Create(context.Background(), CreateRequest{Workload: "plummer", N: 64, Seed: 5, ValidateEvery: 2,
-		Config: &simcfg.Config{Algorithm: "bvh", Layout: "walk", DT: 1e-3, Theta: &theta, Eps: &zero, Sequential: &seq,
-			TreeReuse: &simcfg.TreeReuse{RebuildEvery: 5, RefitThreshold: 0.03}}})
+	req := plummerReq(64, 5, simcfg.Config{Algorithm: "bvh", Layout: "walk", DT: 1e-3, Theta: &theta, Eps: &zero, Sequential: &seq,
+		TreeReuse: &simcfg.TreeReuse{RebuildEvery: 5, RefitThreshold: 0.03}})
+	req.ValidateEvery = 2
+	info, err := m1.Create(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestRestartRecoversSessions(t *testing.T) {
 	}
 
 	// New sessions must not reuse the recovered ID.
-	fresh, err := m2.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	fresh, err := m2.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestRecoveryQuarantinesCorruptCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	m1 := newStoreManager(t, dir, nil)
 
-	req := CreateRequest{Workload: "plummer", N: 48, DT: 1e-3}
+	req := plummerReq(48, 0, simcfg.Config{DT: 1e-3})
 	var ids [4]string
 	for i := range ids {
 		info, err := m1.Create(context.Background(), req)
@@ -212,11 +213,11 @@ func corruptSnap(t *testing.T, dir, id string, damage func(path string, data []b
 // stepping on the same manager.
 func TestPanicContainment(t *testing.T) {
 	m := newTestManager(t, testConfig())
-	victim, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	victim, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	healthy, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +266,11 @@ func TestPanicContainment(t *testing.T) {
 // session is unaffected.
 func TestNaNQuarantine(t *testing.T) {
 	m := newTestManager(t, testConfig())
-	victim, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	victim, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	healthy, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestEnergyDriftQuarantine(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxEnergyDrift = 0.5
 	m := newTestManager(t, cfg)
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 1e-4})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 1e-4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestEnergyDriftQuarantine(t *testing.T) {
 func TestFailedSessionSurvivesRestartQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	m1 := newStoreManager(t, dir, nil)
-	info, err := m1.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	info, err := m1.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +381,7 @@ func TestFailedSessionSurvivesRestartQuarantined(t *testing.T) {
 func TestEvictionPersistsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	m1 := newStoreManager(t, dir, nil)
-	info, err := m1.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	info, err := m1.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +424,7 @@ func TestCheckpointEveryMidRun(t *testing.T) {
 	dir := t.TempDir()
 	m := newStoreManager(t, dir, func(c *Config) { c.CheckpointEvery = 5 })
 	defer closeManager(t, m)
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +449,7 @@ func TestCheckpointEveryMidRun(t *testing.T) {
 func TestDeleteRemovesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	m1 := newStoreManager(t, dir, nil)
-	info, err := m1.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	info, err := m1.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}

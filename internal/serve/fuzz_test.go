@@ -16,26 +16,26 @@ import (
 // service limits (answered 201 or, once the cap is hit, 429).
 func FuzzCreateSessionJSON(f *testing.F) {
 	seeds := []string{
-		`{"workload":"plummer","n":8,"dt":0.001}`,
-		`{"workload":"galaxy","n":16,"seed":7,"algorithm":"bvh","dt":1e-4}`,
+		`{"workload":"plummer","n":8,"config":{"dt":0.001}}`,
+		`{"workload":"galaxy","n":16,"seed":7,"config":{"algorithm":"bvh","dt":1e-4}}`,
 		``,
 		`null`,
 		`[]`,
 		`{`,
 		`{"workload":`,
-		`{"n":"many","dt":0.001}`,
-		`{"n":8,"dt":"fast"}`,
-		`{"n":8,"dt":0.001,"unknown_field":true}`,
-		`{"n":-1,"dt":0.001}`,
-		`{"n":1e30,"dt":0.001}`,
-		`{"n":8,"dt":-0.001}`,
-		`{"n":8,"dt":1e999}`,
+		`{"n":"many","config":{"dt":0.001}}`,
+		`{"n":8,"config":{"dt":"fast"}}`,
+		`{"n":8,"config":{"dt":0.001},"unknown_field":true}`,
+		`{"n":-1,"config":{"dt":0.001}}`,
+		`{"n":1e30,"config":{"dt":0.001}}`,
+		`{"n":8,"config":{"dt":-0.001}}`,
+		`{"n":8,"config":{"dt":1e999}}`,
 		string([]byte{0x7b, 0x00, 0x01, 0x02, 0xff, 0x7d}),
-		`{"n":8,"dt":0.001}{"n":8,"dt":0.001}`,
+		`{"n":8,"config":{"dt":0.001}}{"n":8,"config":{"dt":0.001}}`,
 		"\x00\x01\x02\xff",
 		strings.Repeat("9", 4096),
-		`{"workload":"plummer","n":8,"dt":0.001,"rebuild_every":-3,"validate_every":-1}`,
-		`{"workload":"plummer","n":8,"dt":0.001,"theta":-5,"eps":-1,"g":-1}`,
+		`{"workload":"plummer","n":8,"config":{"dt":0.001,"tree_reuse":{"rebuild_every":-3}},"validate_every":-1}`,
+		`{"workload":"plummer","n":8,"config":{"dt":0.001,"theta":-5,"eps":-1,"g":-1}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

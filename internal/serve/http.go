@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -368,8 +369,8 @@ func instrument(next http.Handler, m *Manager) http.Handler {
 
 // handleCreate serves POST /v1/sessions. A JSON body carries
 // CreateRequest; a binary body with the snapshot content type resumes an
-// uploaded checkpoint, with simulation parameters passed as query
-// parameters.
+// uploaded checkpoint, with the physics config passed as the `config`
+// query parameter.
 func handleCreate(m *Manager, w http.ResponseWriter, r *http.Request) {
 	ct := r.Header.Get("Content-Type")
 	ct, _, _ = strings.Cut(ct, ";")
@@ -386,7 +387,6 @@ func handleCreate(m *Manager, w http.ResponseWriter, r *http.Request) {
 		}
 		req.ID = r.Header.Get(IDHeader)
 		req.tenant = TenantFrom(r.Context())
-		markDeprecatedConfig(w, req)
 		// Cap the upload at the exact encoded size of MaxBodies bodies;
 		// anything larger necessarily declares a body count the manager
 		// rejects anyway.
@@ -397,7 +397,7 @@ func handleCreate(m *Manager, w http.ResponseWriter, r *http.Request) {
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateJSON))
 		dec.DisallowUnknownFields()
 		if derr := dec.Decode(&req); derr != nil {
-			writeError(w, fmt.Errorf("%w: body: %v", ErrBadRequest, derr))
+			writeError(w, bodyError(ErrBadRequest, derr))
 			return
 		}
 		if dec.More() {
@@ -408,7 +408,6 @@ func handleCreate(m *Manager, w http.ResponseWriter, r *http.Request) {
 			req.ID = id
 		}
 		req.tenant = TenantFrom(r.Context())
-		markDeprecatedConfig(w, req)
 		info, err = m.Create(r.Context(), req)
 	}
 	if err != nil {
@@ -437,23 +436,51 @@ func handleList(m *Manager, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, listResponse{Sessions: infos, NextCursor: next})
 }
 
-// markDeprecatedConfig flags responses to requests that configured physics
-// through the deprecated flat fields (JSON or query aliases) instead of
-// the `config` object, per RFC 9745 plus a pointer at the successor.
-func markDeprecatedConfig(w http.ResponseWriter, req CreateRequest) {
-	if req.deprecatedFieldsUsed() {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Add("Link", `</v1/sessions#config>; rel="successor-version"`)
+// retiredFields are the flat physics fields that sat beside `workload` in
+// create bodies, job specs and snapshot-upload query strings before the
+// `config` object replaced them. A request still spelling one is answered
+// with invalid_config naming the successor rather than a generic
+// unknown-field 400 (JSON) or a silently ignored parameter (query).
+var retiredFields = []string{"algorithm", "dt", "theta", "eps", "g", "sequential", "rebuild_every"}
+
+// retiredError is the invalid_config answer to retired field name, nil for
+// any other name.
+func retiredError(name string) error {
+	if !slices.Contains(retiredFields, name) {
+		return nil
 	}
+	successor := "config." + name
+	if name == "rebuild_every" {
+		successor = "config.tree_reuse.rebuild_every"
+	}
+	return fmt.Errorf("%w: the flat field %q was retired: use %s", ErrInvalidConfig, name, successor)
 }
 
-// createRequestFromQuery decodes snapshot-upload simulation parameters from
-// query parameters: the preferred `config` parameter (the simcfg.Config
-// object, JSON-encoded) plus the deprecated flat aliases (dt, algorithm,
-// theta, eps, g, sequential, rebuild_every).
+// bodyError wraps a JSON body decode failure with the caller's bad-request
+// sentinel, unless the failure is DisallowUnknownFields tripping on a
+// retired flat field. encoding/json reports an unknown field only as text.
+func bodyError(badRequest, err error) error {
+	if quoted, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+		if name, uerr := strconv.Unquote(quoted); uerr == nil {
+			if rerr := retiredError(name); rerr != nil {
+				return rerr
+			}
+		}
+	}
+	return fmt.Errorf("%w: body: %v", badRequest, err)
+}
+
+// createRequestFromQuery decodes a snapshot upload's simulation parameters
+// from the `config` query parameter (the simcfg.Config object,
+// JSON-encoded).
 func createRequestFromQuery(r *http.Request) (CreateRequest, error) {
 	q := r.URL.Query()
-	req := CreateRequest{Algorithm: q.Get("algorithm")}
+	var req CreateRequest
+	for _, name := range retiredFields {
+		if q.Has(name) {
+			return req, retiredError(name)
+		}
+	}
 	if v := q.Get("config"); v != "" {
 		dec := json.NewDecoder(strings.NewReader(v))
 		dec.DisallowUnknownFields()
@@ -462,32 +489,6 @@ func createRequestFromQuery(r *http.Request) (CreateRequest, error) {
 			return req, fmt.Errorf("%w: query config: %v", ErrInvalidConfig, derr)
 		}
 		req.Config = &cfg
-	}
-	var err error
-	parse := func(key string, dst *float64) {
-		if err != nil || !q.Has(key) {
-			return
-		}
-		if *dst, err = strconv.ParseFloat(q.Get(key), 64); err != nil {
-			err = fmt.Errorf("%w: query %s=%q: %v", ErrBadRequest, key, q.Get(key), err)
-		}
-	}
-	parse("dt", &req.DT)
-	parse("theta", &req.Theta)
-	parse("eps", &req.Eps)
-	parse("g", &req.G)
-	if err != nil {
-		return req, err
-	}
-	if q.Has("sequential") {
-		req.Sequential = q.Get("sequential") == "true" || q.Get("sequential") == "1"
-	}
-	if q.Has("rebuild_every") {
-		v, perr := strconv.Atoi(q.Get("rebuild_every"))
-		if perr != nil {
-			return req, fmt.Errorf("%w: query rebuild_every=%q", ErrBadRequest, q.Get("rebuild_every"))
-		}
-		req.RebuildEvery = v
 	}
 	return req, nil
 }

@@ -9,10 +9,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
+	"nbody/internal/simcfg"
 	"nbody/internal/snapshot"
 	"nbody/internal/workload"
 )
@@ -24,6 +26,10 @@ func newTestServer(t *testing.T, cfg Config) (*Manager, *httptest.Server) {
 	t.Cleanup(srv.Close)
 	return m, srv
 }
+
+// configQuery is the snapshot-upload query string carrying cfg, a JSON
+// simcfg.Config.
+func configQuery(cfg string) string { return "?" + url.Values{"config": {cfg}}.Encode() }
 
 func postJSON(t *testing.T, url, body string) *http.Response {
 	t.Helper()
@@ -53,21 +59,21 @@ func TestHandlerCreateValidation(t *testing.T) {
 		status int
 		code   string // expected error code; "" means CodeInvalidRequest
 	}{
-		{"valid", `{"workload":"plummer","n":64,"dt":0.001}`, http.StatusCreated, ""},
-		{"valid explicit", `{"workload":"galaxy","n":128,"seed":7,"algorithm":"bvh","dt":1e-4,"theta":0.7}`, http.StatusCreated, ""},
+		{"valid", `{"workload":"plummer","n":64,"config":{"dt":0.001}}`, http.StatusCreated, ""},
+		{"valid explicit", `{"workload":"galaxy","n":128,"seed":7,"config":{"algorithm":"bvh","dt":1e-4,"theta":0.7}}`, http.StatusCreated, ""},
 		{"valid config object", `{"workload":"plummer","n":64,"config":{"algorithm":"bvh","dt":0.001,"eps":0}}`, http.StatusCreated, ""},
 		{"empty body", ``, http.StatusBadRequest, ""},
 		{"malformed json", `{"workload":`, http.StatusBadRequest, ""},
-		{"wrong type", `{"n":"many","dt":0.001}`, http.StatusBadRequest, ""},
-		{"unknown field", `{"n":64,"dt":0.001,"bogus":1}`, http.StatusBadRequest, ""},
-		{"trailing garbage", `{"n":64,"dt":0.001}{"again":true}`, http.StatusBadRequest, ""},
-		{"zero bodies", `{"workload":"plummer","n":0,"dt":0.001}`, http.StatusBadRequest, ""},
-		{"negative bodies", `{"workload":"plummer","n":-5,"dt":0.001}`, http.StatusBadRequest, ""},
-		{"too many bodies", `{"workload":"plummer","n":1000000,"dt":0.001}`, http.StatusBadRequest, ""},
+		{"wrong type", `{"n":"many","config":{"dt":0.001}}`, http.StatusBadRequest, ""},
+		{"unknown field", `{"n":64,"config":{"dt":0.001},"bogus":1}`, http.StatusBadRequest, ""},
+		{"trailing garbage", `{"n":64,"config":{"dt":0.001}}{"again":true}`, http.StatusBadRequest, ""},
+		{"zero bodies", `{"workload":"plummer","n":0,"config":{"dt":0.001}}`, http.StatusBadRequest, ""},
+		{"negative bodies", `{"workload":"plummer","n":-5,"config":{"dt":0.001}}`, http.StatusBadRequest, ""},
+		{"too many bodies", `{"workload":"plummer","n":1000000,"config":{"dt":0.001}}`, http.StatusBadRequest, ""},
 		{"zero dt", `{"workload":"plummer","n":64}`, http.StatusBadRequest, CodeInvalidConfig},
-		{"negative dt", `{"workload":"plummer","n":64,"dt":-1}`, http.StatusBadRequest, CodeInvalidConfig},
-		{"bad workload", `{"workload":"blackhole","n":64,"dt":0.001}`, http.StatusBadRequest, ""},
-		{"bad algorithm", `{"workload":"plummer","n":64,"dt":0.001,"algorithm":"fmm"}`, http.StatusBadRequest, CodeInvalidConfig},
+		{"negative dt", `{"workload":"plummer","n":64,"config":{"dt":-1}}`, http.StatusBadRequest, CodeInvalidConfig},
+		{"bad workload", `{"workload":"blackhole","n":64,"config":{"dt":0.001}}`, http.StatusBadRequest, ""},
+		{"bad algorithm", `{"workload":"plummer","n":64,"config":{"dt":0.001,"algorithm":"fmm"}}`, http.StatusBadRequest, CodeInvalidConfig},
 		{"bad config layout", `{"workload":"plummer","n":64,"config":{"dt":0.001,"layout":"diagonal"}}`, http.StatusBadRequest, CodeInvalidConfig},
 		{"negative config theta", `{"workload":"plummer","n":64,"config":{"dt":0.001,"theta":-0.5}}`, http.StatusBadRequest, CodeInvalidConfig},
 	}
@@ -97,7 +103,7 @@ func TestHandlerSessionLifecycle(t *testing.T) {
 	_, srv := newTestServer(t, testConfig())
 
 	// Create.
-	resp := postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":64,"seed":3,"dt":0.001}`)
+	resp := postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":64,"seed":3,"config":{"dt":0.001}}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d", resp.StatusCode)
 	}
@@ -181,12 +187,12 @@ func TestHandlerAdmission429(t *testing.T) {
 	cfg.MaxSessions = 1
 	_, srv := newTestServer(t, cfg)
 
-	resp := postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"dt":0.01}`)
+	resp := postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"config":{"dt":0.01}}`)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first create %d", resp.StatusCode)
 	}
-	resp = postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"dt":0.01}`)
+	resp = postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":32,"config":{"dt":0.01}}`)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-cap create = %d, want 429", resp.StatusCode)
@@ -198,7 +204,7 @@ func TestHandlerAdmission429(t *testing.T) {
 
 func TestHandlerStepConflict409(t *testing.T) {
 	m, srv := newTestServer(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +236,8 @@ func TestSnapshotHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Upload as a new session (dt via query parameters).
-	resp, err := http.Post(srv.URL+"/v1/sessions?dt=0.001&algorithm=bvh",
+	// Upload as a new session (physics via the config query parameter).
+	resp, err := http.Post(srv.URL+"/v1/sessions"+configQuery(`{"dt":0.001,"algorithm":"bvh"}`),
 		snapshotContentType, bytes.NewReader(local.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +303,7 @@ func TestHandlerSnapshotUploadValidation(t *testing.T) {
 	_, srv := newTestServer(t, testConfig())
 
 	// Corrupt payload.
-	resp, err := http.Post(srv.URL+"/v1/sessions?dt=0.001", snapshotContentType,
+	resp, err := http.Post(srv.URL+"/v1/sessions"+configQuery(`{"dt":0.001}`), snapshotContentType,
 		strings.NewReader("NBODYSNP garbage"))
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +329,7 @@ func TestHandlerSnapshotUploadValidation(t *testing.T) {
 	}
 
 	// Bad query parameter.
-	resp, err = http.Post(srv.URL+"/v1/sessions?dt=fast", snapshotContentType, bytes.NewReader(buf.Bytes()))
+	resp, err = http.Post(srv.URL+"/v1/sessions"+configQuery(`{"dt":"fast"}`), snapshotContentType, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +344,7 @@ func TestHandlerSnapshotUploadValidation(t *testing.T) {
 	forged := []byte("NBODYSNP")
 	forged = binary.LittleEndian.AppendUint32(forged, 1)     // version
 	forged = binary.LittleEndian.AppendUint64(forged, 1<<39) // n, far over MaxBodies
-	resp, err = http.Post(srv.URL+"/v1/sessions?dt=0.001", snapshotContentType, bytes.NewReader(forged))
+	resp, err = http.Post(srv.URL+"/v1/sessions"+configQuery(`{"dt":0.001}`), snapshotContentType, bytes.NewReader(forged))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +360,7 @@ func TestHandlerSnapshotUploadValidation(t *testing.T) {
 
 func TestHandlerWatchStream(t *testing.T) {
 	m, srv := newTestServer(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 64, DT: 1e-3})
+	info, err := m.Create(context.Background(), plummerReq(64, 0, simcfg.Config{DT: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +416,7 @@ func TestHandlerWatchStream(t *testing.T) {
 
 func TestHandlerMetrics(t *testing.T) {
 	m, srv := newTestServer(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 64, DT: 1e-3})
+	info, err := m.Create(context.Background(), plummerReq(64, 0, simcfg.Config{DT: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +540,7 @@ func TestHandlerReadyz(t *testing.T) {
 // stay readable and /metrics reports the failure.
 func TestHandlerFailedSession422(t *testing.T) {
 	m, srv := newTestServer(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +605,7 @@ func TestHandlerOverload429(t *testing.T) {
 
 	var ids [3]string
 	for i := range ids {
-		info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+		info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -647,7 +653,7 @@ func TestShardIdentityAndRequestedID(t *testing.T) {
 	_, srv := newTestServer(t, cfg)
 
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/sessions",
-		strings.NewReader(`{"workload":"plummer","n":64,"dt":0.001}`))
+		strings.NewReader(`{"workload":"plummer","n":64,"config":{"dt":0.001}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,7 +676,7 @@ func TestShardIdentityAndRequestedID(t *testing.T) {
 
 	// The same requested ID again is a 400 whose envelope names the shard.
 	req2, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/sessions",
-		strings.NewReader(`{"workload":"plummer","n":64,"dt":0.001}`))
+		strings.NewReader(`{"workload":"plummer","n":64,"config":{"dt":0.001}}`))
 	req2.Header.Set("Content-Type", "application/json")
 	req2.Header.Set(IDHeader, "rs-0123456789abcdef")
 	resp, err = http.DefaultClient.Do(req2)
@@ -689,7 +695,7 @@ func TestShardIdentityAndRequestedID(t *testing.T) {
 
 	// Without X-NBody-ID the shard mints its own, shard-prefixed so IDs
 	// stay globally unique across replicas.
-	resp = postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":64,"dt":0.001}`)
+	resp = postJSON(t, srv.URL+"/v1/sessions", `{"workload":"plummer","n":64,"config":{"dt":0.001}}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("minted create: status %d", resp.StatusCode)
 	}

@@ -13,8 +13,8 @@ import (
 	"io"
 	"net/http"
 
-	"nbody/internal/core"
 	"nbody/internal/jobs"
+	"nbody/internal/simcfg"
 	"nbody/internal/workload"
 )
 
@@ -31,68 +31,25 @@ type sessionRunner struct{ m *Manager }
 // NewJobRunner returns the jobs.Runner backed by m.
 func NewJobRunner(m *Manager) jobs.Runner { return sessionRunner{m} }
 
-// createRequestOf maps a job's session spec onto the session-create body;
-// the config object and the deprecated flat fields both pass through, so
-// the session layer resolves them with the same precedence rules. The
-// tenant is carried along so the backing session counts against the
-// submitting tenant's session quota and attribution.
-func createRequestOf(spec jobs.SessionSpec) CreateRequest {
-	if spec.Scenario != nil {
-		// jobs.Submit already expanded the scenario into the flat fields;
-		// hand the pack itself to the session layer instead of the expansion
-		// so the session keeps its scenario attribution and the session
-		// layer's own mutual-exclusion check stays satisfied. Re-expanding
-		// is deterministic: spec.Config is the already-merged config, and
-		// merging the pack preset beneath it again is a fixed point.
-		return CreateRequest{
-			Scenario: spec.Scenario,
-			Config:   spec.Config,
-			tenant:   spec.Tenant,
-		}
-	}
-	return CreateRequest{
-		Workload:   spec.Workload,
-		N:          spec.N,
-		Seed:       spec.Seed,
-		Config:     spec.Config,
-		Algorithm:  spec.Algorithm,
-		DT:         spec.DT,
-		Theta:      spec.Theta,
-		Eps:        spec.Eps,
-		G:          spec.G,
-		Sequential: spec.Sequential,
-		tenant:     spec.Tenant,
-	}
-}
-
-// ValidateSession vets the spec synchronously, without building the body
-// system: service limits, workload name (probed at a trivial body count)
-// and algorithm name.
-func (r sessionRunner) ValidateSession(spec jobs.SessionSpec) error {
-	req := createRequestOf(spec)
-	if err := req.applyScenario(); err != nil {
+// ValidateSession vets the resolved spec's generator synchronously,
+// without building the body system: the body count against service limits
+// and the workload name (probed at a trivial body count).
+func (r sessionRunner) ValidateSession(spec jobs.Spec) error {
+	if err := r.m.checkBodies(spec.N); err != nil {
 		return err
 	}
-	if err := r.m.validate(req, req.N); err != nil {
-		return err
-	}
-	name := req.Workload
+	name := spec.Workload
 	if name == "" {
 		name = "plummer"
 	}
-	if _, err := workload.ByName(name, 2, req.Seed); err != nil {
-		return err
-	}
-	if req.Algorithm != "" {
-		if _, err := core.ParseAlgorithm(req.Algorithm); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := workload.ByName(name, 2, spec.Seed)
+	return err
 }
 
-func (r sessionRunner) CreateSession(ctx context.Context, spec jobs.SessionSpec) (string, error) {
-	info, err := r.m.Create(ctx, createRequestOf(spec))
+// CreateSession carries the tenant along so the backing session counts
+// against the submitting tenant's session quota and attribution.
+func (r sessionRunner) CreateSession(ctx context.Context, spec jobs.Spec, eff simcfg.Effective) (string, error) {
+	info, err := r.m.createResolved(ctx, CreateRequest{Spec: spec.Spec, tenant: spec.Tenant}, eff)
 	if err != nil {
 		return "", transient(err)
 	}
@@ -163,7 +120,7 @@ func registerJobRoutes(mux *http.ServeMux, record func(http.HandlerFunc) http.Ha
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobJSON))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			writeError(w, fmt.Errorf("%w: body: %v", jobs.ErrBadRequest, err))
+			writeError(w, bodyError(jobs.ErrBadRequest, err))
 			return
 		}
 		if id := r.Header.Get(IDHeader); id != "" {
@@ -173,10 +130,6 @@ func registerJobRoutes(mux *http.ServeMux, record func(http.HandlerFunc) http.Ha
 		// from the body (Tenant is json:"-", and DisallowUnknownFields
 		// above rejects a wire attempt).
 		spec.Tenant = TenantFrom(r.Context())
-		if spec.DeprecatedFieldsUsed() {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Add("Link", `</v1/jobs#config>; rel="successor-version"`)
-		}
 		info, err := jm.Submit(r.Context(), spec)
 		if err != nil {
 			writeError(w, err)

@@ -15,6 +15,7 @@ import (
 
 	"nbody/internal/jobs"
 	"nbody/internal/obs"
+	"nbody/internal/simcfg"
 	"nbody/internal/store"
 )
 
@@ -81,7 +82,7 @@ func TestJobLifecycleHTTP(t *testing.T) {
 	_, _, srv := newJobServer(t, testConfig(), jobs.Config{Workers: 1})
 
 	resp := postJSON(t, srv.URL+"/v1/jobs",
-		`{"workload":"plummer","n":64,"dt":0.001,"steps":12,"chunk_steps":5,"class":"high"}`)
+		`{"workload":"plummer","n":64,"config":{"dt":0.001},"steps":12,"chunk_steps":5,"class":"high"}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
 	}
@@ -179,7 +180,7 @@ func TestJobBackpressureHTTP(t *testing.T) {
 	}()
 
 	submit := func() *http.Response {
-		return postJSON(t, srv.URL+"/v1/jobs", `{"workload":"plummer","n":32,"dt":0.001,"steps":4}`)
+		return postJSON(t, srv.URL+"/v1/jobs", `{"workload":"plummer","n":32,"config":{"dt":0.001},"steps":4}`)
 	}
 	first := decodeBody[jobs.Info](t, submit())
 	<-blocked // the single worker is now wedged inside a step
@@ -278,7 +279,7 @@ func TestJobSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	info, err := jm1.Submit(context.Background(),
-		jobs.Spec{SessionSpec: jobs.SessionSpec{Workload: "plummer", N: 48, DT: 1e-3}, Steps: 20})
+		jobs.Spec{Spec: plummerReq(48, 0, simcfg.Config{DT: 1e-3}).Spec, Steps: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +355,9 @@ func TestJobSurvivesRestart(t *testing.T) {
 				t.Fatalf("finished on session %s, want recovered %s (restart lost the checkpoint)",
 					done.SessionID, rec.SessionID)
 			}
+			if done.Config != mid.Config || done.Algorithm != mid.Algorithm || done.DT != mid.DT {
+				t.Errorf("job echo changed across the restart: %+v, was %+v", done, mid)
+			}
 			sinfo, err := m2.Get(rec.SessionID)
 			if err != nil {
 				t.Fatal(err)
@@ -387,7 +391,7 @@ func TestJobsConcurrentChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				body := fmt.Sprintf(`{"workload":"plummer","n":24,"dt":0.001,"steps":3,"class":%q}`,
+				body := fmt.Sprintf(`{"workload":"plummer","n":24,"config":{"dt":0.001},"steps":3,"class":%q}`,
 					classes[(w+i)%len(classes)])
 				resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 				if err != nil {
@@ -488,14 +492,14 @@ func patchJSON(t *testing.T, url, body string) *http.Response {
 func TestJobReprioritizeHTTP(t *testing.T) {
 	_, _, srv := newJobServer(t, testConfig(), jobs.Config{Workers: 1})
 
-	long := postJSON(t, srv.URL+"/v1/jobs", `{"workload":"plummer","n":64,"dt":0.001,"steps":50000}`)
+	long := postJSON(t, srv.URL+"/v1/jobs", `{"workload":"plummer","n":64,"config":{"dt":0.001},"steps":50000}`)
 	if long.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit long job: status %d", long.StatusCode)
 	}
 	longID := decodeBody[jobs.Info](t, long).ID
 	waitJobState(t, srv, longID, jobs.StateRunning)
 
-	queued := postJSON(t, srv.URL+"/v1/jobs", `{"workload":"plummer","n":32,"dt":0.001,"steps":4,"class":"low"}`)
+	queued := postJSON(t, srv.URL+"/v1/jobs", `{"workload":"plummer","n":32,"config":{"dt":0.001},"steps":4,"class":"low"}`)
 	if queued.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit queued job: status %d", queued.StatusCode)
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +54,7 @@ type Manager struct {
 
 	slots   chan struct{}
 	waiting atomic.Int64
+	ids     store.IDs // the "s" scheme on cfg.ShardID
 	nextID  atomic.Uint64
 	wg      sync.WaitGroup
 
@@ -126,6 +126,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		sessions:       make(map[string]*Session),
 		lru:            list.New(),
 		slots:          make(chan struct{}, cfg.StepSlots),
+		ids:            store.NewIDs("s", cfg.ShardID),
 		ex:             exec.New(cfg.ExecWorkers),
 		janitorDone:    make(chan struct{}),
 		tenants:        newTenantSet(cfg.Tenants),
@@ -204,30 +205,36 @@ func (m *Manager) evictExpired(limit int) int {
 }
 
 // Create builds a session from a workload generator request (raw
-// workload/n/seed, or a scenario pack expanded by applyScenario). ctx
-// carries the request ID for log correlation only; it does not bound the
-// work.
+// workload/n/seed, or a scenario pack). ctx carries the request ID for log
+// correlation only; it does not bound the work.
 func (m *Manager) Create(ctx context.Context, req CreateRequest) (Info, error) {
-	if err := req.applyScenario(); err != nil {
-		return Info{}, err
+	eff, err := req.Resolve()
+	if err != nil {
+		return Info{}, specError(err)
 	}
+	return m.createResolved(ctx, req, eff)
+}
+
+// createResolved is Create for a request whose spec is already resolved to
+// eff — the entry point of job workers, which resolve at submit.
+func (m *Manager) createResolved(ctx context.Context, req CreateRequest, eff simcfg.Effective) (Info, error) {
 	if req.Workload == "" {
 		req.Workload = "plummer"
 	}
-	if err := m.validate(req, req.N); err != nil {
+	if err := m.checkBodies(req.N); err != nil {
 		return Info{}, err
 	}
 	sys, err := workload.ByName(req.Workload, req.N, req.Seed)
 	if err != nil {
 		return Info{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	s, err := m.insert(sys, req, req.Workload, 0, 0)
+	s, err := m.insert(sys, req, eff, req.Workload, 0, 0)
 	if err != nil {
 		return Info{}, err
 	}
 	m.log.Log(ctx, "session created", "session", s.ID,
 		"workload", s.workload, "algorithm", s.algorithm, "n", s.n, "dt", s.dt,
-		"scenario", s.scenario, "tenant", s.tenant)
+		"scenario", s.eff.Scenario, "tenant", s.tenant)
 	m.persist(ctx, s)
 	return s.Info(), nil
 }
@@ -242,10 +249,14 @@ func (m *Manager) CreateFromSnapshot(ctx context.Context, r io.Reader, req Creat
 	if err != nil {
 		return Info{}, fmt.Errorf("%w: %v", ErrInvalidSnapshot, err)
 	}
-	if err := m.validate(req, sys.N()); err != nil {
+	if err := m.checkBodies(sys.N()); err != nil {
 		return Info{}, err
 	}
-	s, err := m.insert(sys, req, "snapshot", meta.Step, meta.Time)
+	eff, err := req.Resolve()
+	if err != nil {
+		return Info{}, specError(err)
+	}
+	s, err := m.insert(sys, req, eff, "snapshot", meta.Step, meta.Time)
 	if err != nil {
 		return Info{}, err
 	}
@@ -255,57 +266,24 @@ func (m *Manager) CreateFromSnapshot(ctx context.Context, r io.Reader, req Creat
 	return s.Info(), nil
 }
 
-// validate checks the request against service limits and validates its
-// physics configuration.
-func (m *Manager) validate(req CreateRequest, n int) error {
+// checkBodies checks a body count against the service limit.
+func (m *Manager) checkBodies(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("%w: body count %d must be > 0", ErrBadRequest, n)
 	}
 	if n > m.cfg.MaxBodies {
 		return fmt.Errorf("%w: body count %d exceeds the service limit %d", ErrBadRequest, n, m.cfg.MaxBodies)
 	}
-	if _, err := req.resolveConfig(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
 	return nil
 }
 
-// mintedID is the manager-assigned session ID for sequence number n:
-// "s-<n>", prefixed with the shard ID ("<shard>-s-<n>") in a sharded
-// deployment so IDs minted by different replicas never collide.
-func (m *Manager) mintedID(n uint64) string {
-	if m.cfg.ShardID != "" {
-		return fmt.Sprintf("%s-s-%d", m.cfg.ShardID, n)
-	}
-	return fmt.Sprintf("s-%d", n)
-}
-
-// mintedSeq is the inverse of mintedID: it extracts the sequence number of
-// a manager-assigned ID (false for foreign IDs), used at recovery to
-// advance the counter past everything recovered.
-func (m *Manager) mintedSeq(id string) (uint64, bool) {
-	prefix := "s-"
-	if m.cfg.ShardID != "" {
-		prefix = m.cfg.ShardID + "-s-"
-	}
-	suffix, ok := strings.CutPrefix(id, prefix)
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(suffix, 10, 64)
-	return n, err == nil
-}
-
-// insert constructs the core.Sim and admits the session.
-func (m *Manager) insert(sys *body.System, req CreateRequest, workloadName string, baseStep int, baseTime float64) (*Session, error) {
+// insert constructs the core.Sim from req's resolved config eff and admits
+// the session.
+func (m *Manager) insert(sys *body.System, req CreateRequest, eff simcfg.Effective, workloadName string, baseStep int, baseTime float64) (*Session, error) {
 	if req.ID != "" {
 		if err := store.ValidID(req.ID); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-	}
-	eff, err := req.resolveConfig()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
 	ccfg, err := eff.CoreConfig()
 	if err != nil {
@@ -337,14 +315,12 @@ func (m *Manager) insert(sys *body.System, req CreateRequest, workloadName strin
 		dt:        eff.DT,
 		n:         sys.N(),
 		tenant:    req.tenant,
-		scenario:  req.scenarioName(),
 		// Echo what the engine actually runs with (core.New applies its
 		// own defaults, e.g. rebuild_every 0 → 1).
 		eff: simcfg.EffectiveOf(sim.Config()),
 	}
-	// EffectiveOf cannot recover the scenario from the engine config; stamp
-	// the echo here.
-	s.eff.Scenario = s.scenario
+	// EffectiveOf cannot recover the scenario from the engine config.
+	s.eff.Scenario = eff.Scenario
 	s.touch()
 	m.pinEnergyBaseline(s)
 
@@ -395,7 +371,7 @@ func (m *Manager) insert(sys *body.System, req CreateRequest, workloadName strin
 		// Minted IDs loop past any collision with a recovered or
 		// client-requested ID instead of failing the create.
 		for s.ID == "" {
-			id := m.mintedID(m.nextID.Add(1))
+			id := m.ids.Mint(m.nextID.Add(1))
 			if _, taken := m.sessions[id]; !taken {
 				s.ID = id
 			}
@@ -454,26 +430,6 @@ const (
 	listLimitMax     = 1000
 )
 
-// idSortKey orders session IDs for pagination: manager-assigned IDs
-// ("s-<n>") sort numerically, anything else lexicographically after them.
-func idSortKey(id string) (uint64, string) {
-	if suffix, ok := strings.CutPrefix(id, "s-"); ok {
-		if n, err := strconv.ParseUint(suffix, 10, 64); err == nil {
-			return n, ""
-		}
-	}
-	return ^uint64(0), id
-}
-
-func idLess(a, b string) bool {
-	an, as := idSortKey(a)
-	bn, bs := idSortKey(b)
-	if an != bn {
-		return an < bn
-	}
-	return as < bs
-}
-
 // ListPage returns up to limit session descriptions ordered by session ID,
 // starting after cursor (the last ID of the previous page; "" starts from
 // the beginning). nextCursor is "" on the final page. limit 0 defaults to
@@ -491,12 +447,12 @@ func (m *Manager) ListPage(limit int, cursor string) (infos []Info, nextCursor s
 	m.mu.Lock()
 	ss := make([]*Session, 0, len(m.sessions))
 	for _, s := range m.sessions {
-		if cursor == "" || idLess(cursor, s.ID) {
+		if cursor == "" || m.ids.Less(cursor, s.ID) {
 			ss = append(ss, s)
 		}
 	}
 	m.mu.Unlock()
-	sort.Slice(ss, func(i, j int) bool { return idLess(ss[i].ID, ss[j].ID) })
+	sort.Slice(ss, func(i, j int) bool { return m.ids.Less(ss[i].ID, ss[j].ID) })
 	more := len(ss) > limit
 	if more {
 		ss = ss[:limit]

@@ -10,6 +10,7 @@ import (
 
 	"nbody/internal/core"
 	"nbody/internal/par"
+	"nbody/internal/simcfg"
 	"nbody/internal/workload"
 )
 
@@ -24,6 +25,12 @@ func testConfig() Config {
 		MaxStepsPerRequest: 100_000,
 		Runtime:            par.NewRuntime(2, par.Dynamic),
 	}
+}
+
+// plummerReq is the create request of a Plummer sphere of n bodies under
+// the physics config cfg.
+func plummerReq(n int, seed uint64, cfg simcfg.Config) CreateRequest {
+	return CreateRequest{Spec: simcfg.Spec{Workload: "plummer", N: n, Seed: seed, Config: &cfg}}
 }
 
 func newTestManager(t *testing.T, cfg Config) *Manager {
@@ -98,7 +105,7 @@ func TestConcurrentDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	req := CreateRequest{Workload: "plummer", N: nBodies, Seed: seed, Algorithm: "all-pairs", DT: dt}
+	req := plummerReq(nBodies, seed, simcfg.Config{Algorithm: "all-pairs", DT: dt})
 	ids := make([]string, sessions)
 	for i := range ids {
 		info, err := m.Create(context.Background(), req)
@@ -149,7 +156,7 @@ func TestSessionAdmissionLimit(t *testing.T) {
 	cfg.MaxSessions = 2
 	m := newTestManager(t, cfg)
 
-	req := CreateRequest{Workload: "plummer", N: 32, DT: 0.01}
+	req := plummerReq(32, 0, simcfg.Config{DT: 0.01})
 	for i := 0; i < 2; i++ {
 		if _, err := m.Create(context.Background(), req); err != nil {
 			t.Fatal(err)
@@ -171,7 +178,7 @@ func TestCreateEvictsExpiredLRU(t *testing.T) {
 	cfg.IdleTTL = time.Hour
 	m := newTestManager(t, cfg)
 
-	req := CreateRequest{Workload: "plummer", N: 32, DT: 0.01}
+	req := plummerReq(32, 0, simcfg.Config{DT: 0.01})
 	a, err := m.Create(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +218,7 @@ func TestJanitorEvictsIdle(t *testing.T) {
 	cfg.IdleTTL = 20 * time.Millisecond
 	m := newTestManager(t, cfg)
 
-	if _, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01}); err != nil {
+	if _, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01})); err != nil {
 		t.Fatal(err)
 	}
 	// The janitor drops the session from the map before it counts the
@@ -258,7 +265,7 @@ func TestStepLoadShedding(t *testing.T) {
 	cfg.MaxQueue = 1
 	m := newTestManager(t, cfg)
 
-	req := CreateRequest{Workload: "plummer", N: 32, DT: 0.01}
+	req := plummerReq(32, 0, simcfg.Config{DT: 0.01})
 	var ids [3]string
 	for i := range ids {
 		info, err := m.Create(context.Background(), req)
@@ -301,7 +308,7 @@ func TestStepLoadShedding(t *testing.T) {
 
 func TestConcurrentStepConflict(t *testing.T) {
 	m := newTestManager(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +328,7 @@ func TestStepBudget(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxStepsPerRequest = 10
 	m := newTestManager(t, cfg)
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +348,7 @@ func TestShutdownCancelsMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 512, DT: 1e-4, Algorithm: "all-pairs"})
+	info, err := m.Create(context.Background(), plummerReq(512, 0, simcfg.Config{Algorithm: "all-pairs", DT: 1e-4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +383,7 @@ func TestShutdownCancelsMidRun(t *testing.T) {
 	t.Logf("drained after %d/%d steps in %v", o.res.Completed, huge, time.Since(start))
 
 	// The drained manager refuses new work.
-	if _, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01}); !errors.Is(err, ErrShutdown) {
+	if _, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01})); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("create after Close = %v, want ErrShutdown", err)
 	}
 	if _, err := m.Step(context.Background(), info.ID, 1); !errors.Is(err, ErrShutdown) {
@@ -386,7 +393,7 @@ func TestShutdownCancelsMidRun(t *testing.T) {
 
 func TestDeleteCancelsMidRun(t *testing.T) {
 	m := newTestManager(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 512, DT: 1e-4, Algorithm: "all-pairs"})
+	info, err := m.Create(context.Background(), plummerReq(512, 0, simcfg.Config{Algorithm: "all-pairs", DT: 1e-4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +418,7 @@ func TestDeleteCancelsMidRun(t *testing.T) {
 
 func TestRequestContextCancelsRun(t *testing.T) {
 	m := newTestManager(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 512, DT: 1e-4, Algorithm: "all-pairs"})
+	info, err := m.Create(context.Background(), plummerReq(512, 0, simcfg.Config{Algorithm: "all-pairs", DT: 1e-4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +444,7 @@ func TestRequestContextCancelsRun(t *testing.T) {
 
 func TestWatchEvents(t *testing.T) {
 	m := newTestManager(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 64, DT: 1e-3})
+	info, err := m.Create(context.Background(), plummerReq(64, 0, simcfg.Config{DT: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +479,7 @@ func TestWatchEvents(t *testing.T) {
 
 func TestWatchEmitErrorAborts(t *testing.T) {
 	m := newTestManager(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 64, DT: 1e-3})
+	info, err := m.Create(context.Background(), plummerReq(64, 0, simcfg.Config{DT: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +505,7 @@ func TestEvictExpiredLRUOrder(t *testing.T) {
 	cfg.IdleTTL = time.Hour
 	m := newTestManager(t, cfg)
 
-	req := CreateRequest{Workload: "plummer", N: 32, DT: 0.01}
+	req := plummerReq(32, 0, simcfg.Config{DT: 0.01})
 	var ids [3]string
 	for i := range ids {
 		info, err := m.Create(context.Background(), req)
@@ -556,7 +563,7 @@ func TestCloseRacesWatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 256, DT: 1e-4, Algorithm: "all-pairs"})
+	info, err := m.Create(context.Background(), plummerReq(256, 0, simcfg.Config{Algorithm: "all-pairs", DT: 1e-4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +596,7 @@ func TestCloseRacesWatch(t *testing.T) {
 
 func TestMetricsLatency(t *testing.T) {
 	m := newTestManager(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 64, DT: 1e-3})
+	info, err := m.Create(context.Background(), plummerReq(64, 0, simcfg.Config{DT: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package serve
 
 // Tests of the serving layer's observability seam and the /v1 API surface:
-// the Prometheus exposition, legacy-alias deprecation headers, pagination,
-// the stable error-envelope codes and request-ID propagation into logs.
+// the Prometheus exposition, pagination, the stable error-envelope codes and
+// request-ID propagation into logs.
 
 import (
 	"bufio"
@@ -18,6 +18,7 @@ import (
 	"nbody/internal/jobs"
 	"nbody/internal/metrics"
 	"nbody/internal/obs"
+	"nbody/internal/simcfg"
 )
 
 // syncBuffer makes a bytes.Buffer safe to write from request goroutines and
@@ -48,7 +49,7 @@ func TestPrometheusExposition(t *testing.T) {
 	cfg.Obs = obs.Nop()
 	m, srv := newTestServer(t, cfg)
 
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 64, DT: 1e-3})
+	info, err := m.Create(context.Background(), plummerReq(64, 0, simcfg.Config{DT: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestListPagination(t *testing.T) {
 	m, srv := newTestServer(t, testConfig())
 	const total = 5
 	for i := 0; i < total; i++ {
-		if _, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 16, DT: 0.01}); err != nil {
+		if _, err := m.Create(context.Background(), plummerReq(16, 0, simcfg.Config{DT: 0.01})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +152,7 @@ func TestListPagination(t *testing.T) {
 		t.Fatalf("walked %d sessions %v, want %d", len(ids), ids, total)
 	}
 	for i := 1; i < len(ids); i++ {
-		if !idLess(ids[i-1], ids[i]) {
+		if !m.ids.Less(ids[i-1], ids[i]) {
 			t.Fatalf("ids out of order: %v", ids)
 		}
 	}
@@ -202,18 +203,18 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"delete missing", http.MethodDelete, "/v1/sessions/nope", "", "", 404, CodeSessionNotFound},
 		{"step missing", http.MethodPost, "/v1/sessions/nope/step", "application/json", `{"steps":1}`, 404, CodeSessionNotFound},
 		{"bad json", http.MethodPost, "/v1/sessions", "application/json", `{`, 400, CodeInvalidRequest},
-		{"corrupt snapshot", http.MethodPost, "/v1/sessions?dt=0.001", snapshotContentType, "NBODYSNP garbage", 400, CodeInvalidSnapshot},
-		{"bad query", http.MethodPost, "/v1/sessions?dt=fast", snapshotContentType, "ignored", 400, CodeInvalidRequest},
+		{"corrupt snapshot", http.MethodPost, "/v1/sessions" + configQuery(`{"dt":0.001}`), snapshotContentType, "NBODYSNP garbage", 400, CodeInvalidSnapshot},
+		{"bad query", http.MethodPost, "/v1/sessions" + configQuery(`{"dt":"fast"}`), snapshotContentType, "ignored", 400, CodeInvalidConfig},
 		{"job missing", http.MethodGet, "/v1/jobs/nope", "", "", 404, CodeJobNotFound},
 		{"job cancel missing", http.MethodDelete, "/v1/jobs/nope", "", "", 404, CodeJobNotFound},
 		{"job artifact missing", http.MethodGet, "/v1/jobs/nope/snapshot", "", "", 404, CodeJobNotFound},
 		{"job bad json", http.MethodPost, "/v1/jobs", "application/json", `{`, 400, CodeInvalidRequest},
 		{"job zero steps", http.MethodPost, "/v1/jobs", "application/json",
-			`{"workload":"plummer","n":32,"dt":0.001,"steps":0}`, 400, CodeInvalidRequest},
+			`{"workload":"plummer","n":32,"config":{"dt":0.001},"steps":0}`, 400, CodeInvalidRequest},
 		{"job bad class", http.MethodPost, "/v1/jobs", "application/json",
-			`{"workload":"plummer","n":32,"dt":0.001,"steps":5,"class":"urgent"}`, 400, CodeInvalidRequest},
+			`{"workload":"plummer","n":32,"config":{"dt":0.001},"steps":5,"class":"urgent"}`, 400, CodeInvalidRequest},
 		{"job bad workload", http.MethodPost, "/v1/jobs", "application/json",
-			`{"workload":"blackhole","n":32,"dt":0.001,"steps":5}`, 400, CodeInvalidRequest},
+			`{"workload":"blackhole","n":32,"config":{"dt":0.001},"steps":5}`, 400, CodeInvalidRequest},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,7 +233,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 // session_failed and the failed lifecycle state.
 func TestFailedSessionEnvelope(t *testing.T) {
 	m, srv := newTestServer(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestRequestIDPropagation(t *testing.T) {
 
 	const reqID = "test-req-42"
 	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/sessions",
-		strings.NewReader(`{"workload":"plummer","n":32,"dt":0.01}`))
+		strings.NewReader(`{"workload":"plummer","n":32,"config":{"dt":0.01}}`))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Request-ID", reqID)
 	resp, err := http.DefaultClient.Do(req)
@@ -310,7 +311,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	cfg.Obs = &obs.Observer{Registry: obs.NewRegistry(), Tracer: obs.NewTracer(128)}
 	m, srv := newTestServer(t, cfg)
 
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 0.01})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestNopObsDefault(t *testing.T) {
 // names.
 func TestWatchRenamedFields(t *testing.T) {
 	m, srv := newTestServer(t, testConfig())
-	info, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: 32, DT: 1e-3})
+	info, err := m.Create(context.Background(), plummerReq(32, 0, simcfg.Config{DT: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}

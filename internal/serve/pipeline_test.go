@@ -54,14 +54,14 @@ func TestPipelinedSessionsBitExact(t *testing.T) {
 	for i, c := range cases {
 		pcfg, scfg := c.scfg, c.scfg
 		pcfg.Pipeline = boolPtr(true)
-		pi, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: nBodies, Seed: seed, Config: &pcfg})
+		pi, err := m.Create(context.Background(), plummerReq(nBodies, seed, pcfg))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !pi.Config.Pipeline {
 			t.Fatalf("%s: pipelined session echoed pipeline=false", c.name)
 		}
-		si, err := m.Create(context.Background(), CreateRequest{Workload: "plummer", N: nBodies, Seed: seed, Config: &scfg})
+		si, err := m.Create(context.Background(), plummerReq(nBodies, seed, scfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,10 +122,7 @@ func TestPipelinedAdmission(t *testing.T) {
 
 	ids := make([]*Session, 3)
 	for i := range ids {
-		info, err := m.Create(context.Background(), CreateRequest{
-			Workload: "plummer", N: 32, Seed: uint64(i),
-			Config: &simcfg.Config{DT: 0.01, Pipeline: boolPtr(true)},
-		})
+		info, err := m.Create(context.Background(), plummerReq(32, uint64(i), simcfg.Config{DT: 0.01, Pipeline: boolPtr(true)}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,10 +172,7 @@ func TestPipelinedCancelAndResume(t *testing.T) {
 	const nBodies, nSteps, seed = 64, 6, 5
 
 	mk := func(pipeline bool) string {
-		info, err := m.Create(context.Background(), CreateRequest{
-			Workload: "plummer", N: nBodies, Seed: seed,
-			Config: &simcfg.Config{Algorithm: "octree", DT: 1e-3, Pipeline: boolPtr(pipeline)},
-		})
+		info, err := m.Create(context.Background(), plummerReq(nBodies, seed, simcfg.Config{Algorithm: "octree", DT: 1e-3, Pipeline: boolPtr(pipeline)}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,10 +206,7 @@ func TestPipelinedCancelAndResume(t *testing.T) {
 func TestPipelinedNaNQuarantine(t *testing.T) {
 	m := newTestManager(t, testConfig())
 	mk := func(seed uint64) string {
-		info, err := m.Create(context.Background(), CreateRequest{
-			Workload: "plummer", N: 32, Seed: seed,
-			Config: &simcfg.Config{DT: 0.01, Pipeline: boolPtr(true)},
-		})
+		info, err := m.Create(context.Background(), plummerReq(32, seed, simcfg.Config{DT: 0.01, Pipeline: boolPtr(true)}))
 		if err != nil {
 			t.Fatal(err)
 		}

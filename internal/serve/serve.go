@@ -60,9 +60,9 @@ var (
 	// ErrBadRequest reports invalid session parameters (400).
 	ErrBadRequest = errors.New("serve: invalid request")
 	// ErrInvalidConfig reports a physics configuration that failed
-	// validation — a bad field in the `config` object or its deprecated
-	// flat aliases (400, error code invalid_config). The detail names the
-	// offending field.
+	// validation — a bad field in the `config` object, or a retired flat
+	// field used in its place (400, error code invalid_config). The detail
+	// names the offending field.
 	ErrInvalidConfig = errors.New("serve: invalid config")
 	// ErrInvalidSnapshot reports an uploaded checkpoint that could not be
 	// parsed or validated (400, error code invalid_snapshot).

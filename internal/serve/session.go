@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -95,10 +96,6 @@ type Session struct {
 	// tenant is the owning tenant's name ("" in single-tenant mode); it
 	// attributes quota accounting, logs and metrics.
 	tenant string
-	// scenario is the scenario-pack name the session was created from
-	// ("" when created from raw workload/n/seed or a snapshot).
-	scenario string
-
 	// eff is the fully resolved physics configuration the simulation runs
 	// with (defaults applied), echoed verbatim in Info.
 	eff simcfg.Effective
@@ -174,9 +171,8 @@ type Info struct {
 	Created      time.Time `json:"created"`
 	LastUsed     time.Time `json:"last_used"`
 	TraceSamples int       `json:"trace_samples"`
-	// Config is the fully resolved physics configuration — every default
-	// applied — regardless of whether the session was created via the
-	// `config` object or the deprecated flat fields.
+	// Config is the fully resolved physics configuration, every default
+	// applied.
 	Config simcfg.Effective `json:"config"`
 	// Tenant is the owning tenant's name (multi-tenant deployments only).
 	Tenant string `json:"tenant,omitempty"`
@@ -209,104 +205,36 @@ func (s *Session) Info() Info {
 	}
 }
 
-// CreateRequest is the JSON body of POST /v1/sessions. Physics settings
-// belong in Config; the flat Algorithm/DT/Theta/Eps/G/Sequential/
-// RebuildEvery fields are deprecated aliases kept for compatibility (zero
-// values inherit defaults field-wise, so explicit zeros are not
-// expressible through them). When both are present, Config wins.
+// CreateRequest is the JSON body of POST /v1/sessions: what to simulate
+// (the embedded simcfg.Spec — generator or scenario pack, plus the physics
+// config object) and the session's own knobs.
 type CreateRequest struct {
+	simcfg.Spec
+
 	// ID, when non-empty, is the session ID to create under instead of a
 	// manager-minted one. It must satisfy store.ValidID and must not be
 	// taken. The router tier uses this (via the X-NBody-ID header) so the
 	// ID a session lives under is the key its shard was picked by.
-	ID       string `json:"id"`
-	Workload string `json:"workload"`
-	N        int    `json:"n"`
-	Seed     uint64 `json:"seed"`
-
-	// Scenario, when set, creates the session from a named scenario pack
-	// instead of raw workload/n/seed: the pack supplies the generator, a
-	// default body count and a preset physics config merged beneath
-	// Config. Mutually exclusive with Workload/N (the pack owns those).
-	Scenario *simcfg.Scenario `json:"scenario,omitempty"`
-
-	// Config is the physics configuration (snake_case object, explicit
-	// zeros honoured). See simcfg.Config.
-	Config *simcfg.Config `json:"config,omitempty"`
+	ID string `json:"id"`
 
 	// tenant is stamped server-side from the authenticated request
 	// context — never decoded from the wire (DisallowUnknownFields
 	// rejects a client-sent "tenant" key).
 	tenant string
 
-	// Deprecated: flat physics fields, superseded by Config. Responses to
-	// requests that use them carry a Deprecation header.
-	Algorithm    string  `json:"algorithm,omitempty"`
-	DT           float64 `json:"dt,omitempty"`
-	Theta        float64 `json:"theta,omitempty"`
-	Eps          float64 `json:"eps,omitempty"`
-	G            float64 `json:"g,omitempty"`
-	Sequential   bool    `json:"sequential,omitempty"`
-	RebuildEvery int     `json:"rebuild_every,omitempty"`
-
 	// ValidateEvery forwards core.Config.ValidateEvery (abort on
 	// non-finite state every k steps).
 	ValidateEvery int `json:"validate_every"`
 }
 
-// legacy collects the request's deprecated flat physics fields.
-func (r CreateRequest) legacy() simcfg.Legacy {
-	return simcfg.Legacy{
-		Algorithm:    r.Algorithm,
-		DT:           r.DT,
-		Theta:        r.Theta,
-		Eps:          r.Eps,
-		G:            r.G,
-		Sequential:   r.Sequential,
-		RebuildEvery: r.RebuildEvery,
+// specError maps a simcfg.Spec resolution failure onto the manager's typed
+// errors: the scenario-vs-generator exclusion is a malformed request, the
+// rest are config validation failures.
+func specError(err error) error {
+	if errors.Is(err, simcfg.ErrScenarioExclusive) {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-}
-
-// resolveConfig merges the request's config object and deprecated flat
-// fields over the defaults and validates the result.
-func (r CreateRequest) resolveConfig() (simcfg.Effective, error) {
-	return simcfg.Resolve(r.legacy(), r.Config)
-}
-
-// deprecatedFieldsUsed reports whether the request relies on the flat
-// physics aliases (drives the Deprecation response header).
-func (r CreateRequest) deprecatedFieldsUsed() bool { return r.legacy().Used() }
-
-// applyScenario expands a scenario-pack request in place: the pack supplies
-// Workload/N (with scenario.n and scenario.seed as overrides) and its
-// preset Config is merged beneath the request's own. The request must not
-// also spell workload/n/seed at the top level — a pack and explicit
-// generator parameters disagreeing silently is exactly the ambiguity packs
-// exist to remove. No-op without a scenario.
-func (r *CreateRequest) applyScenario() error {
-	if r.Scenario == nil {
-		return nil
-	}
-	if r.Workload != "" || r.N != 0 || r.Seed != 0 {
-		return fmt.Errorf("%w: scenario and top-level workload/n/seed are mutually exclusive (use scenario.n and scenario.seed)", ErrBadRequest)
-	}
-	pack, n, cfg, err := r.Scenario.Apply(r.Config)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	r.Workload = pack.Workload
-	r.N = n
-	r.Seed = r.Scenario.Seed
-	r.Config = cfg
-	return nil
-}
-
-// scenarioName is the pack name of a scenario request ("" otherwise).
-func (r CreateRequest) scenarioName() string {
-	if r.Scenario == nil {
-		return ""
-	}
-	return r.Scenario.Name
+	return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 }
 
 // StepResult reports a completed (or interrupted) step request.

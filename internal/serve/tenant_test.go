@@ -88,7 +88,7 @@ func TestTenantAuthRequired(t *testing.T) {
 	// A known key is admitted, the response names the tenant, and the
 	// session record carries the owner.
 	resp := doAuthed(t, http.MethodPost, srv.URL+"/v1/sessions", "key-alice",
-		`{"workload":"plummer","n":32,"dt":0.001}`)
+		`{"workload":"plummer","n":32,"config":{"dt":0.001}}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("authed create status = %d, want 201", resp.StatusCode)
 	}
@@ -154,7 +154,7 @@ func TestTenantSessionQuota(t *testing.T) {
 
 	create := func(key string) *http.Response {
 		return doAuthed(t, http.MethodPost, srv.URL+"/v1/sessions", key,
-			`{"workload":"plummer","n":32,"dt":0.001}`)
+			`{"workload":"plummer","n":32,"config":{"dt":0.001}}`)
 	}
 	resp := create("key-alice")
 	resp.Body.Close()

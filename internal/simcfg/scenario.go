@@ -8,7 +8,7 @@
 //
 // Resolution precedence, lowest to highest:
 //
-//	defaults ← deprecated flat fields ← scenario pack preset ← config object
+//	defaults ← scenario pack preset ← config object
 //
 // Packs reference generators by their workload.ByName string rather than by
 // function value so this package stays import-cycle-free with the engine
@@ -16,6 +16,7 @@
 package simcfg
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -114,29 +115,62 @@ func PackByName(name string) (Pack, error) {
 	return Pack{}, invalid("scenario.name", "unknown scenario %q (have %v)", name, names)
 }
 
-// Apply resolves a scenario against its pack: it validates the name,
-// applies DefaultN, and merges the pack's preset Config beneath the user's
-// cfg (user fields win). It returns the pack, the effective body count and
-// the merged config to feed into Resolve.
-func (s *Scenario) Apply(cfg *Config) (Pack, int, *Config, error) {
-	if s == nil {
-		return Pack{}, 0, cfg, nil
+// Spec says what to simulate: a generator (workload, n, seed) or a scenario
+// pack, plus the physics config. It is the shared half of the POST
+// /v1/sessions body and the POST /v1/jobs body, which both embed it, so the
+// session and job paths resolve a request through the same code.
+type Spec struct {
+	Workload string `json:"workload"`
+	N        int    `json:"n"`
+	Seed     uint64 `json:"seed"`
+
+	// Scenario, when set, names a scenario pack in place of raw
+	// workload/n/seed: the pack supplies the generator, a default body
+	// count and a preset physics config merged beneath Config. Mutually
+	// exclusive with Workload/N/Seed (the pack owns those).
+	Scenario *Scenario `json:"scenario,omitempty"`
+
+	// Config is the physics configuration (snake_case object, explicit
+	// zeros honoured).
+	Config *Config `json:"config,omitempty"`
+}
+
+// ErrScenarioExclusive reports a spec that names a scenario pack and also
+// spells workload/n/seed at the top level — a pack and explicit generator
+// parameters disagreeing silently is exactly the ambiguity packs exist to
+// remove.
+var ErrScenarioExclusive = errors.New("scenario and top-level workload/n/seed are mutually exclusive (use scenario.n and scenario.seed)")
+
+// Resolve expands a scenario pack into Workload/N/Seed in place (scenario.n
+// and scenario.seed override the pack), merges defaults ← pack preset ←
+// Config, validates the result and returns it with Scenario stamped.
+// Errors are ErrScenarioExclusive or *InvalidError. A spec resolves once:
+// the expanded form trips the exclusion check if resolved again.
+func (s *Spec) Resolve() (Effective, error) {
+	cfg, name := s.Config, ""
+	if sc := s.Scenario; sc != nil {
+		if s.Workload != "" || s.N != 0 || s.Seed != 0 {
+			return Effective{}, ErrScenarioExclusive
+		}
+		if sc.Name == "" {
+			return Effective{}, invalid("scenario.name", "must not be empty")
+		}
+		p, err := PackByName(sc.Name)
+		if err != nil {
+			return Effective{}, err
+		}
+		if sc.N < 0 {
+			return Effective{}, invalid("scenario.n", "%d must be >= 0", sc.N)
+		}
+		s.Workload, s.N, s.Seed = p.Workload, sc.N, sc.Seed
+		if s.N == 0 {
+			s.N = p.DefaultN
+		}
+		cfg, name = MergeConfig(p.Config, s.Config), sc.Name
 	}
-	if s.Name == "" {
-		return Pack{}, 0, nil, invalid("scenario.name", "must not be empty")
-	}
-	p, err := PackByName(s.Name)
-	if err != nil {
-		return Pack{}, 0, nil, err
-	}
-	if s.N < 0 {
-		return Pack{}, 0, nil, invalid("scenario.n", "%d must be >= 0", s.N)
-	}
-	n := s.N
-	if n == 0 {
-		n = p.DefaultN
-	}
-	return p, n, MergeConfig(p.Config, cfg), nil
+	e, err := resolve(cfg)
+	e.Scenario = name
+	return e, err
 }
 
 // MergeConfig layers over on top of base field-wise: set fields of over win

@@ -1,18 +1,16 @@
-// Package simcfg defines the /v1 physics-configuration surface: the
-// snake_case `config` object clients send on POST /v1/sessions (and inside
-// job specs), the fully resolved `config` echoed back in session and job
-// descriptions, and the resolution rules that merge the new object with
-// the deprecated flat fields it supersedes.
+// Package simcfg defines the /v1 simulation-spec surface: the Spec (generator
+// or scenario pack, plus the snake_case `config` object) clients send on
+// POST /v1/sessions and POST /v1/jobs, the fully resolved `config` echoed
+// back in session and job descriptions, and the one place a Spec is
+// resolved into it.
 //
-// The old flat surface (top-level theta/eps/g/...) could not express an
-// explicit zero — a zero value silently inherited the default, so eps=0
-// (the exact Newtonian law, which the Section V-A solar-system validation
-// requires) was unreachable over the API. Config uses pointer fields for
-// exactly the parameters where zero is meaningful, so absent and zero are
-// distinct.
+// Config uses pointer fields for exactly the parameters where zero is
+// meaningful, so absent and zero are distinct: eps=0 is the exact Newtonian
+// law the Section V-A solar-system validation requires, not "use the
+// default".
 //
-// Resolution precedence: Config fields win over the deprecated flat
-// fields, which win over the defaults. Validation failures are reported as
+// Resolution precedence: Config fields win over a scenario pack's preset,
+// which wins over the defaults. Validation failures are reported as
 // *InvalidError carrying the offending field's JSON path; the HTTP layer
 // maps them onto the stable "invalid_config" error code.
 package simcfg
@@ -53,9 +51,9 @@ type TreeReuse struct {
 	RefitThreshold float64 `json:"refit_threshold"`
 }
 
-// Config is the `config` object of POST /v1/sessions. Every field is
-// optional; absent fields inherit the deprecated flat aliases and then the
-// service defaults. Pointer fields distinguish an explicit zero (eps: 0 =
+// Config is the `config` object of a Spec. Every field but DT is optional;
+// absent fields inherit the scenario pack's preset and then the service
+// defaults. Pointer fields distinguish an explicit zero (eps: 0 =
 // unsoftened) from absence.
 type Config struct {
 	// Algorithm is the force solver: "octree" (default), "bvh",
@@ -64,8 +62,8 @@ type Config struct {
 	// Layout is the force-evaluation data path: "flat" (default,
 	// interaction lists) or "walk" (per-body tree walks).
 	Layout string `json:"layout,omitempty"`
-	// DT is the integration timestep. Required here or via the deprecated
-	// flat dt field; must be positive and finite.
+	// DT is the integration timestep. Required here or from a scenario
+	// pack; must be positive and finite.
 	DT float64 `json:"dt,omitempty"`
 	// Theta is the Barnes-Hut opening threshold (default 0.5; 0 forces
 	// exact evaluation).
@@ -102,31 +100,18 @@ type Effective struct {
 	Pipeline   bool      `json:"pipeline"`
 	// Scenario is the scenario-pack name the session or job was created
 	// from, empty when created from raw workload/n/seed or a snapshot.
-	// It is an echo, not an input: EffectiveOf cannot recover it from a
-	// core config, so the serving layer stamps it after resolution.
+	// It is an echo, not an input: Spec.Resolve stamps it; EffectiveOf
+	// cannot recover it from a core config, so the serving layer copies it
+	// over after building the engine.
 	Scenario string `json:"scenario,omitempty"`
 }
 
-// Legacy carries the deprecated flat physics fields of a create request or
-// job spec. Zero values inherit defaults field-wise (the old surface's
-// semantics — explicit zeros are not expressible here; that is what Config
-// fixes).
-type Legacy struct {
-	Algorithm    string
-	DT           float64
-	Theta        float64
-	Eps          float64
-	G            float64
-	Sequential   bool
-	RebuildEvery int
-}
+// Legacy is the field-less remnant of the retired flat physics fields.
+type Legacy struct{}
 
-// Used reports whether any deprecated flat field is set — the signal for
-// the HTTP layer's Deprecation header.
-func (l Legacy) Used() bool {
-	return l.Algorithm != "" || l.DT != 0 || l.Theta != 0 || l.Eps != 0 ||
-		l.G != 0 || l.Sequential || l.RebuildEvery != 0
-}
+// Resolve is resolve with an ignored first argument: the expression
+// bench/workloads.go:97 compiles against, and nothing else calls it.
+func Resolve(_ Legacy, cfg *Config) (Effective, error) { return resolve(cfg) }
 
 // Defaults returns the service's effective configuration before any
 // request input: octree, flat layout, the paper's physics defaults,
@@ -144,37 +129,12 @@ func Defaults() Effective {
 	}
 }
 
-// Resolve merges the deprecated flat fields and the config object over the
-// defaults (config wins over legacy wins over defaults), validates the
-// result, and returns it fully resolved. Validation failures are
-// *InvalidError values naming the offending field.
-func Resolve(legacy Legacy, cfg *Config) (Effective, error) {
+// resolve merges the config object over the defaults (set fields override,
+// including explicit zeros), validates the result and returns it fully
+// resolved. Validation failures are *InvalidError values naming the
+// offending field.
+func resolve(cfg *Config) (Effective, error) {
 	e := Defaults()
-
-	// Deprecated flat aliases, old semantics: zero inherits the default.
-	if legacy.Algorithm != "" {
-		e.Algorithm = legacy.Algorithm
-	}
-	if legacy.DT != 0 {
-		e.DT = legacy.DT
-	}
-	if legacy.Theta != 0 {
-		e.Theta = legacy.Theta
-	}
-	if legacy.Eps != 0 {
-		e.Eps = legacy.Eps
-	}
-	if legacy.G != 0 {
-		e.G = legacy.G
-	}
-	if legacy.Sequential {
-		e.Sequential = true
-	}
-	if legacy.RebuildEvery != 0 {
-		e.TreeReuse.RebuildEvery = legacy.RebuildEvery
-	}
-
-	// The config object: set fields override, including explicit zeros.
 	if cfg != nil {
 		if cfg.Algorithm != "" {
 			e.Algorithm = cfg.Algorithm

@@ -9,11 +9,11 @@ import (
 func f(v float64) *float64 { return &v }
 
 func TestResolveDefaultsOnly(t *testing.T) {
-	_, err := Resolve(Legacy{}, nil)
+	_, err := resolve(nil)
 	if err == nil {
 		t.Fatal("dt is required; empty input must not resolve")
 	}
-	eff, err := Resolve(Legacy{DT: 0.5}, nil)
+	eff, err := resolve(&Config{DT: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,44 +30,93 @@ func TestResolveDefaultsOnly(t *testing.T) {
 func TestResolveExplicitZeros(t *testing.T) {
 	// The config object distinguishes explicit zero from absent — the
 	// whole reason it exists.
-	eff, err := Resolve(Legacy{}, &Config{DT: 0.1, Eps: f(0), G: f(0)})
+	eff, err := resolve(&Config{DT: 0.1, Eps: f(0), G: f(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eff.Eps != 0 || eff.G != 0 {
 		t.Errorf("explicit zeros lost: eps=%v g=%v", eff.Eps, eff.G)
 	}
-	// The legacy path cannot express them: zero inherits the default.
-	eff, err = Resolve(Legacy{DT: 0.1, Eps: 0}, nil)
+	// Absent is not zero: the default applies.
+	eff, err = resolve(&Config{DT: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eff.Eps != Defaults().Eps {
-		t.Errorf("legacy zero eps must inherit the default, got %v", eff.Eps)
+		t.Errorf("absent eps must inherit the default, got %v", eff.Eps)
 	}
 }
 
+// TestResolvePrecedence: defaults ← scenario pack preset ← config object,
+// field-wise, with the pack expanded into the generator fields in place.
 func TestResolvePrecedence(t *testing.T) {
-	eff, err := Resolve(
-		Legacy{DT: 0.2, Theta: 0.7, Algorithm: "bvh"},
-		&Config{DT: 0.4, Eps: f(0.01)})
+	s := Spec{
+		Scenario: &Scenario{Name: "solar-system", Seed: 4},
+		Config:   &Config{DT: 0.4, Eps: f(0.01)},
+	}
+	eff, err := s.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.DT != 0.4 {
-		t.Errorf("config dt must win: %v", eff.DT)
+	if eff.DT != 0.4 || eff.Eps != 0.01 {
+		t.Errorf("config must win over the pack preset: %+v", eff)
 	}
-	if eff.Theta != 0.7 || eff.Algorithm != "bvh" {
-		t.Errorf("legacy fields config leaves unset must apply: %+v", eff)
+	if eff.Theta != 0.3 {
+		t.Errorf("pack preset must apply where config is silent: theta %v", eff.Theta)
 	}
-	if eff.Eps != 0.01 {
-		t.Errorf("eps %v", eff.Eps)
+	if eff.G != Defaults().G || eff.Algorithm != Defaults().Algorithm {
+		t.Errorf("defaults must apply where pack and config are silent: %+v", eff)
+	}
+	if eff.Scenario != "solar-system" {
+		t.Errorf("scenario echo %q", eff.Scenario)
+	}
+	if s.Workload != "solarsystem" || s.N != 20_000 || s.Seed != 4 {
+		t.Errorf("pack not expanded in place: %s/%d/%d", s.Workload, s.N, s.Seed)
+	}
+
+	// scenario.n overrides the pack's default body count.
+	s = Spec{Scenario: &Scenario{Name: "plummer", N: 64}}
+	if _, err := s.Resolve(); err != nil || s.N != 64 {
+		t.Errorf("scenario.n override: n=%d err=%v", s.N, err)
+	}
+	// Without a scenario the generator fields pass through untouched.
+	s = Spec{Workload: "galaxy", N: 9, Seed: 2, Config: &Config{DT: 0.1}}
+	if eff, err := s.Resolve(); err != nil || eff.Scenario != "" || s.Workload != "galaxy" || s.N != 9 || s.Seed != 2 {
+		t.Errorf("raw spec: %+v eff=%+v err=%v", s, eff, err)
+	}
+}
+
+// TestResolveScenarioErrors: a pack beside top-level generator fields is the
+// one non-InvalidError failure; everything else names its field.
+func TestResolveScenarioErrors(t *testing.T) {
+	for _, s := range []Spec{
+		{Workload: "plummer", Scenario: &Scenario{Name: "plummer"}},
+		{N: 8, Scenario: &Scenario{Name: "plummer"}},
+		{Seed: 8, Scenario: &Scenario{Name: "plummer"}},
+	} {
+		if _, err := s.Resolve(); !errors.Is(err, ErrScenarioExclusive) {
+			t.Errorf("%+v: err %v, want ErrScenarioExclusive", s, err)
+		}
+	}
+	for field, s := range map[string]Spec{
+		"scenario.name": {Scenario: &Scenario{}},
+		"scenario.n":    {Scenario: &Scenario{Name: "plummer", N: -1}},
+		"dt":            {Scenario: &Scenario{Name: "plummer"}, Config: &Config{DT: -1}},
+	} {
+		var ie *InvalidError
+		if _, err := s.Resolve(); !errors.As(err, &ie) || ie.Field != field {
+			t.Errorf("%+v: err %v, want *InvalidError on %q", s, err, field)
+		}
+	}
+	s := Spec{Scenario: &Scenario{Name: "warp-core"}}
+	var ie *InvalidError
+	if _, err := s.Resolve(); !errors.As(err, &ie) || ie.Field != "scenario.name" {
+		t.Errorf("unknown pack: err %v", err)
 	}
 }
 
 func TestResolveTreeReuse(t *testing.T) {
-	eff, err := Resolve(Legacy{DT: 0.1},
-		&Config{TreeReuse: &TreeReuse{RefitThreshold: 0.05}})
+	eff, err := resolve(&Config{DT: 0.1, TreeReuse: &TreeReuse{RefitThreshold: 0.05}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +126,12 @@ func TestResolveTreeReuse(t *testing.T) {
 	if eff.TreeReuse.RefitThreshold != 0.05 {
 		t.Errorf("refit threshold %v", eff.TreeReuse.RefitThreshold)
 	}
-	// Legacy rebuild_every still flows through.
-	eff, err = Resolve(Legacy{DT: 0.1, RebuildEvery: 4}, nil)
+	eff, err = resolve(&Config{DT: 0.1, TreeReuse: &TreeReuse{RebuildEvery: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.TreeReuse.RebuildEvery != 4 {
-		t.Errorf("legacy rebuild_every lost: %+v", eff.TreeReuse)
+	if eff.TreeReuse.RebuildEvery != 4 || eff.TreeReuse.RefitThreshold != 0 {
+		t.Errorf("rebuild_every lost: %+v", eff.TreeReuse)
 	}
 }
 
@@ -106,7 +154,7 @@ func TestResolveInvalidFields(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Resolve(Legacy{}, tc.cfg)
+			_, err := resolve(tc.cfg)
 			var ie *InvalidError
 			if !errors.As(err, &ie) {
 				t.Fatalf("want *InvalidError, got %v", err)
@@ -120,14 +168,14 @@ func TestResolveInvalidFields(t *testing.T) {
 
 func TestResolvePipeline(t *testing.T) {
 	b := func(v bool) *bool { return &v }
-	eff, err := Resolve(Legacy{DT: 0.1}, nil)
+	eff, err := resolve(&Config{DT: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eff.Pipeline {
 		t.Error("pipeline must default to off")
 	}
-	eff, err = Resolve(Legacy{DT: 0.1}, &Config{Pipeline: b(true)})
+	eff, err = resolve(&Config{DT: 0.1, Pipeline: b(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +184,7 @@ func TestResolvePipeline(t *testing.T) {
 	}
 	// Explicit false is distinguishable from absent, like every other
 	// pointer-typed field.
-	eff, err = Resolve(Legacy{DT: 0.1}, &Config{Pipeline: b(false)})
+	eff, err = resolve(&Config{DT: 0.1, Pipeline: b(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +193,7 @@ func TestResolvePipeline(t *testing.T) {
 	}
 	// Pipeline survives the Effective → core.Config → Effective round
 	// trip that checkpoints and job records depend on.
-	eff, err = Resolve(Legacy{DT: 0.1}, &Config{Pipeline: b(true)})
+	eff, err = resolve(&Config{DT: 0.1, Pipeline: b(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +207,7 @@ func TestResolvePipeline(t *testing.T) {
 }
 
 func TestCoreConfigRoundTrip(t *testing.T) {
-	eff, err := Resolve(Legacy{}, &Config{
+	eff, err := resolve(&Config{
 		Algorithm: "bvh", Layout: "walk", DT: 0.25,
 		Theta: f(0.9), Eps: f(0), G: f(2),
 		TreeReuse: &TreeReuse{RebuildEvery: 3, RefitThreshold: 0.02},

@@ -18,12 +18,15 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"nbody/internal/simcfg"
 )
 
-// JobRecord is the persistent form of one batch job: the submitted spec,
-// the scheduling class, and the resume position (session ID + steps
-// completed at the last committed chunk). State strings are owned by
-// internal/jobs; the store treats them opaquely.
+// JobRecord is the persistent form of one batch job: the resolved
+// simulation it runs (generator parameters plus the effective config,
+// persisted whole), the scheduling class, and the resume position (session
+// ID + steps completed at the last committed chunk). State strings are
+// owned by internal/jobs; the store treats them opaquely.
 type JobRecord struct {
 	ID       string `json:"id"`
 	Class    string `json:"class"`
@@ -31,25 +34,14 @@ type JobRecord struct {
 	Workload string `json:"workload"`
 	N        int    `json:"n"`
 	Seed     uint64 `json:"seed"`
-	// Tenant is the submitting tenant's name; Scenario the scenario-pack
-	// name the spec was expanded from. Both are echoes for attribution —
-	// the physics fields below already hold the expanded, resolved values.
-	Tenant     string  `json:"tenant,omitempty"`
-	Scenario   string  `json:"scenario,omitempty"`
-	Algorithm  string  `json:"algorithm,omitempty"`
-	DT         float64 `json:"dt"`
-	Theta      float64 `json:"theta,omitempty"`
-	Eps        float64 `json:"eps,omitempty"`
-	G          float64 `json:"g,omitempty"`
-	Sequential bool    `json:"sequential,omitempty"`
-	// Layout, when non-empty, marks a resolved-style record: the physics
-	// fields above hold fully resolved values (explicit zeros are real),
-	// not the pre-config-object inherit-default spec values.
-	Layout         string  `json:"layout,omitempty"`
-	RebuildEvery   int     `json:"rebuild_every,omitempty"`
-	RefitThreshold float64 `json:"refit_threshold,omitempty"`
-	Steps          int     `json:"steps"`
-	ChunkSteps     int     `json:"chunk_steps,omitempty"`
+	// Tenant is the submitting tenant's name, an echo for attribution.
+	Tenant string `json:"tenant,omitempty"`
+	// Config is the effective config the job was submitted with, scenario
+	// echo included. Every record names config.layout; Recover quarantines
+	// one that does not (written when the physics sat in flat fields).
+	Config     simcfg.Effective `json:"config"`
+	Steps      int              `json:"steps"`
+	ChunkSteps int              `json:"chunk_steps,omitempty"`
 
 	SessionID string `json:"session_id,omitempty"`
 	StepsDone int    `json:"steps_done"`
@@ -76,6 +68,9 @@ func validateJobRecord(rec JobRecord, id string) error {
 	}
 	if rec.StepsDone < 0 || rec.StepsDone > rec.Steps {
 		return fmt.Errorf("record %q: steps_done %d outside [0, %d]", id, rec.StepsDone, rec.Steps)
+	}
+	if rec.Config.Layout == "" {
+		return fmt.Errorf("record %q has no config.layout", id)
 	}
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nbody/internal/simcfg"
 )
 
 func testJobRecord(id string) JobRecord {
@@ -15,7 +17,7 @@ func testJobRecord(id string) JobRecord {
 		State:    "queued",
 		Workload: "plummer",
 		N:        64,
-		DT:       1e-3,
+		Config:   simcfg.Effective{Algorithm: "octree", Layout: "flat", DT: 1e-3, Pipeline: true},
 		Steps:    100,
 		Created:  time.Now().UTC(),
 	}
@@ -52,6 +54,9 @@ func TestJobStoreRoundTrip(t *testing.T) {
 	got := recs[0]
 	if got.ID != "j-1" || got.StepsDone != 60 || got.State != "running" || got.SessionID != "s-9" {
 		t.Fatalf("recovered record %+v", got)
+	}
+	if got.Config != rec.Config {
+		t.Errorf("config %+v did not round-trip, want %+v", got.Config, rec.Config)
 	}
 	if got.UpdatedAt.IsZero() {
 		t.Error("UpdatedAt not stamped")
@@ -104,6 +109,8 @@ func TestJobStoreQuarantinesCorrupt(t *testing.T) {
 		"j-3.json": `{"id":"j-wrong","state":"queued","steps":10}`,
 		"j-4.json": `{"id":"j-4","state":"queued","steps":10,"steps_done":99}`,
 		"j-5.json": `{"id":"j-5","steps":10}`,
+		// Written before the config object: flat physics, no config.layout.
+		"j-6.json": `{"id":"j-6","state":"queued","steps":10,"algorithm":"octree","dt":0.001,"layout":"flat"}`,
 	}
 	for name, body := range cases {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {

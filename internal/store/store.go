@@ -176,6 +176,48 @@ func ValidID(id string) error {
 // validID is the historical internal name of ValidID.
 func validID(id string) error { return ValidID(id) }
 
+// IDs mints and orders one manager's own IDs: "<kind>-<n>" (kind "s" for
+// sessions, "j" for jobs), or "<shard>-<kind>-<n>" on a named replica so
+// IDs minted by different replicas behind a router never collide.
+type IDs struct{ prefix string }
+
+// NewIDs returns the ID scheme of one kind on one shard ("" = unsharded).
+func NewIDs(kind, shard string) IDs {
+	if shard != "" {
+		kind = shard + "-" + kind
+	}
+	return IDs{prefix: kind + "-"}
+}
+
+// Mint formats the ID with sequence number n.
+func (p IDs) Mint(n uint64) string { return p.prefix + strconv.FormatUint(n, 10) }
+
+// Seq is the inverse of Mint. It reports false for a foreign ID — one the
+// router minted or another shard's — which recovery must not advance the
+// counter past.
+func (p IDs) Seq(id string) (uint64, bool) {
+	suffix, ok := strings.CutPrefix(id, p.prefix)
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(suffix, 10, 64)
+	return n, err == nil
+}
+
+// Less orders IDs for listings: minted IDs numerically by sequence number,
+// foreign IDs lexicographically after them.
+func (p IDs) Less(a, b string) bool {
+	an, aok := p.Seq(a)
+	bn, bok := p.Seq(b)
+	if aok != bok {
+		return aok
+	}
+	if aok && an != bn {
+		return an < bn
+	}
+	return a < b
+}
+
 // validateMeta checks a metadata document against id and the service's body
 // limit before any payload is trusted.
 func validateMeta(meta Meta, id string, maxBodies int) error {

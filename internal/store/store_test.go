@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -376,4 +378,42 @@ func flipByte(t *testing.T, path string, off int) {
 	}
 	data[off] ^= 0xff
 	writeFile(t, path, data)
+}
+
+// TestIDs pins the shared ID scheme of both managers: minted IDs round-trip
+// through Seq and sort numerically — shard-prefixed ones included, which the
+// per-manager helpers this replaced sorted lexicographically — and foreign
+// IDs (router-minted, another shard's, the other kind's) sort after them.
+func TestIDs(t *testing.T) {
+	for _, kind := range []string{"s", "j"} {
+		for _, shard := range []string{"", "a"} {
+			ids := NewIDs(kind, shard)
+			prefix := kind + "-"
+			if shard != "" {
+				prefix = shard + "-" + prefix
+			}
+			t.Run(prefix, func(t *testing.T) {
+				if got := ids.Mint(10); got != prefix+"10" {
+					t.Fatalf("Mint(10) = %q, want %q", got, prefix+"10")
+				}
+				if n, ok := ids.Seq(prefix + "10"); !ok || n != 10 {
+					t.Errorf("Seq(%q) = %d, %v", prefix+"10", n, ok)
+				}
+				foreign := []string{"r" + kind + "-3f9a", "b-" + kind + "-1", "x-" + prefix + "1", prefix + "1x", prefix}
+				for _, id := range foreign {
+					if _, ok := ids.Seq(id); ok {
+						t.Errorf("Seq(%q) claims a foreign ID", id)
+					}
+				}
+				got := append([]string{ids.Mint(10), ids.Mint(2), ids.Mint(1)}, foreign...)
+				sort.Slice(got, func(i, j int) bool { return ids.Less(got[i], got[j]) })
+				if want := []string{ids.Mint(1), ids.Mint(2), ids.Mint(10)}; !slices.Equal(got[:3], want) {
+					t.Errorf("sorted %v, want %v first", got, want)
+				}
+				if !sort.StringsAreSorted(got[3:]) {
+					t.Errorf("foreign IDs %v not in lexicographic order", got[3:])
+				}
+			})
+		}
+	}
 }

@@ -90,7 +90,7 @@ while [ -z "$SID" ]; do
     fi
     BODY=$(curl -fsS -D "$WORK/hdr" -X POST "$BASE/v1/sessions" \
         -H 'Content-Type: application/json' \
-        -d '{"workload":"plummer","n":64,"dt":0.001}')
+        -d '{"workload":"plummer","n":64,"config":{"dt":0.001}}')
     if [ "$(shard_of "$WORK/hdr")" = "a" ]; then
         SID=$(printf '%s' "$BODY" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
     fi
@@ -99,7 +99,7 @@ done
 while :; do
     curl -fsS -D "$WORK/hdr" -X POST "$BASE/v1/sessions" \
         -H 'Content-Type: application/json' \
-        -d '{"workload":"plummer","n":64,"dt":0.001}' >/dev/null
+        -d '{"workload":"plummer","n":64,"config":{"dt":0.001}}' >/dev/null
     [ "$(shard_of "$WORK/hdr")" = "b" ] && break
 done
 

@@ -40,7 +40,7 @@ done
 # Submit a high-class batch job: 120 steps in 50-step checkpoint chunks.
 ID=$(curl -fsS -X POST "$BASE/v1/jobs" \
     -H 'Content-Type: application/json' \
-    -d '{"workload":"plummer","n":256,"dt":0.001,"steps":120,"class":"high"}' |
+    -d '{"workload":"plummer","n":256,"config":{"dt":0.001},"steps":120,"class":"high"}' |
     sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [ -n "$ID" ] || { echo "jobs-smoke: submit returned no job id" >&2; exit 1; }
 

@@ -39,7 +39,7 @@ done
 # Create and step a session through the v1 API.
 ID=$(curl -fsS -X POST "$BASE/v1/sessions" \
     -H 'Content-Type: application/json' \
-    -d '{"workload":"plummer","n":256,"dt":0.001}' |
+    -d '{"workload":"plummer","n":256,"config":{"dt":0.001}}' |
     sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [ -n "$ID" ] || { echo "obs-smoke: create returned no session id" >&2; exit 1; }
 curl -fsS -X POST "$BASE/v1/sessions/$ID/step" \

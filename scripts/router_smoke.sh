@@ -72,7 +72,7 @@ while [ "$SEEN_A" -eq 0 ] || [ "$SEEN_B" -eq 0 ]; do
     fi
     BODY=$(curl -fsS -D "$WORK/hdr" -X POST "$BASE/v1/sessions" \
         -H 'Content-Type: application/json' \
-        -d '{"workload":"plummer","n":128,"dt":0.001}')
+        -d '{"workload":"plummer","n":128,"config":{"dt":0.001}}')
     SID=$(printf '%s' "$BODY" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
     case "$SID" in rs-*) ;; *)
         echo "router-smoke: session id '$SID' is not router-minted" >&2
@@ -102,7 +102,7 @@ COMPLETED=$(curl -fsS -X POST "$BASE/v1/sessions/$STEP_ID/step" \
 # Pin shard a's single job worker with a long blocker, submitted directly.
 curl -fsS -X POST "http://127.0.0.1:$PORT_A/v1/jobs" \
     -H 'Content-Type: application/json' \
-    -d '{"workload":"plummer","n":256,"dt":0.001,"steps":500000}' >/dev/null
+    -d '{"workload":"plummer","n":256,"config":{"dt":0.001},"steps":500000}' >/dev/null
 
 # Place jobs through the router until one lands on (pinned) shard a.
 JOB_ID=""
@@ -115,7 +115,7 @@ while [ -z "$JOB_ID" ]; do
     fi
     BODY=$(curl -fsS -D "$WORK/hdr" -X POST "$BASE/v1/jobs" \
         -H 'Content-Type: application/json' \
-        -d '{"workload":"plummer","n":64,"dt":0.001,"steps":20}')
+        -d '{"workload":"plummer","n":64,"config":{"dt":0.001},"steps":20}')
     if [ "$(shard_of "$WORK/hdr")" = "a" ]; then
         JOB_ID=$(printf '%s' "$BODY" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
     fi
@@ -172,7 +172,7 @@ COUNT=$(curl -fsS "$BASE/v1/jobs" | grep -o "\"id\":\"$JOB_ID\"" | wc -l)
 # New placements avoid the draining shard.
 curl -fsS -D "$WORK/hdr" -X POST "$BASE/v1/sessions" \
     -H 'Content-Type: application/json' \
-    -d '{"workload":"plummer","n":64,"dt":0.001}' >/dev/null
+    -d '{"workload":"plummer","n":64,"config":{"dt":0.001}}' >/dev/null
 [ "$(shard_of "$WORK/hdr")" = "b" ] || {
     echo "router-smoke: placement during drain landed on '$(shard_of "$WORK/hdr")', want b" >&2
     exit 1

@@ -76,7 +76,7 @@ curl -s -H 'Authorization: Bearer nope' "$BASE/v1/sessions" |
 RESP=$(curl -fsS -i -X POST "$BASE/v1/sessions" \
     -H 'Authorization: Bearer smoke-key-alice' \
     -H 'Content-Type: application/json' \
-    -d '{"workload":"plummer","n":64,"dt":0.001}')
+    -d '{"workload":"plummer","n":64,"config":{"dt":0.001}}')
 printf '%s\n' "$RESP" | grep -qi 'X-NBody-Tenant: alice' || {
     echo "tenants-smoke: create response lacks X-NBody-Tenant: alice" >&2
     exit 1
@@ -87,7 +87,7 @@ printf '%s\n' "$RESP" | grep -qi 'X-NBody-Tenant: alice' || {
 RESP=$(curl -s -i -X POST "$BASE/v1/sessions" \
     -H 'Authorization: Bearer smoke-key-alice' \
     -H 'Content-Type: application/json' \
-    -d '{"workload":"plummer","n":64,"dt":0.001}')
+    -d '{"workload":"plummer","n":64,"config":{"dt":0.001}}')
 printf '%s\n' "$RESP" | grep -q "429" || {
     echo "tenants-smoke: over-quota create did not answer 429" >&2
     printf '%s\n' "$RESP" >&2
@@ -106,7 +106,7 @@ printf '%s\n' "$RESP" | grep -qi 'Retry-After:' || {
 curl -fsS -X POST "$BASE/v1/sessions" \
     -H 'Authorization: Bearer smoke-key-bob' \
     -H 'Content-Type: application/json' \
-    -d '{"workload":"plummer","n":64,"dt":0.001}' >/dev/null || {
+    -d '{"workload":"plummer","n":64,"config":{"dt":0.001}}' >/dev/null || {
     echo "tenants-smoke: bob's create failed during alice's quota shed" >&2
     exit 1
 }
