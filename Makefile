@@ -4,11 +4,15 @@ GO ?= go
 
 all: check
 
+# CI is amd64 only: the arm64 cross-build and vet are what compile the
+# portable side of internal/soa's kernel split.
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/soa/
 
 test:
 	$(GO) test ./...

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"nbody/internal/core"
 	"nbody/internal/metrics"
 	"nbody/internal/par"
+	"nbody/internal/soa"
 	"nbody/internal/workload"
 )
 
@@ -137,7 +139,11 @@ func (c *common) runtime(sched par.Scheduler) *par.Runtime {
 	return par.NewRuntime(*c.workers, sched)
 }
 
-// header prints an experiment banner.
+// header prints an experiment banner and, under it, the environment the
+// numbers come from — including which force kernel soa.Accel dispatches to
+// on this machine, so a throughput is never read without its arithmetic.
 func header(format string, args ...any) {
-	fmt.Printf(format+"\n\n", args...)
+	fmt.Printf(format+"\n", args...)
+	fmt.Printf("env: %s/%s, %s, %d CPUs, force kernel %s\n\n",
+		runtime.GOOS, runtime.GOARCH, runtime.Version(), runtime.NumCPU(), soa.Kernel())
 }

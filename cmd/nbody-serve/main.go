@@ -29,6 +29,7 @@ import (
 	"nbody/internal/obs"
 	"nbody/internal/par"
 	"nbody/internal/serve"
+	"nbody/internal/soa"
 	"nbody/internal/store"
 )
 
@@ -245,8 +246,8 @@ func run() error {
 	if len(tenants) > 0 {
 		log.Printf("multi-tenant mode: %d tenant(s) from %s", len(tenants), *tenantsFile)
 	}
-	log.Printf("listening on %s (max-sessions %d, max-bodies %d, idle-ttl %v, %d slots × %d workers)",
-		*addr, *maxSessions, *maxBodies, *idleTTL, *stepSlots, perSession)
+	log.Printf("listening on %s (max-sessions %d, max-bodies %d, idle-ttl %v, %d slots × %d workers, force kernel %s)",
+		*addr, *maxSessions, *maxBodies, *idleTTL, *stepSlots, perSession, soa.Kernel())
 
 	select {
 	case err := <-errc:

@@ -24,7 +24,7 @@ import (
 	"nbody/internal/soa"
 )
 
-// tile is the block edge for the cache-tiled inner loops: 64 bodies × 3
+// tile is the block edge of AllPairsCol's pair supertiles: 64 bodies × 3
 // coordinate arrays × 8 bytes = 1.5 KiB per tile, comfortably L1-resident.
 const tile = 64
 
@@ -38,19 +38,10 @@ func AllPairs(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params) {
 	r.ForGrain(pol, n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			xi, yi, zi := posX[i], posY[i], posZ[i]
-			var ax, ay, az float64
-			// Tiling the j loop keeps the streamed arrays hot in L1
-			// across the i iterations of this chunk. The shared soa
-			// kernel hoists the eps2 branch out of the inner loop
-			// entirely (the self term j == i contributes zero either
-			// way, so no index test is needed).
-			for j0 := 0; j0 < n; j0 += tile {
-				j1 := min(j0+tile, n)
-				dax, day, daz := soa.Accel(posX, posY, posZ, mass, j0, j1, xi, yi, zi, eps2)
-				ax += dax
-				ay += day
-				az += daz
-			}
+			// The shared soa kernel hoists the eps2 branch out of the
+			// inner loop; the self term j == i contributes zero either
+			// way, so no index test is needed.
+			ax, ay, az := soa.Accel(posX, posY, posZ, mass, 0, n, xi, yi, zi, eps2)
 			s.AccX[i] = p.G * ax
 			s.AccY[i] = p.G * ay
 			s.AccZ[i] = p.G * az

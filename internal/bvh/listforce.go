@@ -118,9 +118,11 @@ func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System,
 				node = skipNext(node)
 				continue
 			}
-			crit2 := pointDist2(t.comX[node], t.comY[node], t.comZ[node])
+			var crit2 float64
 			if useBoxDist {
 				crit2 = boxDist2(node)
+			} else {
+				crit2 = pointDist2(t.comX[node], t.comY[node], t.comZ[node])
 			}
 			size := t.extent(node)
 			if size*size < theta2*crit2 {

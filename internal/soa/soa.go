@@ -6,7 +6,8 @@
 // its center of mass) and every near-field leaf body into a List — four
 // dense float64 slices — and a second pass evaluates each body of the
 // group against the list in a branch-free inner loop the compiler can keep
-// in registers and vectorize. This is the interaction-list batching of
+// in registers, and which on amd64 is vectorized by hand (kernel_amd64.s;
+// Go's compiler does not vectorize). This is the interaction-list batching of
 // Tokuue & Ishiyama's many-core tree code and Bédorf et al.'s GPU octree
 // (and of the SpeedCodeBench flat-array reference), adapted to the
 // repository's grav.Params contract: the kernel excludes G (callers hoist
@@ -66,11 +67,41 @@ func (l *List) Accel(xi, yi, zi, eps2 float64) (ax, ay, az float64) {
 
 // Accel is the shared tight kernel: the acceleration (excluding G) that
 // sources [lo, hi) of the flat arrays xs/ys/zs/ms induce at (xi, yi, zi).
-// With softening the loop is branch-free — r² ≥ ε² > 0 makes the guard of
-// grav.Accumulate provably dead, so it is hoisted into the eps2 == 0
-// variant instead of being tested per interaction.
+//
+// accelGo defines the result. Where the machine has AVX (see Kernel) the
+// softened branch runs whole blocks of four sources through accelAVX, which
+// computes bit for bit accelGo's term for every source and differs only in
+// the order the terms are summed; the len%4 tail and the eps2 == 0 branch
+// stay on accelGo.
 func Accel(xs, ys, zs, ms []float64, lo, hi int, xi, yi, zi, eps2 float64) (ax, ay, az float64) {
 	xs, ys, zs, ms = xs[lo:hi], ys[lo:hi], zs[lo:hi], ms[lo:hi]
+	if n4 := len(xs) &^ 3; useAVX && eps2 > 0 && n4 > 0 {
+		ax, ay, az = accelAVX(&xs[0], &ys[0], &zs[0], &ms[0], n4, xi, yi, zi, eps2)
+		tx, ty, tz := accelGo(xs[n4:], ys[n4:], zs[n4:], ms[n4:], xi, yi, zi, eps2)
+		return ax + tx, ay + ty, az + tz
+	}
+	return accelGo(xs, ys, zs, ms, xi, yi, zi, eps2)
+}
+
+// Kernel names the arithmetic behind Accel on this machine: "avx" when the
+// softened branch runs the amd64 vector body, "go" when every interaction
+// goes through the portable loop. A trajectory is reproducible bit for bit
+// per kernel, as it is per GOARCH: the two sum the same terms in a
+// different order.
+func Kernel() string {
+	if useAVX {
+		return "avx"
+	}
+	return "go"
+}
+
+// accelGo is the portable kernel and the reference the vector body is
+// tested against; all four slices have equal length. With softening the
+// loop is branch-free — r² ≥ ε² > 0 makes the guard of grav.Accumulate
+// provably dead, so it is hoisted into the eps2 == 0 variant instead of
+// being tested per interaction.
+func accelGo(xs, ys, zs, ms []float64, xi, yi, zi, eps2 float64) (ax, ay, az float64) {
+	ys, zs, ms = ys[:len(xs)], zs[:len(xs)], ms[:len(xs)]
 	if eps2 > 0 {
 		for j := range xs {
 			dx := xs[j] - xi

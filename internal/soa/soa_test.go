@@ -55,12 +55,15 @@ func TestAccelSelfTermIsZero(t *testing.T) {
 func TestAccelRange(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	l := randomList(rng, 64)
-	// Summing two halves must equal the whole.
-	ax1, ay1, az1 := Accel(l.X, l.Y, l.Z, l.M, 0, 30, 0.1, 0.2, 0.3, 1e-6)
-	ax2, ay2, az2 := Accel(l.X, l.Y, l.Z, l.M, 30, 64, 0.1, 0.2, 0.3, 1e-6)
+	// Summing two parts must equal the whole, wherever the cut falls
+	// relative to the kernel's blocks of four.
 	ax, ay, az := l.Accel(0.1, 0.2, 0.3, 1e-6)
-	if math.Abs(ax1+ax2-ax) > 1e-12 || math.Abs(ay1+ay2-ay) > 1e-12 || math.Abs(az1+az2-az) > 1e-12 {
-		t.Fatalf("range split (%v,%v,%v) != whole (%v,%v,%v)", ax1+ax2, ay1+ay2, az1+az2, ax, ay, az)
+	for _, cut := range []int{0, 1, 3, 4, 30, 33, 61, 64} {
+		ax1, ay1, az1 := Accel(l.X, l.Y, l.Z, l.M, 0, cut, 0.1, 0.2, 0.3, 1e-6)
+		ax2, ay2, az2 := Accel(l.X, l.Y, l.Z, l.M, cut, 64, 0.1, 0.2, 0.3, 1e-6)
+		if math.Abs(ax1+ax2-ax) > 1e-12 || math.Abs(ay1+ay2-ay) > 1e-12 || math.Abs(az1+az2-az) > 1e-12 {
+			t.Fatalf("cut %d: range split (%v,%v,%v) != whole (%v,%v,%v)", cut, ax1+ax2, ay1+ay2, az1+az2, ax, ay, az)
+		}
 	}
 }
 
