@@ -10,7 +10,6 @@ import (
 	"nbody/internal/bvh"
 	"nbody/internal/core"
 	"nbody/internal/grav"
-	"nbody/internal/kdtree"
 	"nbody/internal/metrics"
 	"nbody/internal/octree"
 	"nbody/internal/par"
@@ -358,8 +357,6 @@ func runAblate(fs *flag.FlagSet, args []string) error {
 	}{
 		{"structure", "octree (paper)", core.Config{Algorithm: core.Octree}},
 		{"structure", "bvh (paper)", core.Config{Algorithm: core.BVH}},
-		{"structure", "kdtree (extension)", core.Config{Algorithm: core.KDTree}},
-		{"structure", "kdtree dual-tree (extension)", core.Config{Algorithm: core.KDTree, KD: kdtree.Config{Dual: true}}},
 		{"criterion", "center-distance (paper)", core.Config{Algorithm: core.BVH}},
 		{"criterion", "box-distance", core.Config{Algorithm: core.BVH, BVH: bvh.Config{Criterion: bvh.BoxDistance}}},
 		{"moments", "scatter (paper)", core.Config{Algorithm: core.Octree}},

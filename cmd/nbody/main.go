@@ -41,7 +41,7 @@ func main() {
 
 func run() error {
 	var (
-		algoName  = flag.String("algo", "octree", "algorithm: octree, bvh, kdtree, all-pairs, all-pairs-col")
+		algoName  = flag.String("algo", "octree", "algorithm: "+core.AlgorithmNames())
 		wlName    = flag.String("workload", "galaxy", "workload: galaxy, galaxy-single, plummer, uniform, clusters, solarsystem")
 		n         = flag.Int("n", 100000, "number of bodies")
 		steps     = flag.Int("steps", 10, "timesteps to integrate")

@@ -25,7 +25,6 @@ import (
 	"nbody/internal/bounds"
 	"nbody/internal/bvh"
 	"nbody/internal/grav"
-	"nbody/internal/kdtree"
 	"nbody/internal/octree"
 	"nbody/internal/par"
 	"nbody/internal/workload"
@@ -69,12 +68,6 @@ func main() {
 		{"bvh (box-dist)", func(s *body.System, p grav.Params) time.Duration {
 			return runBVH(rt, s, p, bvh.Config{Criterion: bvh.BoxDistance})
 		}},
-		{"kdtree (single)", func(s *body.System, p grav.Params) time.Duration {
-			return runKD(rt, s, p, false)
-		}},
-		{"kdtree (dual)", func(s *body.System, p grav.Params) time.Duration {
-			return runKD(rt, s, p, true)
-		}},
 	}
 
 	fmt.Printf("%-22s %8s %14s %12s\n", "variant", "θ", "mean error", "force time")
@@ -106,7 +99,7 @@ func main() {
 	fmt.Println("\nreadings: at equal θ the octree is more accurate than the BVH (compact")
 	fmt.Println("cubic cells vs elongated boxes — the paper's §IV-B note); box-distance")
 	fmt.Println("closes part of that gap; quadrupoles cut the error by ~an order of")
-	fmt.Println("magnitude; the dual-tree trades accuracy for symmetric interactions.")
+	fmt.Println("magnitude.")
 }
 
 func runOctree(rt *par.Runtime, s *body.System, p grav.Params, cfg octree.Config) time.Duration {
@@ -127,18 +120,6 @@ func runBVH(rt *par.Runtime, s *body.System, p grav.Params, cfg bvh.Config) time
 	tree.Build(rt, par.ParUnseq, s, box)
 	start := time.Now()
 	tree.Accelerations(rt, par.ParUnseq, s, p)
-	return time.Since(start)
-}
-
-func runKD(rt *par.Runtime, s *body.System, p grav.Params, dual bool) time.Duration {
-	tree := kdtree.New(kdtree.Config{})
-	tree.Build(rt, s)
-	start := time.Now()
-	if dual {
-		tree.DualAccelerations(rt, s, p)
-	} else {
-		tree.Accelerations(rt, par.ParUnseq, s, p)
-	}
 	return time.Since(start)
 }
 

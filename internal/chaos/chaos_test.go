@@ -84,6 +84,9 @@ func TestInjectorLatencyAndBlackholeRespectDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("blackhole ignored the deadline: %v", elapsed)
 	}
+	if got := in.Stats(); got[FaultLatency] != 1 || got[FaultBlackhole] != 1 {
+		t.Fatalf("stats = %v, want one latency and one blackhole", got)
+	}
 }
 
 func TestInjectorTruncateAndAfterAndMatch(t *testing.T) {

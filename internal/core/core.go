@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"nbody/internal/allpairs"
 	"nbody/internal/body"
@@ -23,7 +24,6 @@ import (
 	"nbody/internal/bvh"
 	"nbody/internal/grav"
 	"nbody/internal/integrator"
-	"nbody/internal/kdtree"
 	"nbody/internal/metrics"
 	"nbody/internal/octree"
 	"nbody/internal/par"
@@ -43,10 +43,6 @@ const (
 	// AllPairsCol is the O(N²/2) pair-parallel baseline with atomic
 	// accumulation.
 	AllPairsCol
-	// KDTree is an extension beyond the paper: a median-split kd-tree —
-	// the third spatial decomposition Section IV lists — built with
-	// divide-and-conquer parallelism.
-	KDTree
 )
 
 // String implements fmt.Stringer.
@@ -60,15 +56,13 @@ func (a Algorithm) String() string {
 		return "all-pairs"
 	case AllPairsCol:
 		return "all-pairs-col"
-	case KDTree:
-		return "kdtree"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Algorithms lists the solvers the paper evaluates, in the order its
-// figures plot them. The KDTree extension is excluded; use AllAlgorithms
-// to include it.
+// Algorithms lists every solver — the four the paper evaluates, in the
+// order its figures plot them. It is the one list ParseAlgorithm, its
+// error text and every front end's enum are generated from.
 func Algorithms() []Algorithm { return []Algorithm{AllPairs, AllPairsCol, Octree, BVH} }
 
 // Layout selects the force-evaluation data path.
@@ -112,17 +106,24 @@ func ParseLayout(name string) (Layout, error) {
 	return 0, fmt.Errorf("core: unknown layout %q (want flat or walk)", name)
 }
 
-// AllAlgorithms lists every solver, including extensions beyond the paper.
-func AllAlgorithms() []Algorithm { return append(Algorithms(), KDTree) }
+// AlgorithmNames returns the names of Algorithms(), comma-separated, for
+// error and help text.
+func AlgorithmNames() string {
+	names := make([]string, 0, len(Algorithms()))
+	for _, a := range Algorithms() {
+		names = append(names, a.String())
+	}
+	return strings.Join(names, ", ")
+}
 
-// ParseAlgorithm converts a CLI name into an Algorithm.
+// ParseAlgorithm converts a CLI/API name into one of Algorithms().
 func ParseAlgorithm(name string) (Algorithm, error) {
-	for _, a := range AllAlgorithms() {
+	for _, a := range Algorithms() {
 		if a.String() == name {
 			return a, nil
 		}
 	}
-	return 0, fmt.Errorf("core: unknown algorithm %q (want one of octree, bvh, all-pairs, all-pairs-col, kdtree)", name)
+	return 0, fmt.Errorf("core: unknown algorithm %q (want one of %s)", name, AlgorithmNames())
 }
 
 // Config parameterizes a simulation.
@@ -165,8 +166,6 @@ type Config struct {
 	Octree octree.Config
 	// BVH configures the Hilbert BVH solver.
 	BVH bvh.Config
-	// KD configures the kd-tree solver.
-	KD kdtree.Config
 	// ValidateEvery, when positive, re-validates the body system every k
 	// steps and aborts the run with a descriptive error if any state has
 	// become non-finite — catching integration blow-ups (e.g. an
@@ -196,7 +195,6 @@ type Sim struct {
 	pol  policies
 	tree *octree.Tree
 	hbvh *bvh.Tree
-	kd   *kdtree.Tree
 
 	breakdown metrics.Breakdown
 	step      int
@@ -293,8 +291,6 @@ func New(cfg Config, sys *body.System) (*Sim, error) {
 		s.tree = octree.New(cfg.Octree)
 	case BVH:
 		s.hbvh = bvh.New(cfg.BVH)
-	case KDTree:
-		s.kd = kdtree.New(cfg.KD)
 	case AllPairs, AllPairsCol:
 		// no structure
 	default:
@@ -587,7 +583,7 @@ func (s *Sim) commitStep() error {
 // spatial structure (and so whether the structure phase does any work).
 func (s *Sim) hasStructure() bool {
 	switch s.cfg.Algorithm {
-	case Octree, BVH, KDTree:
+	case Octree, BVH:
 		return true
 	}
 	return false
@@ -656,16 +652,6 @@ func (s *Sim) phaseStructure(rebuild bool) error {
 		})
 		s.noteRebuild(box.MaxExtent())
 		return nil
-
-	case KDTree:
-		// The kd-tree build fuses partitioning, boxes and moments; on
-		// reuse steps, boxes and moments must still be refreshed, which
-		// for this structure means a full rebuild — RebuildEvery is a
-		// no-op here by design.
-		b.Time(metrics.PhaseBuild, func() {
-			s.kd.Build(s.rt, s.sys)
-		})
-		return nil
 	}
 	return fmt.Errorf("core: unknown algorithm %v", s.cfg.Algorithm)
 }
@@ -710,15 +696,6 @@ func (s *Sim) phaseForce() {
 				s.hbvh.Accelerations(s.rt, s.pol.force, s.sys, p)
 			}
 		})
-
-	case KDTree:
-		b.Time(metrics.PhaseForce, func() {
-			if s.cfg.KD.Dual {
-				s.kd.DualAccelerations(s.rt, s.sys, p)
-			} else {
-				s.kd.Accelerations(s.rt, s.pol.force, s.sys, p)
-			}
-		})
 	}
 }
 
@@ -733,9 +710,10 @@ type Diagnostics struct {
 
 // Diagnostics computes conservation diagnostics. When exact is true the
 // potential is the O(N²) pairwise sum; otherwise it is approximated with a
-// tree traversal at the configured θ, which is what large-N runs should
-// use. Systems of at most exactPotentialMaxN bodies get the pairwise sum
-// either way.
+// traversal of the solver's own tree at the configured θ, which is what
+// large-N runs should use. Systems of at most exactPotentialMaxN bodies,
+// and the all-pairs solvers (which keep no tree and already pay O(N²) a
+// step), get the pairwise sum either way.
 func (s *Sim) Diagnostics(exact bool) Diagnostics {
 	d := Diagnostics{
 		Mass:          s.sys.TotalMass(),
@@ -757,7 +735,7 @@ const exactPotentialMaxN = 1024
 // potentialEnergy computes total gravitational potential energy.
 func (s *Sim) potentialEnergy(exact bool) float64 {
 	p := s.cfg.Params
-	if exact || s.sys.N() <= exactPotentialMaxN {
+	if exact || s.sys.N() <= exactPotentialMaxN || !s.hasStructure() {
 		pol := par.Par
 		if s.cfg.Sequential {
 			pol = par.Seq
@@ -776,21 +754,15 @@ func (s *Sim) potentialEnergy(exact bool) float64 {
 		// Rebuild to make sure boxes reflect current positions.
 		s.hbvh.BuildNoSort(s.rt, s.pol.build, s.sys)
 		s.hbvh.Potential(s.rt, s.pol.force, s.sys, p, phi)
-	default:
-		// Use an octree traversal for the octree and all-pairs
-		// algorithms (building one temporarily if needed).
-		t := s.tree
-		if t == nil {
-			t = octree.New(octree.Config{})
-		}
+	case Octree:
 		box := bounds.OfPositions(s.rt, s.pol.reduce, s.sys.PosX, s.sys.PosY, s.sys.PosZ)
-		if err := t.Build(s.rt, s.sys, box); err != nil {
+		if err := s.tree.Build(s.rt, s.sys, box); err != nil {
 			// Fall back to the exact sum; Build failures are
 			// pathological (pool exhaustion after retries).
 			return allpairs.PotentialEnergy(s.rt, par.Par, s.sys, p)
 		}
-		t.ComputeMoments(s.rt, s.sys)
-		t.Potential(s.rt, s.pol.force, s.sys, p, phi)
+		s.tree.ComputeMoments(s.rt, s.sys)
+		s.tree.Potential(s.rt, s.pol.force, s.sys, p, phi)
 	}
 
 	var u float64

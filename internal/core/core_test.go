@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"nbody/internal/body"
 	"nbody/internal/bvh"
 	"nbody/internal/grav"
-	"nbody/internal/kdtree"
 	"nbody/internal/metrics"
 	"nbody/internal/octree"
 	"nbody/internal/par"
@@ -29,11 +29,15 @@ func TestParseAlgorithm(t *testing.T) {
 	if _, err := ParseAlgorithm("fmm"); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if a, err := ParseAlgorithm("kdtree"); err != nil || a != KDTree {
-		t.Errorf("ParseAlgorithm(kdtree) = %v, %v", a, err)
+	// The retired kd-tree solver's name is rejected like any unknown one,
+	// and the error lists the names of Algorithms() and nothing else.
+	var names []string
+	for _, a := range Algorithms() {
+		names = append(names, a.String())
 	}
-	if len(AllAlgorithms()) != len(Algorithms())+1 {
-		t.Error("AllAlgorithms should add the kdtree extension")
+	want := `core: unknown algorithm "kdtree" (want one of ` + strings.Join(names, ", ") + ")"
+	if _, err := ParseAlgorithm("kdtree"); err == nil || err.Error() != want {
+		t.Errorf("ParseAlgorithm(kdtree) error = %v, want %q", err, want)
 	}
 	if Algorithm(99).String() == "" {
 		t.Error("unknown algorithm String empty")
@@ -103,7 +107,7 @@ func TestAlgorithmsAgreeOnTrajectory(t *testing.T) {
 		kin, tot float64
 	}
 	results := map[Algorithm]obs{}
-	for _, a := range AllAlgorithms() {
+	for _, a := range Algorithms() {
 		sys := workload.Plummer(n, 5)
 		sim, err := New(Config{Algorithm: a, DT: 0.001, Params: p}, sys)
 		if err != nil {
@@ -399,7 +403,7 @@ func TestCustomRuntime(t *testing.T) {
 
 func TestEmptyAndTinySystems(t *testing.T) {
 	for _, n := range []int{0, 1, 2} {
-		for _, a := range AllAlgorithms() {
+		for _, a := range Algorithms() {
 			sys := workload.Plummer(n, 39)
 			sim, err := New(Config{Algorithm: a, DT: 0.01}, sys)
 			if err != nil {
@@ -422,8 +426,6 @@ func TestVariantConfigsRun(t *testing.T) {
 		{Algorithm: BVH, DT: 0.001, BVH: bvh.Config{Ordering: bvh.Morton}},
 		{Algorithm: BVH, DT: 0.001, BVH: bvh.Config{LeafSize: 8}},
 		{Algorithm: BVH, DT: 0.001, BVH: bvh.Config{Criterion: bvh.BoxDistance}},
-		{Algorithm: KDTree, DT: 0.001, KD: kdtree.Config{Dual: true}},
-		{Algorithm: KDTree, DT: 0.001, KD: kdtree.Config{LeafSize: 16}},
 	}
 	for i, cfg := range configs {
 		sim, err := New(cfg, sys.Clone())

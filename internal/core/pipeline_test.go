@@ -67,7 +67,7 @@ func TestPipelinedMatchesSynchronous(t *testing.T) {
 	ex := exec.New(4)
 	defer ex.Close()
 
-	for _, alg := range AllAlgorithms() {
+	for _, alg := range Algorithms() {
 		for _, layout := range Layouts() {
 			for _, reuse := range reuses {
 				name := fmt.Sprintf("%s/%s/%s", alg, layout, reuse.name)

@@ -51,6 +51,10 @@ func (f *fakeRunner) CreateSession(ctx context.Context, spec Spec, eff simcfg.Ef
 	if f.createErr != nil {
 		return "", f.createErr
 	}
+	// Like the real runner, refuse a config the engine cannot be built from.
+	if _, err := eff.CoreConfig(); err != nil {
+		return "", err
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.nextID++
@@ -689,6 +693,43 @@ func TestRecordWithoutLayoutQuarantined(t *testing.T) {
 	}
 	if _, err := m.Submit(context.Background(), spec("plummer", 1)); err != nil {
 		t.Errorf("submit after quarantine: %v", err)
+	}
+}
+
+// TestRecoveredJobNamingRetiredAlgorithmFails: a queued record written when
+// the kd-tree solver still existed is re-enqueued at boot like any other,
+// and fails permanently — no retry, no session — when the runner cannot
+// build its config; the reason names the algorithm. There is no migration.
+func TestRecoveredJobNamingRetiredAlgorithmFails(t *testing.T) {
+	js, err := store.OpenJobs(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := effective(t, simcfg.Config{DT: 1e-3})
+	cfg.Algorithm = "kdtree"
+	rec := store.JobRecord{
+		ID: "j-1", Class: ClassNormal, State: string(StateQueued),
+		Workload: "plummer", N: 16, Config: cfg, Steps: 20, ChunkSteps: 10,
+		Created: time.Now().UTC(),
+	}
+	if err := js.Save(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	f := newFakeRunner()
+	m := newTestManager(t, Config{Runner: f, Workers: 1, Store: js})
+	done := waitState(t, m, "j-1", StateFailed)
+	if !strings.Contains(done.Error, `unknown algorithm "kdtree"`) {
+		t.Errorf("error = %q, want it to name the algorithm", done.Error)
+	}
+	if v := m.ins.retries.Value(); v != 0 {
+		t.Errorf("retries = %v, want 0 (a retired algorithm is a permanent fault)", v)
+	}
+	if got := f.createdOrder(); len(got) != 0 {
+		t.Errorf("sessions created: %v", got)
+	}
+	if _, err := m.Submit(context.Background(), spec("plummer", 1)); err != nil {
+		t.Errorf("submit after the failed record: %v", err)
 	}
 }
 

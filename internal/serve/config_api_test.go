@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"nbody/internal/core"
 	"nbody/internal/jobs"
 	"nbody/internal/snapshot"
 	"nbody/internal/workload"
@@ -56,7 +57,10 @@ func TestCreateSessionConfigEcho(t *testing.T) {
 // the seven flat physics names, in a session body, a job body or a
 // snapshot-upload query string, answers 400 invalid_config with a message
 // naming its successor inside the config object — not the generic
-// unknown-field 400, and not a silently ignored query parameter.
+// unknown-field 400, and not a silently ignored query parameter. The last
+// row is a retired value of a live field: config.algorithm "kdtree" fails
+// the same way on the same three surfaces, naming the field and the live
+// algorithms.
 func TestRetiredFlatFieldsRejected(t *testing.T) {
 	_, _, srv := newJobServer(t, testConfig(), jobs.Config{Workers: 1})
 	var snap bytes.Buffer
@@ -64,36 +68,45 @@ func TestRetiredFlatFieldsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	retired := []struct{ name, value, successor string }{
-		{"algorithm", `"bvh"`, "config.algorithm"},
-		{"dt", "0.001", "config.dt"},
-		{"theta", "0.7", "config.theta"},
-		{"eps", "0.01", "config.eps"},
-		{"g", "2", "config.g"},
-		{"sequential", "true", "config.sequential"},
-		{"rebuild_every", "3", "config.tree_reuse.rebuild_every"},
+	retired := []struct {
+		name, value, want string
+		inConfig          bool // the member goes inside the config object, not beside it
+	}{
+		{"algorithm", `"bvh"`, "config.algorithm", false},
+		{"dt", "0.001", "config.dt", false},
+		{"theta", "0.7", "config.theta", false},
+		{"eps", "0.01", "config.eps", false},
+		{"g", "2", "config.g", false},
+		{"sequential", "true", "config.sequential", false},
+		{"rebuild_every", "3", "config.tree_reuse.rebuild_every", false},
+		{"algorithm", `"kdtree"`, `field "algorithm": unknown algorithm "kdtree" (want one of ` + core.AlgorithmNames() + ")", true},
 	}
-	if len(retired) != len(retiredFields) {
-		t.Fatalf("table covers %d names, the handler retires %v", len(retired), retiredFields)
+	if flat := len(retired) - 1; flat != len(retiredFields) {
+		t.Fatalf("table covers %d flat names, the handler retires %v", flat, retiredFields)
 	}
 	for _, tc := range retired {
-		name, value, successor := tc.name, tc.value, tc.successor
+		name, value, want := tc.name, tc.value, tc.want
+		member := fmt.Sprintf("%q:%s", name, value)
+		label, cfg, beside, query := name, `{"dt":0.001}`, ","+member, "&"+name+"="+strings.Trim(value, `"`)
+		if tc.inConfig {
+			label, cfg, beside, query = "config."+name, `{"dt":0.001,`+member+`}`, "", ""
+		}
 		surfaces := map[string]func() (*http.Response, error){
 			"session body": func() (*http.Response, error) {
-				body := fmt.Sprintf(`{"workload":"plummer","n":64,"config":{"dt":0.001},%q:%s}`, name, value)
+				body := fmt.Sprintf(`{"workload":"plummer","n":64,"config":%s%s}`, cfg, beside)
 				return http.Post(srv.URL+"/v1/sessions", "application/json", strings.NewReader(body))
 			},
 			"job body": func() (*http.Response, error) {
-				body := fmt.Sprintf(`{"workload":"plummer","n":64,"steps":4,"config":{"dt":0.001},%q:%s}`, name, value)
+				body := fmt.Sprintf(`{"workload":"plummer","n":64,"steps":4,"config":%s%s}`, cfg, beside)
 				return http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 			},
 			"upload query": func() (*http.Response, error) {
-				u := srv.URL + "/v1/sessions" + configQuery(`{"dt":0.001}`) + "&" + name + "=" + strings.Trim(value, `"`)
+				u := srv.URL + "/v1/sessions" + configQuery(cfg) + query
 				return http.Post(u, snapshotContentType, bytes.NewReader(snap.Bytes()))
 			},
 		}
 		for surface, send := range surfaces {
-			t.Run(name+"/"+surface, func(t *testing.T) {
+			t.Run(label+"/"+surface, func(t *testing.T) {
 				resp, err := send()
 				if err != nil {
 					t.Fatal(err)
@@ -102,8 +115,8 @@ func TestRetiredFlatFieldsRejected(t *testing.T) {
 				if resp.StatusCode != http.StatusBadRequest || e.Error.Code != CodeInvalidConfig {
 					t.Fatalf("status %d code %q, want 400 %s (%s)", resp.StatusCode, e.Error.Code, CodeInvalidConfig, e.Error.Message)
 				}
-				if !strings.Contains(e.Error.Message, successor) {
-					t.Errorf("message %q does not name the successor %s", e.Error.Message, successor)
+				if !strings.Contains(e.Error.Message, want) {
+					t.Errorf("message %q does not contain %q", e.Error.Message, want)
 				}
 			})
 		}

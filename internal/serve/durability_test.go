@@ -119,17 +119,17 @@ func TestRestartRecoversSessions(t *testing.T) {
 	}
 }
 
-// TestRecoveryQuarantinesCorruptCheckpoints damages three of four on-disk
+// TestRecoveryQuarantinesCorruptCheckpoints damages four of five on-disk
 // checkpoints (a flipped payload byte, a truncation, metadata that names no
-// force layout and so is not runnable) and requires the next boot to
-// quarantine exactly those three and recover the intact one — never failing
-// startup.
+// force layout and metadata that names the retired kd-tree solver, neither
+// of which is runnable) and requires the next boot to quarantine exactly
+// those four and recover the intact one — never failing startup.
 func TestRecoveryQuarantinesCorruptCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	m1 := newStoreManager(t, dir, nil)
 
 	req := plummerReq(48, 0, simcfg.Config{DT: 1e-3})
-	var ids [4]string
+	var ids [5]string
 	for i := range ids {
 		info, err := m1.Create(context.Background(), req)
 		if err != nil {
@@ -154,28 +154,33 @@ func TestRecoveryQuarantinesCorruptCheckpoints(t *testing.T) {
 		}
 	})
 
-	metaPath := filepath.Join(dir, ids[2]+".json")
-	meta, err := os.ReadFile(metaPath)
-	if err != nil {
-		t.Fatal(err)
+	editMeta := func(id, old, new string) {
+		t.Helper()
+		metaPath := filepath.Join(dir, id+".json")
+		meta, err := os.ReadFile(metaPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := bytes.Replace(meta, []byte(old), []byte(new), 1)
+		if bytes.Equal(edited, meta) {
+			t.Fatalf("checkpoint metadata carries no %q:\n%s", old, meta)
+		}
+		if err := os.WriteFile(metaPath, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	stripped := bytes.Replace(meta, []byte(`  "layout": "flat",`+"\n"), nil, 1)
-	if len(stripped) == len(meta) {
-		t.Fatalf("checkpoint metadata carries no layout line:\n%s", meta)
-	}
-	if err := os.WriteFile(metaPath, stripped, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	editMeta(ids[2], `  "layout": "flat",`+"\n", "")
+	editMeta(ids[3], `"algorithm": "octree"`, `"algorithm": "kdtree"`)
 
 	m2 := newStoreManager(t, dir, nil)
 	defer closeManager(t, m2)
 
-	for _, id := range ids[:3] {
+	for _, id := range ids[:4] {
 		if _, err := m2.Get(id); !errors.Is(err, ErrNotFound) {
 			t.Errorf("corrupt session %s after restart = %v, want ErrNotFound", id, err)
 		}
 	}
-	good, err := m2.Get(ids[3])
+	good, err := m2.Get(ids[4])
 	if err != nil {
 		t.Fatalf("intact session lost: %v", err)
 	}
@@ -183,10 +188,10 @@ func TestRecoveryQuarantinesCorruptCheckpoints(t *testing.T) {
 		t.Fatalf("intact session at step %d, want 2", good.Steps)
 	}
 	snap := m2.Metrics()
-	if snap.RecoveredTotal != 1 || snap.QuarantinedTotal != 3 {
-		t.Fatalf("recovered %d quarantined %d, want 1 and 3", snap.RecoveredTotal, snap.QuarantinedTotal)
+	if snap.RecoveredTotal != 1 || snap.QuarantinedTotal != 4 {
+		t.Fatalf("recovered %d quarantined %d, want 1 and 4", snap.RecoveredTotal, snap.QuarantinedTotal)
 	}
-	for _, id := range ids[:3] {
+	for _, id := range ids[:4] {
 		if kept, _ := filepath.Glob(filepath.Join(dir, "quarantine", id+".*")); len(kept) == 0 {
 			t.Errorf("corrupt checkpoint %s was not moved to quarantine", id)
 		}

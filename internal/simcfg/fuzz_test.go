@@ -18,8 +18,10 @@ func FuzzSpecResolve(f *testing.F) {
 		`{"workload":"plummer","n":64,"config":{"dt":0.001}}`,
 		`{"scenario":{"name":"solar-system","n":32,"seed":7}}`,
 		`{"scenario":{"name":"tsne-embedding"},"config":{"algorithm":"bvh","eps":0,"pipeline":true}}`,
-		`{"workload":"galaxy","n":8,"config":{"algorithm":"kdtree","layout":"walk","dt":1e-4,"theta":0,"g":0,` +
+		`{"workload":"galaxy","n":8,"config":{"algorithm":"all-pairs-col","layout":"walk","dt":1e-4,"theta":0,"g":0,` +
 			`"sequential":true,"tree_reuse":{"rebuild_every":5,"refit_threshold":0.03}}}`,
+		// The retired kd-tree solver: a rejection seed.
+		`{"workload":"galaxy","n":8,"config":{"algorithm":"kdtree","dt":1e-4}}`,
 		`{"workload":"plummer","scenario":{"name":"plummer"}}`,
 		`{"scenario":{"name":""}}`,
 		`{"scenario":{"name":"plummer","n":-4}}`,

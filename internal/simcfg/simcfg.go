@@ -56,8 +56,8 @@ type TreeReuse struct {
 // defaults. Pointer fields distinguish an explicit zero (eps: 0 =
 // unsoftened) from absence.
 type Config struct {
-	// Algorithm is the force solver: "octree" (default), "bvh",
-	// "all-pairs", "all-pairs-col" or "kdtree".
+	// Algorithm is the force solver: the name of one of
+	// core.Algorithms() (default "octree").
 	Algorithm string `json:"algorithm,omitempty"`
 	// Layout is the force-evaluation data path: "flat" (default,
 	// interaction lists) or "walk" (per-body tree walks).
@@ -174,8 +174,8 @@ func resolve(cfg *Config) (Effective, error) {
 // validate checks a resolved configuration, reporting the first offending
 // field as *InvalidError.
 func (e Effective) validate() error {
-	if _, err := core.ParseAlgorithm(e.Algorithm); err != nil {
-		return invalid("algorithm", "unknown algorithm %q", e.Algorithm)
+	if _, err := e.algorithm(); err != nil {
+		return err
 	}
 	if _, err := core.ParseLayout(e.Layout); err != nil {
 		return invalid("layout", "unknown layout %q (want flat or walk)", e.Layout)
@@ -204,12 +204,22 @@ func (e Effective) validate() error {
 	return nil
 }
 
+// algorithm parses e.Algorithm, reporting an unknown (or retired) name as
+// *InvalidError listing the live ones.
+func (e Effective) algorithm() (core.Algorithm, error) {
+	alg, err := core.ParseAlgorithm(e.Algorithm)
+	if err != nil {
+		return 0, invalid("algorithm", "unknown algorithm %q (want one of %s)", e.Algorithm, core.AlgorithmNames())
+	}
+	return alg, nil
+}
+
 // CoreConfig converts a resolved configuration into the engine's config
 // (Runtime and ValidateEvery are the caller's concern).
 func (e Effective) CoreConfig() (core.Config, error) {
-	alg, err := core.ParseAlgorithm(e.Algorithm)
+	alg, err := e.algorithm()
 	if err != nil {
-		return core.Config{}, invalid("algorithm", "unknown algorithm %q", e.Algorithm)
+		return core.Config{}, err
 	}
 	lay, err := core.ParseLayout(e.Layout)
 	if err != nil {

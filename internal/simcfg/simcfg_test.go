@@ -4,6 +4,9 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"nbody/internal/core"
+	"nbody/internal/workload"
 )
 
 func f(v float64) *float64 { return &v }
@@ -142,6 +145,7 @@ func TestResolveInvalidFields(t *testing.T) {
 		field string
 	}{
 		{"bad algorithm", &Config{Algorithm: "fmm", DT: 0.1}, "algorithm"},
+		{"retired algorithm", &Config{Algorithm: "kdtree", DT: 0.1}, "algorithm"},
 		{"bad layout", &Config{Layout: "diagonal", DT: 0.1}, "layout"},
 		{"zero dt", &Config{}, "dt"},
 		{"negative dt", &Config{DT: -1}, "dt"},
@@ -222,5 +226,38 @@ func TestCoreConfigRoundTrip(t *testing.T) {
 	back := EffectiveOf(ccfg)
 	if back != eff {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, eff)
+	}
+}
+
+// The wire enum, the engine enum and the constructor must not drift apart:
+// every core.Algorithms() name resolves from a Spec, converts to an engine
+// config, constructs and steps, and the default is one of them.
+func TestEveryAlgorithmResolvesAndSteps(t *testing.T) {
+	defaultListed := false
+	for _, a := range core.Algorithms() {
+		name := a.String()
+		defaultListed = defaultListed || name == Defaults().Algorithm
+		spec := Spec{Workload: "plummer", N: 8, Config: &Config{Algorithm: name, DT: 1e-3}}
+		eff, err := spec.Resolve()
+		if err != nil {
+			t.Fatalf("%s: Resolve: %v", name, err)
+		}
+		ccfg, err := eff.CoreConfig()
+		if err != nil {
+			t.Fatalf("%s: CoreConfig: %v", name, err)
+		}
+		if ccfg.Algorithm != a {
+			t.Fatalf("%s: CoreConfig selected %v", name, ccfg.Algorithm)
+		}
+		sim, err := core.New(ccfg, workload.Plummer(spec.N, 1))
+		if err != nil {
+			t.Fatalf("%s: core.New: %v", name, err)
+		}
+		if err := sim.Step(); err != nil {
+			t.Fatalf("%s: Step: %v", name, err)
+		}
+	}
+	if !defaultListed {
+		t.Errorf("default algorithm %q is not in core.Algorithms()", Defaults().Algorithm)
 	}
 }

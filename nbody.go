@@ -38,7 +38,6 @@ import (
 	"nbody/internal/bvh"
 	"nbody/internal/core"
 	"nbody/internal/grav"
-	"nbody/internal/kdtree"
 	"nbody/internal/octree"
 	"nbody/internal/par"
 	"nbody/internal/workload"
@@ -58,9 +57,6 @@ const (
 	// AllPairsCol is the pair-parallel O(N²/2) baseline with atomic
 	// accumulation.
 	AllPairsCol = core.AllPairsCol
-	// KDTree is an extension beyond the paper: a median-split kd-tree
-	// solver (the third decomposition Section IV lists).
-	KDTree = core.KDTree
 )
 
 // Config parameterizes a simulation; see core.Config for field docs.
@@ -73,10 +69,6 @@ type OctreeConfig = octree.Config
 // BVHConfig selects Hilbert-BVH variants (leaf size, curve ordering, grid
 // order, opening criterion).
 type BVHConfig = bvh.Config
-
-// KDConfig selects kd-tree variants (leaf size, build grain, dual-tree
-// traversal).
-type KDConfig = kdtree.Config
 
 // Params are the physical and accuracy parameters (G, softening ε, θ).
 type Params = grav.Params
@@ -120,16 +112,12 @@ func NewRuntime(workers int, sched Scheduler) *Runtime { return par.NewRuntime(w
 // small Plummer softening).
 func DefaultParams() Params { return grav.DefaultParams() }
 
-// ParseAlgorithm converts a CLI name ("octree", "bvh", "all-pairs",
-// "all-pairs-col") into an Algorithm.
+// ParseAlgorithm converts a CLI name — the String() of one of
+// Algorithms() — into an Algorithm.
 func ParseAlgorithm(name string) (Algorithm, error) { return core.ParseAlgorithm(name) }
 
-// Algorithms lists the solvers the paper evaluates.
+// Algorithms lists every solver: the four the paper evaluates.
 func Algorithms() []Algorithm { return core.Algorithms() }
-
-// AllAlgorithms additionally includes the extensions beyond the paper
-// (currently KDTree).
-func AllAlgorithms() []Algorithm { return core.AllAlgorithms() }
 
 // NewGalaxyCollision generates the paper's evaluation workload: a
 // deterministic collision between two disk galaxies totalling n bodies.
