@@ -1,11 +1,10 @@
-// Package atomicx supplies the atomic building blocks the paper's algorithms
-// need beyond what sync/atomic provides directly: atomic floating-point
-// accumulation (the C++ code uses std::atomic_ref<double>::fetch_add with
-// relaxed ordering) and cache-line padded counters used for the per-node
-// arrival counts in the multipole tree reduction.
+// Package atomicx supplies the one atomic building block the paper's
+// algorithms need beyond what sync/atomic provides directly: atomic
+// floating-point accumulation (the C++ code uses
+// std::atomic_ref<double>::fetch_add with relaxed ordering).
 //
-// Go's sync/atomic has no float64 operations, so AddFloat64 and friends
-// implement them with a compare-and-swap loop over the value's bit pattern.
+// Go's sync/atomic has no float64 operations, so AddFloat64 implements it
+// with a compare-and-swap loop over the value's bit pattern.
 // Go atomics are sequentially consistent, which is strictly stronger than
 // the relaxed/acquire/release orderings the paper uses; correctness is
 // therefore preserved (at some cost in throughput, discussed in
@@ -31,71 +30,4 @@ func AddFloat64(addr *float64, delta float64) float64 {
 			return newVal
 		}
 	}
-}
-
-// LoadFloat64 atomically loads *addr.
-func LoadFloat64(addr *float64) float64 {
-	return math.Float64frombits((*atomic.Uint64)(unsafe.Pointer(addr)).Load())
-}
-
-// StoreFloat64 atomically stores v to *addr.
-func StoreFloat64(addr *float64, v float64) {
-	(*atomic.Uint64)(unsafe.Pointer(addr)).Store(math.Float64bits(v))
-}
-
-// MinFloat64 atomically updates *addr to min(*addr, v) and returns the new
-// minimum. NaN values of v are ignored (the stored value is returned).
-func MinFloat64(addr *float64, v float64) float64 {
-	if math.IsNaN(v) {
-		return LoadFloat64(addr)
-	}
-	bits := (*atomic.Uint64)(unsafe.Pointer(addr))
-	for {
-		old := bits.Load()
-		cur := math.Float64frombits(old)
-		if cur <= v {
-			return cur
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return v
-		}
-	}
-}
-
-// MaxFloat64 atomically updates *addr to max(*addr, v) and returns the new
-// maximum. NaN values of v are ignored (the stored value is returned).
-func MaxFloat64(addr *float64, v float64) float64 {
-	if math.IsNaN(v) {
-		return LoadFloat64(addr)
-	}
-	bits := (*atomic.Uint64)(unsafe.Pointer(addr))
-	for {
-		old := bits.Load()
-		cur := math.Float64frombits(old)
-		if cur >= v {
-			return cur
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return v
-		}
-	}
-}
-
-// CacheLineSize is the assumed size of a CPU cache line. 64 bytes is
-// correct for all current x86-64 and most arm64 parts; padding to a larger
-// line only wastes a little memory.
-const CacheLineSize = 64
-
-// PaddedInt64 is an atomic int64 padded to occupy a full cache line,
-// preventing false sharing when adjacent counters are updated by different
-// goroutines (e.g. per-worker work counters in the dynamic scheduler).
-type PaddedInt64 struct {
-	atomic.Int64
-	_ [CacheLineSize - 8]byte
-}
-
-// PaddedUint64 is the unsigned counterpart of PaddedInt64.
-type PaddedUint64 struct {
-	atomic.Uint64
-	_ [CacheLineSize - 8]byte
 }

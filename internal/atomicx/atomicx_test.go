@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 func TestAddFloat64Sequential(t *testing.T) {
@@ -63,63 +62,6 @@ func TestAddFloat64SliceElements(t *testing.T) {
 	}
 }
 
-func TestLoadStoreFloat64(t *testing.T) {
-	var x float64
-	StoreFloat64(&x, math.Pi)
-	if got := LoadFloat64(&x); got != math.Pi {
-		t.Errorf("Load = %v", got)
-	}
-}
-
-func TestMinMaxFloat64(t *testing.T) {
-	x := 5.0
-	if got := MinFloat64(&x, 3); got != 3 || x != 3 {
-		t.Errorf("Min: got %v, x=%v", got, x)
-	}
-	if got := MinFloat64(&x, 4); got != 3 || x != 3 {
-		t.Errorf("Min no-op: got %v, x=%v", got, x)
-	}
-	if got := MaxFloat64(&x, 10); got != 10 || x != 10 {
-		t.Errorf("Max: got %v, x=%v", got, x)
-	}
-	if got := MaxFloat64(&x, 7); got != 10 || x != 10 {
-		t.Errorf("Max no-op: got %v, x=%v", got, x)
-	}
-}
-
-func TestMinMaxIgnoreNaN(t *testing.T) {
-	x := 2.0
-	if got := MinFloat64(&x, math.NaN()); got != 2 || x != 2 {
-		t.Errorf("Min(NaN): got %v, x=%v", got, x)
-	}
-	if got := MaxFloat64(&x, math.NaN()); got != 2 || x != 2 {
-		t.Errorf("Max(NaN): got %v, x=%v", got, x)
-	}
-}
-
-func TestMinMaxConcurrent(t *testing.T) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				v := float64(w*1000 + i)
-				MinFloat64(&lo, v)
-				MaxFloat64(&hi, v)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if lo != 0 {
-		t.Errorf("concurrent min = %v", lo)
-	}
-	if hi != 7999 {
-		t.Errorf("concurrent max = %v", hi)
-	}
-}
-
 // Property: a sequence of atomic adds equals the plain sum.
 func TestPropAddMatchesSum(t *testing.T) {
 	f := func(vals []float64) bool {
@@ -136,35 +78,6 @@ func TestPropAddMatchesSum(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPaddedCountersSize(t *testing.T) {
-	if s := unsafe.Sizeof(PaddedInt64{}); s != CacheLineSize {
-		t.Errorf("PaddedInt64 size = %d, want %d", s, CacheLineSize)
-	}
-	if s := unsafe.Sizeof(PaddedUint64{}); s != CacheLineSize {
-		t.Errorf("PaddedUint64 size = %d, want %d", s, CacheLineSize)
-	}
-}
-
-func TestPaddedCountersConcurrent(t *testing.T) {
-	counters := make([]PaddedInt64, 4)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 10000; i++ {
-				counters[w].Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for i := range counters {
-		if got := counters[i].Load(); got != 10000 {
-			t.Errorf("counter %d = %d", i, got)
-		}
 	}
 }
 

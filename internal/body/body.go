@@ -179,20 +179,6 @@ func (s *System) Particles() []Particle {
 	return ps
 }
 
-// FromParticles builds a SoA system from AoS particles (a fresh system;
-// ps is not retained).
-func FromParticles(ps []Particle) *System {
-	s := NewSystem(len(ps))
-	for i, p := range ps {
-		s.Mass[i] = p.Mass
-		s.SetPos(i, p.Pos)
-		s.SetVel(i, p.Vel)
-		s.SetAcc(i, p.Acc)
-		s.ID[i] = p.ID
-	}
-	return s
-}
-
 // Permute reorders the bodies so that new body i is old body perm[i].
 // perm must be a permutation of [0, N); the reorder is applied to every
 // per-body array in parallel gather passes. This is how the HILBERTSORT

@@ -28,15 +28,6 @@ func Empty() AABB {
 	}
 }
 
-// Of returns the tightest box containing the given points.
-func Of(points ...vec.V3) AABB {
-	b := Empty()
-	for _, p := range points {
-		b = b.Extend(p)
-	}
-	return b
-}
-
 // IsEmpty reports whether the box contains no points.
 func (b AABB) IsEmpty() bool {
 	return b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z

@@ -21,7 +21,7 @@ func TestEmpty(t *testing.T) {
 }
 
 func TestOfAndContains(t *testing.T) {
-	b := Of(vec.New(1, 2, 3), vec.New(-1, 5, 0))
+	b := Empty().Extend(vec.New(1, 2, 3)).Extend(vec.New(-1, 5, 0))
 	if b.IsEmpty() {
 		t.Fatal("box of two points is empty")
 	}
@@ -36,7 +36,7 @@ func TestOfAndContains(t *testing.T) {
 }
 
 func TestUnionIdentity(t *testing.T) {
-	b := Of(vec.New(1, 1, 1), vec.New(2, 2, 2))
+	b := Empty().Extend(vec.New(1, 1, 1)).Extend(vec.New(2, 2, 2))
 	if got := b.Union(Empty()); got != b {
 		t.Errorf("Union with Empty = %v, want %v", got, b)
 	}
@@ -146,7 +146,7 @@ func TestPropUnionAlgebra(t *testing.T) {
 		s := rng.New(seed)
 		p1 := vec.New(s.Range(-10, 10), s.Range(-10, 10), s.Range(-10, 10))
 		p2 := vec.New(s.Range(-10, 10), s.Range(-10, 10), s.Range(-10, 10))
-		return Of(p1, p2)
+		return Empty().Extend(p1).Extend(p2)
 	}
 	f := func(s1, s2, s3 uint64) bool {
 		a, b, c := gen(s1), gen(s2), gen(s3)

@@ -220,8 +220,8 @@ type Sim struct {
 	// Adaptive tree-reuse state (RefitThreshold > 0): driftAcc upper-bounds
 	// the distance any body has moved since the last full rebuild,
 	// rootExtent is the root box edge recorded at that rebuild, and
-	// lastRebuild the step it happened on. rebuilds/refits count structure
-	// passes under either reuse policy, for observability and tests.
+	// lastRebuild the step it happened on. rebuilds/refits count the structure
+	// phases run under either reuse policy, for observability and tests.
 	driftAcc    float64
 	rootExtent  float64
 	lastRebuild int
@@ -345,10 +345,10 @@ func (s *Sim) needRebuild() bool {
 	return s.driftAcc > s.cfg.RefitThreshold*s.rootExtent
 }
 
-// noteRebuild records a full rebuild at the current step with the given
-// root box extent, resetting the drift accumulator.
+// noteRebuild tells the reuse policy the structure was rebuilt at the
+// current step with the given root box extent, resetting the drift
+// accumulator.
 func (s *Sim) noteRebuild(extent float64) {
-	s.rebuilds++
 	s.lastRebuild = s.step
 	s.driftAcc = 0
 	s.rootExtent = extent
@@ -627,6 +627,7 @@ func (s *Sim) phaseStructure(rebuild bool) error {
 			s.tree.ComputeMoments(s.rt, s.sys)
 		})
 		s.noteRebuild(box.MaxExtent())
+		s.rebuilds++
 		return nil
 
 	case BVH:
@@ -651,6 +652,7 @@ func (s *Sim) phaseStructure(rebuild bool) error {
 			s.hbvh.BuildNoSort(s.rt, s.pol.build, s.sys)
 		})
 		s.noteRebuild(box.MaxExtent())
+		s.rebuilds++
 		return nil
 	}
 	return fmt.Errorf("core: unknown algorithm %v", s.cfg.Algorithm)
@@ -711,9 +713,11 @@ type Diagnostics struct {
 // Diagnostics computes conservation diagnostics. When exact is true the
 // potential is the O(N²) pairwise sum; otherwise it is approximated with a
 // traversal of the solver's own tree at the configured θ, which is what
-// large-N runs should use. Systems of at most exactPotentialMaxN bodies,
-// and the all-pairs solvers (which keep no tree and already pay O(N²) a
-// step), get the pairwise sum either way.
+// large-N runs should use. Between steps that is the tree the last
+// committed step left: Diagnostics is an observer and a run's trajectory
+// does not depend on how often it is sampled. Systems of at most
+// exactPotentialMaxN bodies, and the all-pairs solvers (which keep no tree
+// and already pay O(N²) a step), get the pairwise sum either way.
 func (s *Sim) Diagnostics(exact bool) Diagnostics {
 	d := Diagnostics{
 		Mass:          s.sys.TotalMass(),
@@ -728,14 +732,55 @@ func (s *Sim) Diagnostics(exact bool) Diagnostics {
 // exactPotentialMaxN is the largest system whose potential is always the
 // pairwise sum: up to here it is several times cheaper than building and
 // walking a tree (0.11 ms against 0.69 ms at N = 256, 1.7 ms against 6.6 ms
-// at N = 1024, one worker) and carries no θ error. A service request on a
-// small session spends most of its time in this sample.
+// at N = 1024, one worker; measured when the sample still built its own
+// tree) and carries no θ error. A service request on a small session spends
+// most of its time in this sample.
 const exactPotentialMaxN = 1024
+
+// structureCurrent reports whether the tree describes the positions in
+// s.sys. It does from the end of a structure phase until the next drift —
+// in particular at every committed step boundary, because the closing
+// half-kick moves no body — and does not before the first step of a new or
+// restored simulation.
+func (s *Sim) structureCurrent() bool {
+	switch s.cursor {
+	case curIdle:
+		return s.haveAcc
+	case curInitStructure, curStructure:
+		return false
+	}
+	return true
+}
+
+// observeStructure makes the tree describe the current positions for an
+// observer outside the step loop. It leaves a current tree alone: rebuilding
+// it would Morton-permute the bodies and replace the topology the next
+// refit step reuses, so sampling would change the trajectory. Otherwise it
+// builds one, and tells the reuse policy so.
+func (s *Sim) observeStructure() error {
+	if s.structureCurrent() {
+		return nil
+	}
+	switch s.cfg.Algorithm {
+	case BVH:
+		s.hbvh.BuildNoSort(s.rt, s.pol.build, s.sys)
+	case Octree:
+		box := bounds.OfPositions(s.rt, s.pol.reduce, s.sys.PosX, s.sys.PosY, s.sys.PosZ)
+		if err := s.tree.Build(s.rt, s.sys, box); err != nil {
+			return err
+		}
+		s.tree.ComputeMoments(s.rt, s.sys)
+		s.noteRebuild(box.MaxExtent())
+	}
+	return nil
+}
 
 // potentialEnergy computes total gravitational potential energy.
 func (s *Sim) potentialEnergy(exact bool) float64 {
 	p := s.cfg.Params
-	if exact || s.sys.N() <= exactPotentialMaxN || !s.hasStructure() {
+	// A failed build (node pool exhausted after every growth attempt) is
+	// pathological; the next step reports it, the sample falls back.
+	if exact || s.sys.N() <= exactPotentialMaxN || !s.hasStructure() || s.observeStructure() != nil {
 		pol := par.Par
 		if s.cfg.Sequential {
 			pol = par.Seq
@@ -751,17 +796,8 @@ func (s *Sim) potentialEnergy(exact bool) float64 {
 
 	switch s.cfg.Algorithm {
 	case BVH:
-		// Rebuild to make sure boxes reflect current positions.
-		s.hbvh.BuildNoSort(s.rt, s.pol.build, s.sys)
 		s.hbvh.Potential(s.rt, s.pol.force, s.sys, p, phi)
 	case Octree:
-		box := bounds.OfPositions(s.rt, s.pol.reduce, s.sys.PosX, s.sys.PosY, s.sys.PosZ)
-		if err := s.tree.Build(s.rt, s.sys, box); err != nil {
-			// Fall back to the exact sum; Build failures are
-			// pathological (pool exhaustion after retries).
-			return allpairs.PotentialEnergy(s.rt, par.Par, s.sys, p)
-		}
-		s.tree.ComputeMoments(s.rt, s.sys)
 		s.tree.Potential(s.rt, s.pol.force, s.sys, p, phi)
 	}
 

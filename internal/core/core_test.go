@@ -338,6 +338,74 @@ func TestDiagnosticsSmallNIsExact(t *testing.T) {
 	}
 }
 
+// Diagnostics is an observer: sampling between steps must not change the
+// trajectory. Above exactPotentialMaxN it used to rebuild the tree it
+// measured, which under tree reuse replaced the topology the next refit step
+// walks — so a run's bytes depended on how often it was sampled. Compared by
+// body ID (tree solvers permute), bit for bit, with gathered octree moments
+// so the unsampled run is itself reproducible.
+func TestDiagnosticsDoesNotPerturbTrajectory(t *testing.T) {
+	const (
+		n     = 4 * exactPotentialMaxN
+		steps = 8
+	)
+	for _, alg := range []Algorithm{Octree, BVH} {
+		for _, threshold := range []float64{0, 0.05} {
+			run := func(sample bool) *Sim {
+				cfg := Config{
+					Algorithm:      alg,
+					DT:             1e-3,
+					Params:         grav.Params{G: 1, Eps: 0.05, Theta: 0.5},
+					RefitThreshold: threshold,
+					Octree:         octree.Config{GatherMoments: true},
+				}
+				sim, err := New(cfg, workload.Plummer(n, 36))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < steps; k++ {
+					if sample {
+						sim.Diagnostics(false)
+					}
+					if err := sim.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return sim
+			}
+			plain, sampled := run(false), run(true)
+			if threshold > 0 && plain.Refits() == 0 {
+				t.Fatalf("%v threshold %v: no refit step, the reuse path is not exercised", alg, threshold)
+			}
+			want, got := positionsByID(plain.System()), positionsByID(sampled.System())
+			moved := 0
+			for i := range want {
+				if want[i] != got[i] {
+					moved++
+				}
+			}
+			if moved != 0 {
+				t.Errorf("%v threshold %v: sampling moved %d of %d bodies", alg, threshold, moved, n)
+			}
+
+			// After a committed step the sample touches nothing the next
+			// step reads: body order, topology, drift accounting.
+			order := append([]int32(nil), sampled.System().ID...)
+			drift, rebuilds := sampled.driftAcc, sampled.Rebuilds()
+			sampled.Diagnostics(false)
+			for i, id := range sampled.System().ID {
+				if id != order[i] {
+					t.Fatalf("%v threshold %v: Diagnostics permuted the bodies (slot %d)", alg, threshold, i)
+				}
+			}
+			if sampled.driftAcc != drift || sampled.Rebuilds() != rebuilds {
+				t.Errorf("%v threshold %v: Diagnostics changed drift %v → %v, rebuilds %d → %d",
+					alg, threshold, drift, sampled.driftAcc, rebuilds, sampled.Rebuilds())
+			}
+		}
+	}
+}
+
 func TestMomentumConservation(t *testing.T) {
 	for _, a := range []Algorithm{Octree, AllPairs} {
 		sys := workload.Plummer(500, 35)

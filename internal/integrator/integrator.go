@@ -1,8 +1,6 @@
 // Package integrator implements the Störmer-Verlet time integration the
 // paper uses (its reference [12]) in the kick-drift-kick (velocity Verlet /
-// leapfrog) form, plus a plain explicit Euler integrator kept as a
-// contrasting baseline for the energy-conservation tests: Verlet is
-// symplectic and keeps the energy error bounded; Euler drifts secularly.
+// leapfrog) form. Verlet is symplectic and keeps the energy error bounded.
 //
 // The integration is split into half-kicks and a drift so that the force
 // solver can be invoked between them, matching the five-step loop of
@@ -46,25 +44,6 @@ func Drift(r *par.Runtime, pol par.Policy, s *body.System, dt float64) {
 			posX[i] += dt * velX[i]
 			posY[i] += dt * velY[i]
 			posZ[i] += dt * velZ[i]
-		}
-	})
-}
-
-// EulerStep advances positions and velocities with a single explicit Euler
-// update from the current accelerations: x ← x + v·dt, then v ← v + a·dt.
-// First-order and non-symplectic; provided as the contrast baseline.
-func EulerStep(r *par.Runtime, pol par.Policy, s *body.System, dt float64) {
-	posX, posY, posZ := s.PosX, s.PosY, s.PosZ
-	velX, velY, velZ := s.VelX, s.VelY, s.VelZ
-	accX, accY, accZ := s.AccX, s.AccY, s.AccZ
-	r.ForGrain(pol, s.N(), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			posX[i] += dt * velX[i]
-			posY[i] += dt * velY[i]
-			posZ[i] += dt * velZ[i]
-			velX[i] += dt * accX[i]
-			velY[i] += dt * accY[i]
-			velZ[i] += dt * accZ[i]
 		}
 	})
 }

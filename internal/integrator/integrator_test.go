@@ -53,19 +53,6 @@ func TestKickDriftBasic(t *testing.T) {
 	}
 }
 
-func TestEulerStepBasic(t *testing.T) {
-	s := body.NewSystem(1)
-	s.Set(0, 1, vec.New(0, 0, 0), vec.New(1, 0, 0))
-	s.SetAcc(0, vec.New(0, 1, 0))
-	EulerStep(rt, par.ParUnseq, s, 2)
-	if s.Pos(0) != vec.New(2, 0, 0) {
-		t.Errorf("pos = %v", s.Pos(0))
-	}
-	if s.Vel(0) != vec.New(1, 2, 0) {
-		t.Errorf("vel = %v", s.Vel(0))
-	}
-}
-
 func TestReverseVelocities(t *testing.T) {
 	s := body.NewSystem(2)
 	s.SetVel(0, vec.New(1, -2, 3))
@@ -116,33 +103,6 @@ func TestVerletEnergyBounded(t *testing.T) {
 	}
 	if worst > 1e-3 {
 		t.Errorf("Verlet energy drift %v over 5000 steps", worst)
-	}
-}
-
-func TestEulerDriftsMoreThanVerlet(t *testing.T) {
-	// The symplectic property in action: after many steps of the same
-	// orbit, Euler's energy error must dwarf Verlet's.
-	dt := 0.01
-	steps := 2000
-
-	sv, p := twoBodyCircular()
-	allpairs.AllPairs(rt, par.ParUnseq, sv, p)
-	e0 := totalEnergy(sv, p)
-	for k := 0; k < steps; k++ {
-		verletStep(sv, p, dt)
-	}
-	verletErr := math.Abs(totalEnergy(sv, p) - e0)
-
-	se, _ := twoBodyCircular()
-	allpairs.AllPairs(rt, par.ParUnseq, se, p)
-	for k := 0; k < steps; k++ {
-		EulerStep(rt, par.ParUnseq, se, dt)
-		allpairs.AllPairs(rt, par.ParUnseq, se, p)
-	}
-	eulerErr := math.Abs(totalEnergy(se, p) - e0)
-
-	if eulerErr < 20*verletErr {
-		t.Errorf("Euler error %v not ≫ Verlet error %v", eulerErr, verletErr)
 	}
 }
 

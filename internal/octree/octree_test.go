@@ -74,7 +74,7 @@ func TestBuildEmptySystem(t *testing.T) {
 	s := body.NewSystem(0)
 	r := par.NewRuntime(4, par.Dynamic)
 	tree := New(Config{})
-	if err := tree.Build(r, s, bounds.Of(vec.Zero)); err != nil {
+	if err := tree.Build(r, s, bounds.Empty().Extend(vec.Zero)); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	if err := tree.CheckInvariants(); err != nil {

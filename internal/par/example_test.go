@@ -24,11 +24,16 @@ func ExampleRuntime_For() {
 
 // A transform-reduce, the analog of C++ transform_reduce (the paper's
 // bounding-box step is exactly this shape).
-func ExampleReduceOn() {
+func ExampleReduceRanges() {
 	r := par.NewRuntime(4, par.Static)
-	squares := par.ReduceOn(r, par.Par, 10, 0,
+	squares := par.ReduceRanges(r, par.Par, 10, 0,
 		func(a, b int) int { return a + b },
-		func(i int) int { return i * i })
+		func(acc, lo, hi int) int {
+			for i := lo; i < hi; i++ {
+				acc += i * i
+			}
+			return acc
+		})
 	fmt.Println(squares)
 	// Output:
 	// 285

@@ -144,32 +144,12 @@ func (r *Runtime) String() string {
 	return fmt.Sprintf("par.Runtime{workers: %d, sched: %s, grain: %d}", r.workers, r.sched, r.grain)
 }
 
-// defaultRuntime is the package-level runtime used by the convenience
-// wrappers. It may be replaced once at program start via SetDefault.
-var defaultRuntime atomic.Pointer[Runtime]
-
-func init() {
-	defaultRuntime.Store(NewRuntime(0, Dynamic))
-}
+// defaultRuntime is what a caller that configures no Runtime gets: one
+// worker per GOMAXPROCS, dynamically scheduled.
+var defaultRuntime = NewRuntime(0, Dynamic)
 
 // Default returns the package-level default runtime.
-func Default() *Runtime { return defaultRuntime.Load() }
-
-// SetDefault replaces the package-level default runtime. It is intended for
-// program initialization (CLI flags) and benchmarking harnesses.
-func SetDefault(r *Runtime) {
-	if r == nil {
-		panic("par: SetDefault(nil)")
-	}
-	defaultRuntime.Store(r)
-}
-
-// For applies f to every index in [0, n) under policy p on the default
-// runtime.
-func For(p Policy, n int, f func(i int)) { Default().For(p, n, f) }
-
-// ForGrain is ForGrain on the default runtime.
-func ForGrain(p Policy, n, grain int, f func(lo, hi int)) { Default().ForGrain(p, n, grain, f) }
+func Default() *Runtime { return defaultRuntime }
 
 // For applies f to every index in [0, n) under policy p.
 //

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -140,11 +141,22 @@ func TestParSupportsBlocking(t *testing.T) {
 	}
 }
 
+// sumRange folds [lo, hi) into acc; with intSum it is the index-sum reduce
+// the tests below drive ReduceRanges with.
+func sumRange(acc, lo, hi int) int {
+	for i := lo; i < hi; i++ {
+		acc += i
+	}
+	return acc
+}
+
+func intSum(a, b int) int { return a + b }
+
 func TestReduceSum(t *testing.T) {
 	for _, r := range testRuntimes {
 		for _, p := range allPolicies {
 			for _, n := range []int{0, 1, 100, 10000} {
-				got := ReduceOn(r, p, n, 0, func(a, b int) int { return a + b }, func(i int) int { return i })
+				got := ReduceRanges(r, p, n, 0, intSum, sumRange)
 				want := n * (n - 1) / 2
 				if got != want {
 					t.Errorf("%v %v n=%d: sum = %d, want %d", r, p, n, got, want)
@@ -158,9 +170,14 @@ func TestReduceNonCommutativeGrouping(t *testing.T) {
 	// Combine is associative but not commutative (string concat): the
 	// parallel reduce must still produce the sequential result because
 	// partials are combined in worker order over contiguous blocks.
-	r := NewRuntime(4, Static)
-	got := ReduceOn(r, Par, 26, "", func(a, b string) string { return a + b },
-		func(i int) string { return string(rune('a' + i)) })
+	r := NewRuntime(4, Static).WithGrain(1)
+	got := ReduceRanges(r, Par, 26, "", func(a, b string) string { return a + b },
+		func(acc string, lo, hi int) string {
+			for i := lo; i < hi; i++ {
+				acc += string(rune('a' + i))
+			}
+			return acc
+		})
 	if got != "abcdefghijklmnopqrstuvwxyz" {
 		t.Errorf("reduce = %q", got)
 	}
@@ -186,62 +203,29 @@ func TestReduceRanges(t *testing.T) {
 	}
 }
 
-func TestSumFloat64(t *testing.T) {
-	r := NewRuntime(4, Dynamic)
-	got := SumFloat64(r, Par, 1000, func(i int) float64 { return 1 })
-	if got != 1000 {
-		t.Errorf("SumFloat64 = %v", got)
-	}
-}
-
 func TestReducePanicPropagates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic propagated from Reduce")
 		}
 	}()
-	ReduceOn(NewRuntime(4, Dynamic), Par, 1000, 0,
-		func(a, b int) int { return a + b },
-		func(i int) int {
-			if i == 700 {
+	ReduceRanges(NewRuntime(4, Dynamic), Par, 1000, 0, intSum,
+		func(acc, lo, hi int) int {
+			if lo <= 700 && 700 < hi {
 				panic("reduce boom")
 			}
-			return i
+			return sumRange(acc, lo, hi)
 		})
 }
 
 func TestDefaultRuntime(t *testing.T) {
-	old := Default()
-	defer SetDefault(old)
-
-	r := NewRuntime(2, Static)
-	SetDefault(r)
+	r := Default()
+	if r.Workers() != runtime.GOMAXPROCS(0) || r.Scheduler() != Dynamic || r.Grain() != DefaultGrain {
+		t.Errorf("Default() = %v", r)
+	}
 	if Default() != r {
-		t.Error("SetDefault did not take effect")
+		t.Error("Default() is not one shared runtime")
 	}
-	var count atomic.Int32
-	For(Par, 100, func(int) { count.Add(1) })
-	if count.Load() != 100 {
-		t.Errorf("package-level For visited %d", count.Load())
-	}
-	sum := Reduce(Par, 10, 0, func(a, b int) int { return a + b }, func(i int) int { return i })
-	if sum != 45 {
-		t.Errorf("package-level Reduce = %d", sum)
-	}
-	var grainCount atomic.Int32
-	ForGrain(ParUnseq, 100, 10, func(lo, hi int) { grainCount.Add(int32(hi - lo)) })
-	if grainCount.Load() != 100 {
-		t.Errorf("package-level ForGrain covered %d", grainCount.Load())
-	}
-}
-
-func TestSetDefaultNilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("SetDefault(nil) did not panic")
-		}
-	}()
-	SetDefault(nil)
 }
 
 func TestRuntimeAccessors(t *testing.T) {

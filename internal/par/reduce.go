@@ -2,69 +2,20 @@ package par
 
 import "sync"
 
-// Reduce is par.Reduce on the default runtime.
-func Reduce[T any](p Policy, n int, identity T, combine func(a, b T) T, transform func(i int) T) T {
-	return ReduceOn(Default(), p, n, identity, combine, transform)
-}
-
-// ReduceOn performs the moral equivalent of C++ transform_reduce: it maps
-// every index in [0, n) through transform and folds the results with
-// combine, starting from identity.
+// ReduceRanges is the moral equivalent of C++ transform_reduce over the
+// index space [0, n). It folds contiguous index ranges instead of single
+// indices, letting the per-range function keep its accumulator in registers:
+// fold must fold the half-open range [lo, hi) into acc and return it.
 //
 // combine must be associative and identity must be its neutral element; the
 // grouping of combine applications is unspecified (each worker folds a
-// private partial result, and partials are folded in worker order on the
-// caller). For floating-point reductions this means results can differ from
-// a sequential fold by rounding, exactly as with the C++ algorithm.
+// private partial over one contiguous block, and partials are combined in
+// block order on the caller). For floating-point reductions this means
+// results can differ from a sequential fold by rounding, exactly as with the
+// C++ algorithm.
 //
-// ReduceOn is a free function rather than a method because Go methods cannot
-// introduce type parameters.
-func ReduceOn[T any](r *Runtime, p Policy, n int, identity T, combine func(a, b T) T, transform func(i int) T) T {
-	if n <= 0 {
-		return identity
-	}
-	if p == Seq || r.workers == 1 || n <= r.grain {
-		acc := identity
-		for i := 0; i < n; i++ {
-			acc = combine(acc, transform(i))
-		}
-		return acc
-	}
-
-	w := r.workers
-	if w > n {
-		w = n
-	}
-	partials := make([]T, w)
-	var pg panicGuard
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(k int) {
-			defer wg.Done()
-			defer pg.capture()
-			lo := k * n / w
-			hi := (k + 1) * n / w
-			acc := identity
-			for i := lo; i < hi; i++ {
-				acc = combine(acc, transform(i))
-			}
-			partials[k] = acc
-		}(k)
-	}
-	wg.Wait()
-	pg.repanic()
-
-	acc := identity
-	for _, pv := range partials {
-		acc = combine(acc, pv)
-	}
-	return acc
-}
-
-// ReduceRanges folds contiguous index ranges instead of single indices,
-// letting the per-range function keep its accumulator in registers. fold
-// must fold the half-open range [lo, hi) into acc and return it.
+// ReduceRanges is a free function rather than a method because Go methods
+// cannot introduce type parameters.
 func ReduceRanges[T any](r *Runtime, p Policy, n int, identity T, combine func(a, b T) T, fold func(acc T, lo, hi int) T) T {
 	if n <= 0 {
 		return identity
@@ -97,17 +48,4 @@ func ReduceRanges[T any](r *Runtime, p Policy, n int, identity T, combine func(a
 		acc = combine(acc, pv)
 	}
 	return acc
-}
-
-// SumFloat64 is a convenience transform-reduce computing the sum of
-// transform(i) over [0, n) with per-worker partial sums.
-func SumFloat64(r *Runtime, p Policy, n int, transform func(i int) float64) float64 {
-	return ReduceRanges(r, p, n, 0,
-		func(a, b float64) float64 { return a + b },
-		func(acc float64, lo, hi int) float64 {
-			for i := lo; i < hi; i++ {
-				acc += transform(i)
-			}
-			return acc
-		})
 }

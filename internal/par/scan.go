@@ -10,8 +10,9 @@ type Integer interface {
 // ExclusiveScan replaces xs with its exclusive prefix sum (xs'[i] = Σ_{j<i}
 // xs[j]) and returns the total Σ xs[j]. It runs in two parallel passes:
 // per-block sums, a sequential scan over the (few) block sums, then a
-// per-block local scan with the block offset applied. Used by the parallel
-// radix sort to turn digit histograms into scatter offsets.
+// per-block local scan with the block offset applied. No engine phase calls
+// it yet: it is kept as the primitive a sorted-key octree build counts nodes
+// with (ROADMAP item 2a).
 func ExclusiveScan[T Integer](r *Runtime, p Policy, xs []T) T {
 	n := len(xs)
 	if n == 0 {
@@ -72,72 +73,6 @@ func ExclusiveScan[T Integer](r *Runtime, p Policy, xs []T) T {
 				v := xs[i]
 				xs[i] = acc
 				acc += v
-			}
-		}(k)
-	}
-	wg.Wait()
-	pg.repanic()
-	return total
-}
-
-// InclusiveScan replaces xs with its inclusive prefix sum and returns the
-// total (which equals the final element). It uses the same two-pass block
-// decomposition as ExclusiveScan.
-func InclusiveScan[T Integer](r *Runtime, p Policy, xs []T) T {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if p == Seq || r.workers == 1 || n <= 2*r.grain {
-		var acc T
-		for i := range xs {
-			acc += xs[i]
-			xs[i] = acc
-		}
-		return acc
-	}
-
-	w := r.workers
-	if w > n {
-		w = n
-	}
-	blockSums := make([]T, w)
-
-	var pg panicGuard
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(k int) {
-			defer wg.Done()
-			defer pg.capture()
-			lo, hi := k*n/w, (k+1)*n/w
-			var acc T
-			for i := lo; i < hi; i++ {
-				acc += xs[i]
-			}
-			blockSums[k] = acc
-		}(k)
-	}
-	wg.Wait()
-	pg.repanic()
-
-	var total T
-	for k := range blockSums {
-		v := blockSums[k]
-		blockSums[k] = total
-		total += v
-	}
-
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(k int) {
-			defer wg.Done()
-			defer pg.capture()
-			lo, hi := k*n/w, (k+1)*n/w
-			acc := blockSums[k]
-			for i := lo; i < hi; i++ {
-				acc += xs[i]
-				xs[i] = acc
 			}
 		}(k)
 	}

@@ -123,88 +123,3 @@ func runBlocks(w, n int, f func(k, lo, hi int)) {
 	wg.Wait()
 	pg.repanic()
 }
-
-// Sort sorts s in ascending order of cmp (a slices.SortFunc-style
-// three-way comparison) using a parallel merge sort: the slice is split into
-// one run per worker, runs are sorted concurrently with the standard
-// library's pattern-defeating quicksort, then merged pairwise in parallel
-// rounds. The sort is not stable.
-func Sort[T any](r *Runtime, p Policy, s []T, cmp func(a, b T) int) {
-	n := len(s)
-	if n <= 1 {
-		return
-	}
-	w := r.workers
-	if p == Seq || w == 1 || n < 4096 {
-		slices.SortFunc(s, cmp)
-		return
-	}
-	if w > n/2048 {
-		w = n / 2048 // do not over-decompose small inputs
-	}
-	// Round runs down to a power of two so the merge tree is balanced.
-	runs := 1
-	for runs*2 <= w {
-		runs *= 2
-	}
-
-	bounds := make([]int, runs+1)
-	for k := 0; k <= runs; k++ {
-		bounds[k] = k * n / runs
-	}
-
-	var pg panicGuard
-	var wg sync.WaitGroup
-	wg.Add(runs)
-	for k := 0; k < runs; k++ {
-		go func(k int) {
-			defer wg.Done()
-			defer pg.capture()
-			slices.SortFunc(s[bounds[k]:bounds[k+1]], cmp)
-		}(k)
-	}
-	wg.Wait()
-	pg.repanic()
-
-	// Pairwise parallel merge rounds, ping-ponging with a scratch buffer.
-	buf := make([]T, n)
-	src, dst := s, buf
-	for width := 1; width < runs; width *= 2 {
-		pairs := runs / (2 * width)
-		wg.Add(pairs)
-		for q := 0; q < pairs; q++ {
-			go func(q int) {
-				defer wg.Done()
-				defer pg.capture()
-				lo := bounds[2*q*width]
-				mid := bounds[2*q*width+width]
-				hi := bounds[2*q*width+2*width]
-				mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], cmp)
-			}(q)
-		}
-		wg.Wait()
-		pg.repanic()
-		src, dst = dst, src
-	}
-	if &src[0] != &s[0] {
-		copy(s, src)
-	}
-}
-
-// mergeInto merges the sorted slices a and b into out, which must have
-// length len(a)+len(b).
-func mergeInto[T any](out, a, b []T, cmp func(x, y T) int) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if cmp(a[i], b[j]) <= 0 {
-			out[k] = a[i]
-			i++
-		} else {
-			out[k] = b[j]
-			j++
-		}
-		k++
-	}
-	k += copy(out[k:], a[i:])
-	copy(out[k:], b[j:])
-}

@@ -18,12 +18,15 @@ import (
 	"nbody/internal/trace"
 )
 
-// Failure kinds, the keys of the /metrics failures_by_reason map.
+// Failure kinds: the keys of the /v1/metrics failures_by_reason map and the
+// reason label of nbody_session_failures_total.
 const (
 	failPanic       = "panic"
 	failNonFinite   = "non_finite"
 	failEnergyDrift = "energy_drift"
 )
+
+var failureKinds = []string{failPanic, failNonFinite, failEnergyDrift}
 
 // failSession quarantines s (first reason wins), records the failure in the
 // metrics counters, marks the on-disk checkpoint failed so a restart does
@@ -32,16 +35,11 @@ const (
 // stepping.
 func (m *Manager) failSession(s *Session, kind, reason string) error {
 	if s.fail(reason) {
-		m.failedTotal.Add(1)
-		m.failMu.Lock()
-		m.failuresByKind[kind]++
-		m.failMu.Unlock()
 		m.ins.failures.With(kind).Inc()
 		m.log.Log(context.Background(), "session quarantined",
 			"session", s.ID, "kind", kind, "reason", reason)
 		if st := m.cfg.Store; st != nil {
 			if err := st.MarkFailed(s.ID, reason); err != nil {
-				m.checkpointErrors.Add(1)
 				m.ins.checkpointErrors.Inc()
 			}
 		}
@@ -200,11 +198,9 @@ func (m *Manager) persist(ctx context.Context, s *Session) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		m.checkpointErrors.Add(1)
 		m.ins.checkpointErrors.Inc()
 		m.log.Log(ctx, "checkpoint failed", "session", s.ID, "error", err.Error())
 	} else {
-		m.checkpointsTotal.Add(1)
 		m.ins.checkpointsTotal.Inc()
 		m.ins.checkpointSeconds.Observe(time.Since(start).Seconds())
 	}
@@ -256,7 +252,6 @@ func (m *Manager) recoverSessions() error {
 	if err != nil {
 		return err
 	}
-	m.quarantinedTotal.Add(int64(len(quarantined)))
 	m.ins.ckptQuarantined.Add(float64(len(quarantined)))
 	for _, q := range quarantined {
 		m.log.Log(context.Background(), "checkpoint quarantined", "session", q.ID, "reason", q.Reason)
@@ -267,13 +262,11 @@ func (m *Manager) recoverSessions() error {
 			// Valid JSON and a clean checksum, but not runnable by this
 			// build (e.g. an algorithm it does not know): same policy as
 			// corrupt files — quarantine, never fail boot.
-			m.quarantinedTotal.Add(1)
 			m.ins.ckptQuarantined.Inc()
 			m.cfg.Store.Quarantine(r.Meta.ID)
 			m.log.Log(context.Background(), "checkpoint quarantined", "session", r.Meta.ID, "reason", err.Error())
 			continue
 		}
-		m.recoveredTotal.Add(1)
 		m.ins.sessionsRecovered.Inc()
 		m.log.Log(context.Background(), "session recovered", "session", r.Meta.ID, "step", r.Meta.Step)
 		if n, ok := m.ids.Seq(r.Meta.ID); ok && n > maxID {

@@ -80,22 +80,6 @@ type Manager struct {
 	ins *instruments
 	log *obs.Logger
 
-	// counters for /metrics
-	createdTotal     atomic.Int64
-	evictedTotal     atomic.Int64
-	deletedTotal     atomic.Int64
-	rejectedSessions atomic.Int64
-	rejectedSteps    atomic.Int64
-	stepsTotal       atomic.Int64
-	failedTotal      atomic.Int64
-	recoveredTotal   atomic.Int64
-	quarantinedTotal atomic.Int64
-	checkpointsTotal atomic.Int64
-	checkpointErrors atomic.Int64
-
-	failMu         sync.Mutex
-	failuresByKind map[string]int64
-
 	latMu  sync.Mutex
 	lat    [latencyRing]float64 // seconds
 	latIdx int
@@ -120,19 +104,18 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	m := &Manager{
-		cfg:            cfg,
-		ctx:            ctx,
-		cancel:         cancel,
-		sessions:       make(map[string]*Session),
-		lru:            list.New(),
-		slots:          make(chan struct{}, cfg.StepSlots),
-		ids:            store.NewIDs("s", cfg.ShardID),
-		ex:             exec.New(cfg.ExecWorkers),
-		janitorDone:    make(chan struct{}),
-		tenants:        newTenantSet(cfg.Tenants),
-		failuresByKind: make(map[string]int64),
-		ins:            newInstruments(cfg.Obs.Registry),
-		log:            cfg.Obs.Logger,
+		cfg:         cfg,
+		ctx:         ctx,
+		cancel:      cancel,
+		sessions:    make(map[string]*Session),
+		lru:         list.New(),
+		slots:       make(chan struct{}, cfg.StepSlots),
+		ids:         store.NewIDs("s", cfg.ShardID),
+		ex:          exec.New(cfg.ExecWorkers),
+		janitorDone: make(chan struct{}),
+		tenants:     newTenantSet(cfg.Tenants),
+		ins:         newInstruments(cfg.Obs.Registry),
+		log:         cfg.Obs.Logger,
 	}
 	m.installCollectors()
 	if cfg.Store != nil {
@@ -197,7 +180,6 @@ func (m *Manager) evictExpired(limit int) int {
 		m.persistIfDirty(context.Background(), s)
 		s.setState(StateEvicted)
 		s.cancel(fmt.Errorf("%w: session %s evicted after %v idle", ErrNotFound, s.ID, m.cfg.IdleTTL))
-		m.evictedTotal.Add(1)
 		m.ins.sessionsEvicted.Inc()
 		m.log.Log(context.Background(), "session evicted", "session", s.ID, "idle_ttl", m.cfg.IdleTTL.String())
 	}
@@ -341,7 +323,6 @@ func (m *Manager) insert(sys *body.System, req CreateRequest, eff simcfg.Effecti
 	if len(m.sessions) >= m.cfg.MaxSessions {
 		m.mu.Unlock()
 		cancel(ErrTooManySessions)
-		m.rejectedSessions.Add(1)
 		m.ins.admissionRejected.With("session").Inc()
 		return nil, retryHint{fmt.Errorf("%w (max %d)", ErrTooManySessions, m.cfg.MaxSessions), m.sessionRetryAfter()}
 	}
@@ -351,7 +332,6 @@ func (m *Manager) insert(sys *body.System, req CreateRequest, eff simcfg.Effecti
 		if live := m.tenantSessionsLocked(req.tenant); live >= t.MaxSessions {
 			m.mu.Unlock()
 			cancel(ErrQuotaExceeded)
-			m.rejectedSessions.Add(1)
 			m.ins.admissionRejected.With("session").Inc()
 			m.ins.tenantRejected.With(req.tenant, "session").Inc()
 			return nil, retryHint{
@@ -381,7 +361,6 @@ func (m *Manager) insert(sys *body.System, req CreateRequest, eff simcfg.Effecti
 	s.elem = m.lru.PushBack(s)
 	m.mu.Unlock()
 
-	m.createdTotal.Add(1)
 	m.ins.sessionsCreated.Inc()
 	return s, nil
 }
@@ -482,14 +461,12 @@ func (m *Manager) Delete(ctx context.Context, id string) error {
 	}
 	s.setState(StateEvicted)
 	s.cancel(fmt.Errorf("%w: session %s deleted", ErrNotFound, id))
-	m.deletedTotal.Add(1)
 	m.ins.sessionsDeleted.Inc()
 	m.log.Log(ctx, "session deleted", "session", id)
 	// Delete is the one operation that removes checkpoint files: unlike
 	// eviction, a deleted session must not come back after a restart.
 	if st := m.cfg.Store; st != nil {
 		if err := st.Delete(id); err != nil {
-			m.checkpointErrors.Add(1)
 			m.ins.checkpointErrors.Inc()
 			m.log.Log(ctx, "checkpoint delete failed", "session", id, "error", err.Error())
 		}
@@ -523,7 +500,6 @@ func (m *Manager) admit(ctx context.Context, s *Session) (release func(), err er
 		if w := m.waiting.Add(1); w > int64(m.cfg.MaxQueue) {
 			m.waiting.Add(-1)
 			undo()
-			m.rejectedSteps.Add(1)
 			m.ins.admissionRejected.With("step").Inc()
 			return nil, retryHint{fmt.Errorf("%w (%d queued, limit %d)", ErrBusy, w-1, m.cfg.MaxQueue), m.stepRetryAfter()}
 		}
@@ -593,10 +569,14 @@ func (m *Manager) Step(ctx context.Context, id string, n int) (StepResult, error
 	span.SetAttr("steps", strconv.Itoa(completed))
 	span.End()
 	// One diagnostics sample per step request feeds the session trace and
-	// the energy-drift watchdog.
+	// the energy-drift watchdog. A run cancelled between phases leaves the
+	// bodies drifted and half-kicked, which no step count describes: that
+	// request adds no sample, the one that finishes the step does.
 	if completed > 0 {
 		s.mu.Lock()
-		s.rec.Record(s.sim, false)
+		if !s.sim.MidStep() {
+			s.rec.Record(s.sim, false)
+		}
 		sample, _ := s.rec.Last()
 		s.mu.Unlock()
 		if runErr == nil {
@@ -702,7 +682,6 @@ func (m *Manager) runSteps(ctx context.Context, s *Session, n, every int, emit f
 			return completed, fmt.Errorf("session %s: %w", s.ID, err)
 		}
 		m.recordLatency(time.Since(start).Seconds())
-		m.stepsTotal.Add(1)
 		m.ins.stepsTotal.Inc()
 		completed++
 
@@ -895,15 +874,19 @@ func (m *Manager) Metrics() MetricsSnapshot {
 			failedSessions[s.ID] = s.FailReason()
 		}
 	}
+	// Every total is read from the obs instrument that counts it, so
+	// /v1/metrics and the Prometheus exposition cannot disagree.
 	var byReason map[string]int64
-	m.failMu.Lock()
-	if len(m.failuresByKind) > 0 {
-		byReason = make(map[string]int64, len(m.failuresByKind))
-		for k, v := range m.failuresByKind {
-			byReason[k] = v
+	var failedTotal int64
+	for _, kind := range failureKinds {
+		if n := count(m.ins.failures.With(kind)); n > 0 {
+			if byReason == nil {
+				byReason = make(map[string]int64, len(failureKinds))
+			}
+			byReason[kind] = n
+			failedTotal += n
 		}
 	}
-	m.failMu.Unlock()
 
 	snap := MetricsSnapshot{
 		Sessions:         total,
@@ -913,17 +896,17 @@ func (m *Manager) Metrics() MetricsSnapshot {
 		SlotsInUse:       len(m.slots),
 		QueueDepth:       int(m.waiting.Load()),
 		MaxQueue:         m.cfg.MaxQueue,
-		CreatedTotal:     m.createdTotal.Load(),
-		EvictedTotal:     m.evictedTotal.Load(),
-		DeletedTotal:     m.deletedTotal.Load(),
-		RejectedSessions: m.rejectedSessions.Load(),
-		RejectedSteps:    m.rejectedSteps.Load(),
-		StepsTotal:       m.stepsTotal.Load(),
-		FailedTotal:      m.failedTotal.Load(),
-		RecoveredTotal:   m.recoveredTotal.Load(),
-		QuarantinedTotal: m.quarantinedTotal.Load(),
-		CheckpointsTotal: m.checkpointsTotal.Load(),
-		CheckpointErrors: m.checkpointErrors.Load(),
+		CreatedTotal:     count(m.ins.sessionsCreated),
+		EvictedTotal:     count(m.ins.sessionsEvicted),
+		DeletedTotal:     count(m.ins.sessionsDeleted),
+		RejectedSessions: count(m.ins.admissionRejected.With("session")),
+		RejectedSteps:    count(m.ins.admissionRejected.With("step")),
+		StepsTotal:       count(m.ins.stepsTotal),
+		FailedTotal:      failedTotal,
+		RecoveredTotal:   count(m.ins.sessionsRecovered),
+		QuarantinedTotal: count(m.ins.ckptQuarantined),
+		CheckpointsTotal: count(m.ins.checkpointsTotal),
+		CheckpointErrors: count(m.ins.checkpointErrors),
 		FailuresByReason: byReason,
 		FailedSessions:   failedSessions,
 	}

@@ -442,6 +442,76 @@ func TestRequestContextCancelsRun(t *testing.T) {
 	})
 }
 
+// cancelledAfter is a context whose n-th Err call onwards reports
+// cancellation. core checks Err once before each phase, so it stops a step
+// after exactly n-1 phases.
+type cancelledAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelledAfter) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A step request cancelled between phases must not add a row to the session
+// trace: the bodies are drifted and half-kicked, and the row would carry the
+// previous step's number. The request that finishes the step samples it.
+func TestInterruptedStepRecordsNoMidStepSample(t *testing.T) {
+	m := newTestManager(t, testConfig())
+	info, err := m.Create(context.Background(), plummerReq(64, 0, simcfg.Config{DT: 1e-3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	m.stepHook = func(s *Session) {
+		// Before the second step: run its opening kick-and-drift and
+		// stop at the phase boundary, then cancel the request, which is
+		// what a cancellation landing during that phase leaves behind.
+		if calls++; calls == 2 {
+			if err := s.sim.StepContext(&cancelledAfter{Context: ctx, n: 2}); !errors.Is(err, context.Canceled) {
+				t.Errorf("partial step: %v", err)
+			}
+			cancel()
+		}
+	}
+	rows := func() int {
+		in, err := m.Get(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in.TraceSamples
+	}
+
+	before := rows()
+	res, err := m.Step(ctx, info.ID, 3)
+	if !errors.Is(err, context.Canceled) || res.Completed != 1 {
+		t.Fatalf("interrupted step = %+v, %v; want 1 completed and context.Canceled", res, err)
+	}
+	s, err := m.lookup(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.sim.MidStep() {
+		t.Fatal("the run did not stop mid-step; the test proves nothing")
+	}
+	if got := rows(); got != before {
+		t.Errorf("trace rows %d → %d across a request that ended mid-step", before, got)
+	}
+
+	if _, err := m.Step(context.Background(), info.ID, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := rows(); got != before+1 {
+		t.Errorf("trace rows = %d after finishing the step, want %d", got, before+1)
+	}
+}
+
 func TestWatchEvents(t *testing.T) {
 	m := newTestManager(t, testConfig())
 	info, err := m.Create(context.Background(), plummerReq(64, 0, simcfg.Config{DT: 1e-3}))

@@ -71,10 +71,14 @@ type instruments struct {
 	execStall     *obs.Counter
 }
 
+// count reads a counter that only ever advances by whole events as the
+// integer the /v1/metrics JSON reports.
+func count(c *obs.Counter) int64 { return int64(c.Value()) }
+
 // newInstruments registers the serving layer's metric families in reg.
 func newInstruments(reg *obs.Registry) *instruments {
 	t := obs.TimeBuckets()
-	return &instruments{
+	ins := &instruments{
 		reqTotal: reg.CounterVec("nbody_http_requests_total",
 			"HTTP requests by route pattern and status code.", "route", "code"),
 		reqSeconds: reg.HistogramVec("nbody_http_request_seconds",
@@ -151,6 +155,14 @@ func newInstruments(reg *obs.Registry) *instruments {
 		execStall: reg.Counter("nbody_exec_stall_seconds_total",
 			"Pipeline-stall time: workers idle while every in-flight task was blocked on dependencies."),
 	}
+	// Manager.Metrics reads these label sets; touching them here makes the
+	// series render from the first scrape, not from the first JSON read.
+	ins.admissionRejected.With("session")
+	ins.admissionRejected.With("step")
+	for _, kind := range failureKinds {
+		ins.failures.With(kind)
+	}
+	return ins
 }
 
 // observeRequest records one finished HTTP request.

@@ -69,7 +69,6 @@ func (m *Manager) admitPipelined(s *Session) (release func(), err error) {
 	if active := m.pipelineActive.Add(1); active > limit {
 		m.pipelineActive.Add(-1)
 		s.busy.Store(false)
-		m.rejectedSteps.Add(1)
 		m.ins.admissionRejected.With("step").Inc()
 		return nil, retryHint{fmt.Errorf("%w (%d pipelined runs active, limit %d)", ErrBusy, active-1, limit), m.stepRetryAfter()}
 	}
@@ -134,7 +133,6 @@ func (m *Manager) runStepsPipelined(ctx context.Context, s *Session, n, every in
 		now := time.Now()
 		m.recordLatency(now.Sub(lastCommit).Seconds())
 		lastCommit = now
-		m.stepsTotal.Add(1)
 		m.ins.stepsTotal.Inc()
 		i := step - startCount // steps committed within this request
 

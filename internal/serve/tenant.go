@@ -306,8 +306,8 @@ func (m *Manager) tenantMetrics() map[string]TenantStats {
 		out[name] = TenantStats{
 			Sessions:         bySession[name],
 			MaxSessions:      t.MaxSessions,
-			RejectedRate:     int64(m.ins.tenantRejected.With(name, "rate").Value()),
-			RejectedSessions: int64(m.ins.tenantRejected.With(name, "session").Value()),
+			RejectedRate:     count(m.ins.tenantRejected.With(name, "rate")),
+			RejectedSessions: count(m.ins.tenantRejected.With(name, "session")),
 		}
 	}
 	return out

@@ -7,9 +7,9 @@
 //     octree cells and serves as the ablation ordering for the BVH (the
 //     Lauterbach-style Morton BVH the paper's related work discusses).
 //
-// Both curves map discrete grid coordinates with `order` bits per dimension
-// to a single index of dims*order bits, preserving spatial locality. The
-// Hilbert curve additionally guarantees that consecutive indices are
+// Both curves map discrete 3D grid coordinates with `order` bits per
+// dimension to a single index of 3*order bits, preserving spatial locality.
+// The Hilbert curve additionally guarantees that consecutive indices are
 // face-adjacent cells (unit steps), which is what makes BVH nodes built from
 // contiguous runs compact.
 package sfc
@@ -18,16 +18,12 @@ package sfc
 // uint64 (3*21 = 63 bits).
 const MaxOrder3D = 21
 
-// MaxOrder2D is the largest per-dimension bit count whose 2D index fits in a
-// uint64 (2*32 = 64 bits).
-const MaxOrder2D = 32
-
 // HilbertIndex3D returns the Hilbert-curve index of grid cell (x, y, z) on a
 // 2^order³ grid. Coordinates must be < 2^order; order must be in
 // [1, MaxOrder3D]. The index of consecutive cells along the curve differs by
 // one, and the cells are face neighbours.
 func HilbertIndex3D(x, y, z uint32, order uint) uint64 {
-	checkOrder(order, MaxOrder3D)
+	checkOrder(order)
 	var t [3]uint32
 	t[0], t[1], t[2] = x, y, z
 	axesToTranspose(t[:], order)
@@ -36,34 +32,15 @@ func HilbertIndex3D(x, y, z uint32, order uint) uint64 {
 
 // HilbertCoords3D inverts HilbertIndex3D.
 func HilbertCoords3D(h uint64, order uint) (x, y, z uint32) {
-	checkOrder(order, MaxOrder3D)
+	checkOrder(order)
 	var t [3]uint32
 	deinterleaveTranspose(h, t[:], order)
 	transposeToAxes(t[:], order)
 	return t[0], t[1], t[2]
 }
 
-// HilbertIndex2D returns the Hilbert-curve index of grid cell (x, y) on a
-// 2^order² grid. order must be in [1, MaxOrder2D].
-func HilbertIndex2D(x, y uint32, order uint) uint64 {
-	checkOrder(order, MaxOrder2D)
-	var t [2]uint32
-	t[0], t[1] = x, y
-	axesToTranspose(t[:], order)
-	return interleaveTranspose(t[:], order)
-}
-
-// HilbertCoords2D inverts HilbertIndex2D.
-func HilbertCoords2D(h uint64, order uint) (x, y uint32) {
-	checkOrder(order, MaxOrder2D)
-	var t [2]uint32
-	deinterleaveTranspose(h, t[:], order)
-	transposeToAxes(t[:], order)
-	return t[0], t[1]
-}
-
-func checkOrder(order, maxOrder uint) {
-	if order < 1 || order > maxOrder {
+func checkOrder(order uint) {
+	if order < 1 || order > MaxOrder3D {
 		panic("sfc: order out of range")
 	}
 }
@@ -172,17 +149,6 @@ func MortonCoords3D(m uint64) (x, y, z uint32) {
 	return compact1By2(m >> 2), compact1By2(m >> 1), compact1By2(m)
 }
 
-// MortonIndex2D returns the Morton index of (x, y) using all 32 bits per
-// dimension. x is most significant within each 2-bit group.
-func MortonIndex2D(x, y uint32) uint64 {
-	return part1By1(x)<<1 | part1By1(y)
-}
-
-// MortonCoords2D inverts MortonIndex2D.
-func MortonCoords2D(m uint64) (x, y uint32) {
-	return compact1By1(m >> 1), compact1By1(m)
-}
-
 // part1By2 spreads the low 21 bits of v so each lands 3 positions apart.
 func part1By2(v uint32) uint64 {
 	x := uint64(v) & 0x1fffff
@@ -202,27 +168,5 @@ func compact1By2(x uint64) uint32 {
 	x = (x ^ x>>8) & 0x1f0000ff0000ff
 	x = (x ^ x>>16) & 0x1f00000000ffff
 	x = (x ^ x>>32) & 0x1fffff
-	return uint32(x)
-}
-
-// part1By1 spreads the 32 bits of v so each lands 2 positions apart.
-func part1By1(v uint32) uint64 {
-	x := uint64(v)
-	x = (x | x<<16) & 0x0000ffff0000ffff
-	x = (x | x<<8) & 0x00ff00ff00ff00ff
-	x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
-	x = (x | x<<2) & 0x3333333333333333
-	x = (x | x<<1) & 0x5555555555555555
-	return x
-}
-
-// compact1By1 inverts part1By1.
-func compact1By1(x uint64) uint32 {
-	x &= 0x5555555555555555
-	x = (x ^ x>>1) & 0x3333333333333333
-	x = (x ^ x>>2) & 0x0f0f0f0f0f0f0f0f
-	x = (x ^ x>>4) & 0x00ff00ff00ff00ff
-	x = (x ^ x>>8) & 0x0000ffff0000ffff
-	x = (x ^ x>>16) & 0x00000000ffffffff
 	return uint32(x)
 }

@@ -27,25 +27,6 @@ func TestHilbert3DRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHilbert2DRoundTrip(t *testing.T) {
-	for _, order := range []uint{1, 2, 4, 8, 16, 32} {
-		s := rng.New(uint64(order) + 100)
-		var mask uint32 = 0xffffffff
-		if order < 32 {
-			mask = uint32(1)<<order - 1
-		}
-		for i := 0; i < 2000; i++ {
-			x := uint32(s.Uint64()) & mask
-			y := uint32(s.Uint64()) & mask
-			h := HilbertIndex2D(x, y, order)
-			gx, gy := HilbertCoords2D(h, order)
-			if gx != x || gy != y {
-				t.Fatalf("order %d: roundtrip (%d,%d) -> %d -> (%d,%d)", order, x, y, h, gx, gy)
-			}
-		}
-	}
-}
-
 // The defining property of the Hilbert curve: consecutive indices map to
 // cells exactly one unit apart in exactly one dimension.
 func TestHilbert3DUnitSteps(t *testing.T) {
@@ -59,19 +40,6 @@ func TestHilbert3DUnitSteps(t *testing.T) {
 			t.Fatalf("step %d: (%d,%d,%d)->(%d,%d,%d) manhattan distance %d", h, px, py, pz, x, y, z, d)
 		}
 		px, py, pz = x, y, z
-	}
-}
-
-func TestHilbert2DUnitSteps(t *testing.T) {
-	const order = 5 // 1024 cells
-	total := uint64(1) << (2 * order)
-	px, py := HilbertCoords2D(0, order)
-	for h := uint64(1); h < total; h++ {
-		x, y := HilbertCoords2D(h, order)
-		if absDiff(x, px)+absDiff(y, py) != 1 {
-			t.Fatalf("step %d: (%d,%d)->(%d,%d) not a unit step", h, px, py, x, y)
-		}
-		px, py = x, y
 	}
 }
 
@@ -119,7 +87,7 @@ func TestHilbertOrderPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { HilbertIndex3D(0, 0, 0, 0) },
 		func() { HilbertIndex3D(0, 0, 0, 22) },
-		func() { HilbertIndex2D(0, 0, 33) },
+		func() { HilbertCoords3D(0, 22) },
 		func() { HilbertCoords3D(0, 0) },
 	} {
 		func() {
@@ -146,18 +114,6 @@ func TestMorton3DRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMorton2DRoundTrip(t *testing.T) {
-	s := rng.New(8)
-	for i := 0; i < 5000; i++ {
-		x := uint32(s.Uint64())
-		y := uint32(s.Uint64())
-		gx, gy := MortonCoords2D(MortonIndex2D(x, y))
-		if gx != x || gy != y {
-			t.Fatalf("roundtrip (%d,%d) -> (%d,%d)", x, y, gx, gy)
-		}
-	}
-}
-
 func TestMortonKnownValues(t *testing.T) {
 	// Interleaving of single set bits.
 	if got := MortonIndex3D(1, 0, 0); got != 4 {
@@ -174,9 +130,6 @@ func TestMortonKnownValues(t *testing.T) {
 	}
 	if got := MortonIndex3D(2, 0, 0); got != 32 {
 		t.Errorf("MortonIndex3D(2,0,0) = %d, want 32", got)
-	}
-	if got := MortonIndex2D(0xffffffff, 0); got != 0xaaaaaaaaaaaaaaaa {
-		t.Errorf("MortonIndex2D(max,0) = %x", got)
 	}
 }
 
