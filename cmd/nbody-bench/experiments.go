@@ -355,18 +355,21 @@ func runAblate(fs *flag.FlagSet, args []string) error {
 		group, variant string
 		cfg            core.Config
 	}{
-		{"structure", "octree (paper)", core.Config{Algorithm: core.Octree}},
+		// Octree rows labelled "(paper)" pin the walk layout: the flat
+		// default builds the key-sorted tree and evaluates interaction
+		// lists, which is neither the paper's build nor its traversal, and
+		// has no scatter-or-gather choice to ablate.
+		{"structure", "octree (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
 		{"structure", "bvh (paper)", core.Config{Algorithm: core.BVH}},
 		{"criterion", "center-distance (paper)", core.Config{Algorithm: core.BVH}},
 		{"criterion", "box-distance", core.Config{Algorithm: core.BVH, BVH: bvh.Config{Criterion: bvh.BoxDistance}}},
-		{"moments", "scatter (paper)", core.Config{Algorithm: core.Octree}},
-		{"moments", "gather", core.Config{Algorithm: core.Octree, Octree: octree.Config{GatherMoments: true}}},
-		// Walk layout pinned: under the flat default the octree presorts
-		// unconditionally and always uses the list kernel, which would
-		// collapse these variants into one.
-		{"presort", "unsorted insert (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
-		{"presort", "morton presort", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
-		{"layout", "walk (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
+		{"moments", "scatter (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
+		{"moments", "gather", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{GatherMoments: true}}},
+		// The two builds under the same (per-body) traversal.
+		{"build", "concurrent insertion (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
+		{"build", "key-sorted", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
+		// The two traversals over the same (key-sorted) tree.
+		{"layout", "walk (key-sorted octree)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
 		{"layout", "flat lists (octree)", core.Config{Algorithm: core.Octree}},
 		{"layout", "walk (bvh)", core.Config{Algorithm: core.BVH, Layout: core.LayoutWalk}},
 		{"layout", "flat lists (bvh)", core.Config{Algorithm: core.BVH}},
@@ -375,12 +378,12 @@ func runAblate(fs *flag.FlagSet, args []string) error {
 		{"bvh-leaf", "16", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 16}}},
 		{"ordering", "hilbert (paper)", core.Config{Algorithm: core.BVH}},
 		{"ordering", "morton", core.Config{Algorithm: core.BVH, BVH: bvh.Config{Ordering: bvh.Morton}}},
-		{"moments-order", "monopole (paper)", core.Config{Algorithm: core.Octree}},
-		{"moments-order", "quadrupole", core.Config{Algorithm: core.Octree, Octree: octree.Config{Quadrupole: true}}},
-		{"tree-reuse", "rebuild every step (paper)", core.Config{Algorithm: core.Octree}},
-		{"tree-reuse", "rebuild every 4 (octree)", core.Config{Algorithm: core.Octree, RebuildEvery: 4}},
+		{"moments-order", "monopole (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
+		{"moments-order", "quadrupole", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{Quadrupole: true}}},
+		{"tree-reuse", "rebuild every step (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
+		{"tree-reuse", "rebuild every 4 (octree)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, RebuildEvery: 4}},
 		{"tree-reuse", "rebuild every 4 (bvh)", core.Config{Algorithm: core.BVH, RebuildEvery: 4}},
-		{"tree-reuse", "refit thresh 0.02 (octree)", core.Config{Algorithm: core.Octree, RefitThreshold: 0.02}},
+		{"tree-reuse", "refit thresh 0.02 (octree)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, RefitThreshold: 0.02}},
 		{"tree-reuse", "refit thresh 0.02 (bvh)", core.Config{Algorithm: core.BVH, RefitThreshold: 0.02}},
 	}
 	for _, s := range steps {

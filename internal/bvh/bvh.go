@@ -205,9 +205,9 @@ func (t *Tree) Sort(r *par.Runtime, pol par.Policy, s *body.System, box bounds.A
 	ordering := t.cfg.Ordering
 	r.ForGrain(pol, n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			gx := gridCoord(posX[i], origin.X, inv, maxCoord)
-			gy := gridCoord(posY[i], origin.Y, inv, maxCoord)
-			gz := gridCoord(posZ[i], origin.Z, inv, maxCoord)
+			gx := sfc.GridCoord(posX[i], origin.X, inv, maxCoord)
+			gy := sfc.GridCoord(posY[i], origin.Y, inv, maxCoord)
+			gz := sfc.GridCoord(posZ[i], origin.Z, inv, maxCoord)
 			if ordering == Hilbert {
 				keys[i] = sfc.HilbertIndex3D(gx, gy, gz, order)
 			} else {
@@ -219,21 +219,6 @@ func (t *Tree) Sort(r *par.Runtime, pol par.Policy, s *body.System, box bounds.A
 
 	par.SortByKeys(r, pol, keys, perm)
 	s.Permute(r, pol, perm)
-}
-
-// gridCoord maps a position component to a grid cell index, clamped to the
-// valid range (positions exactly on the upper box face land in the last
-// cell).
-func gridCoord(p, origin, inv float64, maxCoord uint32) uint32 {
-	v := (p - origin) * inv
-	if v <= 0 {
-		return 0
-	}
-	g := uint32(v)
-	if g > maxCoord {
-		return maxCoord
-	}
-	return g
 }
 
 // buildLevels implements BUILDTREEANDMULTIPOLES: construct the leaf nodes

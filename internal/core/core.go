@@ -274,7 +274,9 @@ func New(cfg Config, sys *body.System) (*Sim, error) {
 		// The flat interaction-list walk shares one traversal among a
 		// group of consecutive bodies; without spatial sorting those
 		// groups span the whole domain and the conservative criterion
-		// opens everything. Curve-order the bodies unconditionally.
+		// opens everything. So the bodies are curve-ordered
+		// unconditionally, and the tree is built from the sorted keys
+		// rather than by inserting into it (octree.Config.PresortMorton).
 		cfg.Octree.PresortMorton = true
 	}
 

@@ -342,8 +342,8 @@ func TestDiagnosticsSmallNIsExact(t *testing.T) {
 // trajectory. Above exactPotentialMaxN it used to rebuild the tree it
 // measured, which under tree reuse replaced the topology the next refit step
 // walks — so a run's bytes depended on how often it was sampled. Compared by
-// body ID (tree solvers permute), bit for bit, with gathered octree moments
-// so the unsampled run is itself reproducible.
+// body ID (tree solvers permute), bit for bit: both default solvers are
+// reproducible run to run.
 func TestDiagnosticsDoesNotPerturbTrajectory(t *testing.T) {
 	const (
 		n     = 4 * exactPotentialMaxN
@@ -357,7 +357,6 @@ func TestDiagnosticsDoesNotPerturbTrajectory(t *testing.T) {
 					DT:             1e-3,
 					Params:         grav.Params{G: 1, Eps: 0.05, Theta: 0.5},
 					RefitThreshold: threshold,
-					Octree:         octree.Config{GatherMoments: true},
 				}
 				sim, err := New(cfg, workload.Plummer(n, 36))
 				if err != nil {
@@ -597,8 +596,14 @@ func TestRunIsRunContextBackground(t *testing.T) {
 
 // TestQuadrupoleHonoredUnderEveryGroupSize guards against a Quadrupole
 // request being evaluated by a monopole-only kernel: whatever GroupSize and
-// Layout say, the quadrupole run's accelerations must be closer to the
-// direct sum than the same configuration's monopole run.
+// Layout say, it runs the per-body kernels on the concurrent tree. So its
+// error against the direct sum must (1) beat those kernels' monopole run,
+// (2) equal the walk layout's quadrupole run to rounding (scattered moments
+// reorder float adds, nothing more), and (3) differ from the same
+// configuration's monopole run — which a flat request routed to the monopole
+// list kernel would reproduce exactly. (The flat monopole run is no accuracy
+// yardstick for (1): its bucket leaves and conservative group criterion make
+// it more accurate than per-body quadrupoles at this N.)
 func TestQuadrupoleHonoredUnderEveryGroupSize(t *testing.T) {
 	p := grav.Params{G: 1, Eps: 0.05, Theta: 0.6}
 	l2 := func(cfg Config) float64 {
@@ -621,12 +626,20 @@ func TestQuadrupoleHonoredUnderEveryGroupSize(t *testing.T) {
 		}
 		return math.Sqrt(num / den)
 	}
-	for _, lay := range Layouts() {
-		for _, gs := range []int{0, 32} {
+	for _, gs := range []int{0, 32} {
+		monoWalk := l2(Config{Layout: LayoutWalk, Octree: octree.Config{GroupSize: gs}})
+		quadWalk := l2(Config{Layout: LayoutWalk, Octree: octree.Config{GroupSize: gs, Quadrupole: true}})
+		for _, lay := range Layouts() {
 			mono := l2(Config{Layout: lay, Octree: octree.Config{GroupSize: gs}})
 			quad := l2(Config{Layout: lay, Octree: octree.Config{GroupSize: gs, Quadrupole: true}})
-			if !(quad < mono) {
-				t.Errorf("layout=%v group=%d: quadrupole L2 %.3g does not beat monopole %.3g", lay, gs, quad, mono)
+			if !(quad < monoWalk) {
+				t.Errorf("layout=%v group=%d: quadrupole L2 %.3g does not beat per-body monopole %.3g", lay, gs, quad, monoWalk)
+			}
+			if math.Abs(quad-quadWalk) > 1e-9*quadWalk {
+				t.Errorf("layout=%v group=%d: quadrupole L2 %.12g is not the per-body kernels' %.12g", lay, gs, quad, quadWalk)
+			}
+			if math.Abs(quad-mono) < 1e-3*mono {
+				t.Errorf("layout=%v group=%d: quadrupole L2 %.6g equals the monopole run's %.6g; Quadrupole was ignored", lay, gs, quad, mono)
 			}
 		}
 	}

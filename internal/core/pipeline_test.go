@@ -79,10 +79,12 @@ func TestPipelinedMatchesSynchronous(t *testing.T) {
 						RebuildEvery:   reuse.rebuildEvery,
 						RefitThreshold: reuse.refitThreshold,
 						Runtime:        par.NewRuntime(2, par.Dynamic),
-						// Scattered moments add floats in arrival order,
-						// so two octree runs agree only to rounding;
-						// gathering sums the eight children in octant
-						// order and is reproducible bit for bit.
+						// layout=walk runs the concurrent octree, whose
+						// scattered moments add floats in arrival order,
+						// so two runs agree only to rounding; gathering
+						// sums the eight children in octant order and is
+						// reproducible bit for bit. (The flat default is
+						// the key-sorted tree, which needs no such help.)
 						Octree: octree.Config{GatherMoments: true},
 					}
 
@@ -151,7 +153,6 @@ func TestPipelinedCancelResumeBitExact(t *testing.T) {
 		DT:             0.001,
 		RefitThreshold: 0.02,
 		Runtime:        par.NewRuntime(2, par.Dynamic),
-		Octree:         octree.Config{GatherMoments: true}, // bit-reproducible sums, see above
 	}
 
 	ref, err := New(cfg, workload.Plummer(n, seed))

@@ -22,7 +22,9 @@ import (
 //
 // The opening criterion is the classic Barnes-Hut test: a node of cell size
 // s whose center of mass lies at distance d from the body is approximated
-// when s < θ·d, otherwise its children are visited.
+// when s < θ·d, otherwise its children are visited. A bucket leaf of the
+// key-sorted build (see isBucket) is tested like an internal node and, when
+// it fails, evaluated body by body.
 func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params) {
 	n := s.N()
 	eps2 := p.Eps2()
@@ -48,8 +50,8 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 			node := int32(0)
 			for node >= 0 {
 				tok := t.child[node]
-				if tok >= 0 {
-					// Internal node: multipole-accept or open.
+				if tok >= 0 || t.isBucket(node, tok) {
+					// Internal node or bucket: multipole-accept or open.
 					dx := t.comX[node] - xi
 					dy := t.comY[node] - yi
 					dz := t.comZ[node] - zi
@@ -62,10 +64,12 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 							grav.Accumulate(dx, dy, dz, t.m[node], eps2, &ax, &ay, &az)
 						}
 						node = t.advance(node)
-					} else {
-						node = tok // forward step: descend to first child
+						continue
 					}
-					continue
+					if tok >= 0 {
+						node = tok // forward step: descend to first child
+						continue
+					}
 				}
 				// Leaf: exact interactions over the (typically
 				// single-element) chain, skipping the body itself.
@@ -83,6 +87,17 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 			s.AccZ[i] = p.G * az
 		}
 	})
+}
+
+// isBucket reports whether node, whose token is tok, is a leaf of the
+// key-sorted build holding more than one body. The traversals apply the
+// opening criterion to such a leaf as they do to an internal node — its cell
+// and moments mean the same — and take its bodies one by one only when it
+// fails: never less accurate than subdividing down to single bodies, and
+// exact at θ = 0. The concurrent build's max-depth chains are not buckets;
+// they are always evaluated body by body, as in the paper.
+func (t *Tree) isBucket(node, tok int32) bool {
+	return t.cfg.PresortMorton && isBody(tok) && t.leafEnd[node]-tokenBody(tok) > 1
 }
 
 // advance returns the DFS successor of node once its subtree is finished
@@ -164,7 +179,7 @@ func (t *Tree) Potential(r *par.Runtime, pol par.Policy, s *body.System, p grav.
 			node := int32(0)
 			for node >= 0 {
 				tok := t.child[node]
-				if tok >= 0 {
+				if tok >= 0 || t.isBucket(node, tok) {
 					dx := t.comX[node] - xi
 					dy := t.comY[node] - yi
 					dz := t.comZ[node] - zi
@@ -173,10 +188,12 @@ func (t *Tree) Potential(r *par.Runtime, pol par.Policy, s *body.System, p grav.
 					if size*size < theta2*d2 {
 						phi -= t.m[node] / math.Sqrt(d2+eps2)
 						node = t.advance(node)
-					} else {
-						node = tok
+						continue
 					}
-					continue
+					if tok >= 0 {
+						node = tok
+						continue
+					}
 				}
 				for b := leafBody(tok); b >= 0; b = t.next[b] {
 					if int(b) == i {

@@ -50,6 +50,7 @@ func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System,
 	}
 
 	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
+	sorted := t.cfg.PresortMorton
 	numGroups := (n + groupSize - 1) / groupSize
 
 	r.For(pol, numGroups, func(g int) {
@@ -91,22 +92,31 @@ func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System,
 
 		// Walk: collect the interaction list.
 		list := soa.GetList()
+		list.Reserve(int(t.longestList.Load()))
 		node := int32(0)
 		for node >= 0 {
 			tok := t.child[node]
-			if tok >= 0 {
+			if tok >= 0 || t.isBucket(node, tok) {
 				cx, cy, cz := t.comX[node], t.comY[node], t.comZ[node]
 				size := sizeAt[t.depthOf(node)]
 				if size*size < theta2*boxDist2(cx, cy, cz) {
 					list.Add(cx, cy, cz, t.m[node])
 					node = t.advance(node)
-				} else {
-					node = tok
+					continue
 				}
-				continue
+				if tok >= 0 {
+					node = tok
+					continue
+				}
 			}
-			for src := leafBody(tok); src >= 0; src = t.next[src] {
-				list.Add(posX[src], posY[src], posZ[src], mass[src])
+			if sorted {
+				if tok != TokenEmpty {
+					list.AddBodies(posX, posY, posZ, mass, int(tokenBody(tok)), int(t.leafEnd[node]))
+				}
+			} else {
+				for src := leafBody(tok); src >= 0; src = t.next[src] {
+					list.Add(posX[src], posY[src], posZ[src], mass[src])
+				}
 			}
 			node = t.advance(node)
 		}
@@ -117,6 +127,11 @@ func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System,
 			s.AccX[b] = p.G * ax
 			s.AccY[b] = p.G * ay
 			s.AccZ[b] = p.G * az
+		}
+		for n := int32(list.Len()); ; {
+			if old := t.longestList.Load(); n <= old || t.longestList.CompareAndSwap(old, n) {
+				break
+			}
 		}
 		soa.PutList(list)
 	})

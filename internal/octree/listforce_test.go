@@ -33,8 +33,9 @@ func TestGroupedExactWhenThetaZero(t *testing.T) {
 	}
 }
 
-// The conservative group criterion must never be less accurate than the
-// per-body traversal at equal θ.
+// The flat path (key-sorted tree with bucket leaves, conservative group
+// criterion) must never be less accurate than the paper's path (concurrent
+// tree, per-body traversal) at equal θ.
 func TestGroupedConservativeAccuracy(t *testing.T) {
 	r := par.NewRuntime(0, par.Dynamic)
 	n := 3000
@@ -44,12 +45,12 @@ func TestGroupedConservativeAccuracy(t *testing.T) {
 	ref := base.Clone()
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
 
-	meanErr := func(run func(tree *Tree, s *parBody)) float64 {
+	meanErr := func(cfg Config, run func(tree *Tree, s *parBody)) float64 {
 		s := base.Clone()
-		tree := buildTree(t, Config{PresortMorton: true}, s, r)
+		tree := buildTree(t, cfg, s, r)
 		tree.ComputeMoments(r, s)
 		run(tree, s)
-		// Compare per body by ID (presort permutes).
+		// Compare per body by ID (the sorted build permutes).
 		refAcc := make([][3]float64, n)
 		for i := 0; i < n; i++ {
 			refAcc[ref.ID[i]] = [3]float64{ref.AccX[i], ref.AccY[i], ref.AccZ[i]}
@@ -66,10 +67,10 @@ func TestGroupedConservativeAccuracy(t *testing.T) {
 		return sum / float64(n)
 	}
 
-	perBody := meanErr(func(tree *Tree, s *parBody) {
+	perBody := meanErr(Config{}, func(tree *Tree, s *parBody) {
 		tree.Accelerations(r, par.ParUnseq, s, p)
 	})
-	list := meanErr(func(tree *Tree, s *parBody) {
+	list := meanErr(Config{PresortMorton: true}, func(tree *Tree, s *parBody) {
 		tree.AccelerationsList(r, par.ParUnseq, s, p, 32)
 	})
 	if list > perBody*1.01 {

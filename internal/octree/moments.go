@@ -28,7 +28,14 @@ import (
 //   - gather (Config.GatherMoments): only the last-arriving thread touches
 //     the parent, summing its 8 children with plain loads. Fewer atomics,
 //     but the reads are strided.
+//
+// A key-sorted tree (Config.PresortMorton) knows its levels and needs
+// neither: see gatherMoments.
 func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
+	if t.cfg.PresortMorton {
+		t.gatherMoments(r, s)
+		return
+	}
 	nodes := t.NumNodes()
 
 	// Reset accumulators and arrival counters for the allocated range.
@@ -140,10 +147,14 @@ func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
 		}
 	})
 
-	// Normalize: the pass above accumulates mass-weighted position sums;
-	// convert them to centers of mass, and raw second moments to traceless
-	// quadrupole tensors Q = 3(S - m·c⊗c) - tr(S - m·c⊗c)·I.
-	r.ForGrain(par.ParUnseq, nodes, 0, func(lo, hi int) {
+	t.normalizeMoments(r)
+}
+
+// normalizeMoments converts the mass-weighted position sums the reduction
+// leaves in every node to centers of mass, and raw second moments to
+// traceless quadrupole tensors Q = 3(S - m·c⊗c) - tr(S - m·c⊗c)·I.
+func (t *Tree) normalizeMoments(r *par.Runtime) {
+	r.ForGrain(par.ParUnseq, t.NumNodes(), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			m := t.m[i]
 			if m == 0 {

@@ -25,6 +25,13 @@
 // Coincident or pathologically clustered bodies would subdivide forever;
 // at MaxDepth the tree instead chains bodies in a per-leaf lock-free list
 // (an extension to the paper, which assumes distinct positions).
+//
+// That is the paper's build, and what Config.PresortMorton == false runs.
+// With PresortMorton the same arrays are filled from the bodies' sorted
+// Morton keys by counting (sorted.go): no locks, leaves of up to leafBucket
+// bodies, moments gathered level by level. It is the build the default
+// (flat-layout) simulation uses; the concurrent build is the paper-fidelity
+// variant and the oracle the sorted one is tested against.
 package octree
 
 import (
@@ -37,7 +44,6 @@ import (
 	"nbody/internal/body"
 	"nbody/internal/bounds"
 	"nbody/internal/par"
-	"nbody/internal/sfc"
 	"nbody/internal/vec"
 )
 
@@ -79,13 +85,17 @@ type Config struct {
 	// per-body traversal ignores it. Combine with PresortMorton for
 	// compact groups.
 	GroupSize int
-	// PresortMorton sorts the bodies along the Morton curve before
-	// insertion (permuting the system like the BVH's Hilbert sort does).
-	// The resulting tree is identical; what changes is the insertion
-	// pattern: spatially adjacent bodies are inserted by adjacent loop
-	// iterations, improving cache locality and reducing lock contention
-	// on shared subtrees — an optimization the paper's unsorted insert
-	// leaves on the table, measured by the `presort` ablation.
+	// PresortMorton selects the key-sorted build: Build sorts the bodies
+	// along the Morton curve of the root cube (permuting the system like
+	// the BVH's Hilbert sort does) and constructs the tree from the sorted
+	// keys by counting instead of by concurrent insertion. It is a
+	// different tree, not a reordering of the same one: a leaf holds up to
+	// leafBucket bodies (a contiguous body range), subdivision stops at
+	// the 21 levels a 63-bit key resolves (MaxDepth still applies below
+	// that; bodies closer than 2⁻²¹ of the root cube share a leaf and are
+	// summed exactly), the pool is sized from counts so Build cannot fail,
+	// and tree, moments and accelerations are bit-identical for any worker
+	// count. GatherMoments is ignored: the sorted tree always gathers.
 	PresortMorton bool
 }
 
@@ -116,15 +126,27 @@ type Tree struct {
 	parent []int32
 	depth  []uint8
 
-	// Per-body chain links for leaves at MaxDepth.
+	// Per-body chain links for leaves holding more than one body.
 	next []int32
 
-	// Presort scratch (allocated only with Config.PresortMorton).
-	sortKeys []uint64
-	sortPerm []int32
+	// Key-sorted build only (Config.PresortMorton; see sorted.go).
+	bucket      int      // leaf capacity above the key depth cap
+	leafEnd     []int32  // per node: end of the body range starting at tokenBody(child)
+	levels      []int32  // levels[d] = groups of depth ≤ d
+	keys        []uint64 // Morton keys of the bodies, sorted
+	sortKeys    []uint64 // the same keys in pre-sort body order
+	sortPerm    []int32
+	front, back []span  // frontier of the level being built, and of the next
+	slots       []int32 // per frontier entry: children joining the next frontier
 
 	nGroups  atomic.Int32
 	overflow atomic.Bool
+
+	// longestList is the longest interaction list AccelerationsList has
+	// collected since the last Build; every walk reserves that much up
+	// front. Build resets it, so a long list is not reserved for longer
+	// than the tree that produced it.
+	longestList atomic.Int32
 
 	// Body position arrays of the system being built, captured for the
 	// duration of Build so the insertion loop avoids closure overhead.
@@ -136,11 +158,16 @@ type Tree struct {
 }
 
 // New returns an empty tree with the given configuration.
-func New(cfg Config) *Tree {
+func New(cfg Config) *Tree { return newBucket(cfg, leafBucket) }
+
+// newBucket is New with the key-sorted build's leaf capacity chosen by the
+// caller: at 1 that build must reproduce the concurrent one, which is how
+// the tests check it.
+func newBucket(cfg Config, bucket int) *Tree {
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = DefaultMaxDepth
 	}
-	return &Tree{cfg: cfg}
+	return &Tree{cfg: cfg, bucket: bucket}
 }
 
 // Config returns the tree's configuration.
@@ -223,18 +250,22 @@ func (t *Tree) capGroups() int {
 }
 
 // Build constructs the octree over the bodies of s, whose bounding box must
-// be box (typically the result of bounds.OfPositions). It implements the
-// paper's BUILDTREE step (Algorithm 4): a Parallel For over bodies, each
-// performing a root-to-leaf traversal and inserting with CAS-based
-// fine-grained locking. The loop requires the par policy's parallel forward
-// progress guarantee — a thread that acquires a node lock must be
-// rescheduled to release it.
+// be box (typically the result of bounds.OfPositions).
 //
-// If the pre-reserved node pool overflows, Build transparently grows it and
+// Without Config.PresortMorton it implements the paper's BUILDTREE step
+// (Algorithm 4): a Parallel For over bodies, each performing a root-to-leaf
+// traversal and inserting with CAS-based fine-grained locking. The loop
+// requires the par policy's parallel forward progress guarantee — a thread
+// that acquires a node lock must be rescheduled to release it. If the
+// pre-reserved node pool overflows, Build transparently grows it and
 // rebuilds, returning an error only if growth hits an unreasonable bound.
+//
+// With Config.PresortMorton it permutes s into Morton order and builds from
+// the sorted keys (buildSorted); that path returns no error.
 func (t *Tree) Build(r *par.Runtime, s *body.System, box bounds.AABB) error {
 	n := s.N()
 	t.nBodies = n
+	t.longestList.Store(0)
 
 	cube := box.Cube().Pad(box.MaxExtent()*1e-12 + math.SmallestNonzeroFloat64)
 	t.rootCenter = cube.Center()
@@ -244,8 +275,9 @@ func (t *Tree) Build(r *par.Runtime, s *body.System, box bounds.AABB) error {
 		t.next = make([]int32, n)
 	}
 
-	if t.cfg.PresortMorton && n > 1 {
-		t.presort(r, s, cube)
+	if t.cfg.PresortMorton {
+		t.buildSorted(r, s, cube)
+		return nil
 	}
 
 	want := estimateGroups(n)
@@ -263,52 +295,6 @@ func (t *Tree) Build(r *par.Runtime, s *body.System, box bounds.AABB) error {
 		}
 		t.grow(2 * t.capGroups())
 	}
-}
-
-// presort reorders the bodies of s along the Morton curve of the root cube.
-func (t *Tree) presort(r *par.Runtime, s *body.System, cube bounds.AABB) {
-	n := s.N()
-	if len(t.sortKeys) < n {
-		t.sortKeys = make([]uint64, n)
-		t.sortPerm = make([]int32, n)
-	}
-	keys := t.sortKeys[:n]
-	perm := t.sortPerm[:n]
-
-	const order = sfc.MaxOrder3D
-	side := float64(uint64(1) << order)
-	ext := cube.MaxExtent()
-	inv := 0.0
-	if ext > 0 {
-		inv = side / ext
-	}
-	maxCoord := uint32(1)<<order - 1
-	origin := cube.Min
-	posX, posY, posZ := s.PosX, s.PosY, s.PosZ
-
-	clampGrid := func(p, o float64) uint32 {
-		v := (p - o) * inv
-		if v <= 0 {
-			return 0
-		}
-		g := uint32(v)
-		if g > maxCoord {
-			return maxCoord
-		}
-		return g
-	}
-
-	r.ForGrain(par.ParUnseq, n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = sfc.MortonIndex3D(
-				clampGrid(posX[i], origin.X),
-				clampGrid(posY[i], origin.Y),
-				clampGrid(posZ[i], origin.Z))
-			perm[i] = int32(i)
-		}
-	})
-	par.SortByKeys(r, par.Par, keys, perm)
-	s.Permute(r, par.ParUnseq, perm)
 }
 
 // tryBuild runs one parallel construction pass over the current pool,

@@ -489,44 +489,6 @@ func TestPotentialMatchesExactAtThetaZero(t *testing.T) {
 	}
 }
 
-func TestPresortMortonSameTree(t *testing.T) {
-	// Presorting must not change the tree shape or the physics — only
-	// the insertion order.
-	r := par.NewRuntime(0, par.Dynamic)
-	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0.5}
-
-	plain := randomSystem(4000, 171)
-	sorted := plain.Clone()
-
-	t1 := buildTree(t, Config{}, plain, r)
-	t2 := buildTree(t, Config{PresortMorton: true}, sorted, r)
-	if err := t2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	s1, s2 := t1.Stats(), t2.Stats()
-	if s1.Nodes != s2.Nodes || s1.Leaves != s2.Leaves || s1.MaxDepth != s2.MaxDepth {
-		t.Errorf("tree shapes differ: %v vs %v", s1, s2)
-	}
-
-	// Forces per body (matched by ID, since presort permutes).
-	t1.ComputeMoments(r, plain)
-	t1.Accelerations(r, par.ParUnseq, plain, p)
-	t2.ComputeMoments(r, sorted)
-	t2.Accelerations(r, par.ParUnseq, sorted, p)
-	accByID := make([][3]float64, sorted.N())
-	for i := 0; i < sorted.N(); i++ {
-		accByID[sorted.ID[i]] = [3]float64{sorted.AccX[i], sorted.AccY[i], sorted.AccZ[i]}
-	}
-	for i := 0; i < plain.N(); i++ {
-		got := accByID[plain.ID[i]]
-		d := math.Abs(got[0]-plain.AccX[i]) + math.Abs(got[1]-plain.AccY[i]) + math.Abs(got[2]-plain.AccZ[i])
-		if d > 1e-9*(1+plain.Acc(i).Norm()) {
-			t.Fatalf("body %d: presorted forces differ by %g", i, d)
-		}
-	}
-}
-
 func TestStatsString(t *testing.T) {
 	s := randomSystem(100, 61)
 	r := par.NewRuntime(2, par.Dynamic)

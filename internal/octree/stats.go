@@ -12,7 +12,7 @@ type Stats struct {
 	Leaves     int // leaf nodes (empty or body-bearing)
 	EmptyLeafs int // leaves containing no body
 	MaxDepth   int // deepest allocated node
-	Chained    int // bodies stored in max-depth chains beyond the first
+	Chained    int // bodies sharing a leaf beyond its first (max-depth chains; buckets of the key-sorted build)
 }
 
 // String implements fmt.Stringer.
@@ -109,7 +109,10 @@ func (t *Tree) CheckInvariants() error {
 
 // FindLeaf returns the index of the leaf node whose cell covers position
 // (x, y, z), following child links from the root exactly as insertion does.
-// It returns -1 if the traversal encounters an inconsistency.
+// It returns -1 if the traversal encounters an inconsistency. (The
+// key-sorted build assigns cells by quantised key, not by comparing with
+// cell centres, so there a body within rounding of a cell face may sit in
+// the leaf next to the one this returns.)
 func (t *Tree) FindLeaf(x, y, z float64) int32 {
 	node := int32(0)
 	cx, cy, cz := t.rootCenter.X, t.rootCenter.Y, t.rootCenter.Z

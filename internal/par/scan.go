@@ -10,9 +10,8 @@ type Integer interface {
 // ExclusiveScan replaces xs with its exclusive prefix sum (xs'[i] = Σ_{j<i}
 // xs[j]) and returns the total Σ xs[j]. It runs in two parallel passes:
 // per-block sums, a sequential scan over the (few) block sums, then a
-// per-block local scan with the block offset applied. No engine phase calls
-// it yet: it is kept as the primitive a sorted-key octree build counts nodes
-// with (ROADMAP item 2a).
+// per-block local scan with the block offset applied. The key-sorted octree
+// build compacts each level's frontier with it.
 func ExclusiveScan[T Integer](r *Runtime, p Policy, xs []T) T {
 	n := len(xs)
 	if n == 0 {

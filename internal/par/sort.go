@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 )
@@ -56,10 +57,17 @@ func SortByKeys(r *Runtime, p Policy, keys []uint64, idx []int32) {
 		passes++
 	}
 
-	src := idx
-	dst := make([]int32, n)
 	w := r.workers
-	hist := make([]int32, w*buckets) // hist[b*buckets+d]
+	scratch := getSortScratch()
+	defer putSortScratch(scratch, n)
+	if cap(scratch.idx) < n {
+		scratch.idx = make([]int32, n)
+	}
+	if cap(scratch.hist) < w*buckets {
+		scratch.hist = make([]int32, w*buckets)
+	}
+	src, dst := idx, scratch.idx[:n]
+	hist := scratch.hist[:w*buckets] // hist[b*buckets+d]
 
 	for pass := 0; pass < passes; pass++ {
 		shift := uint(pass * radixBits)
@@ -104,6 +112,56 @@ func SortByKeys(r *Runtime, p Policy, keys []uint64, idx []int32) {
 	}
 	if &src[0] != &idx[0] {
 		copy(idx, src)
+	}
+}
+
+// sortScratch is what one radix sort needs beside its arguments: the
+// buffer the passes scatter into and the per-block digit histograms.
+// oversized counts the consecutive sorts that needed under a quarter of idx.
+type sortScratch struct {
+	idx, hist []int32
+	oversized int
+}
+
+// sortScratchFree recycles scratch across sorts: a tree rebuild sorts every
+// step, and 4 bytes a key per step was most of what a step allocated.
+// Runtimes are shared between simulations (par.Default), so the scratch
+// cannot live on the Runtime; a sort owns what it took until it returns it.
+//
+// A channel, not a sync.Pool: a pool keeps what it is given per P, and a
+// sort returns on whichever P finished its last block, so a lone simulation
+// would keep missing (and allocating 4 bytes a key again) until every P
+// held a copy. The buffer bounds how many stay allocated: one scratch per
+// core, since more sorts than cores gain nothing from running at once; a
+// sort that finds the channel empty allocates, one that finds it full drops
+// its scratch to the collector. Nothing bounds how large one grows — it is
+// as big as the largest sort it served — so putSortScratch lets go of a
+// scratch that has been far too big sortScratchMaxOversized times running:
+// a long-lived server does not keep one large session's buffers for life,
+// and sessions of mixed sizes taking turns do not reallocate every step.
+var sortScratchFree = make(chan *sortScratch, runtime.GOMAXPROCS(0))
+
+const sortScratchMaxOversized = 64
+
+func getSortScratch() *sortScratch {
+	select {
+	case s := <-sortScratchFree:
+		return s
+	default:
+		return new(sortScratch)
+	}
+}
+
+// putSortScratch returns s, which just served a sort of n indices.
+func putSortScratch(s *sortScratch, n int) {
+	if 4*n >= cap(s.idx) {
+		s.oversized = 0
+	} else if s.oversized++; s.oversized >= sortScratchMaxOversized {
+		return
+	}
+	select {
+	case sortScratchFree <- s:
+	default:
 	}
 }
 

@@ -3,6 +3,7 @@ package par
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +120,70 @@ func TestSortByKeysSeqPolicy(t *testing.T) {
 	idx := identityPerm(10000)
 	SortByKeys(NewRuntime(8, Dynamic), Seq, keys, idx)
 	checkSortedPerm(t, keys, idx)
+}
+
+// Sessions share one Runtime and sort at the same time; the recycled
+// scratch must stay private to each sort, whatever its size. Run under
+// -race.
+func TestSortByKeysConcurrentSorts(t *testing.T) {
+	r := NewRuntime(3, Dynamic)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				n := 5000 + 3000*((g+round)%4)
+				keys := randKeys(n, int64(100*g+round), 63)
+				idx := identityPerm(n)
+				SortByKeys(r, Par, keys, idx)
+				for i := 1; i < n; i++ {
+					if keys[idx[i-1]] > keys[idx[i]] {
+						t.Errorf("sorter %d round %d: not sorted at %d", g, round, i)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// A scratch grown by one large sort is let go once it has only served far
+// smaller ones for a while, and kept as long as large sorts keep coming.
+func TestSortScratchReleasedWhenOversized(t *testing.T) {
+	pooled := func(s *sortScratch) bool {
+		select {
+		case got := <-sortScratchFree:
+			return got == s
+		default:
+			return false
+		}
+	}
+	for len(sortScratchFree) > 0 {
+		<-sortScratchFree
+	}
+	s := &sortScratch{idx: make([]int32, 1<<16)}
+	for i := 1; i < sortScratchMaxOversized; i++ {
+		putSortScratch(s, 1<<10)
+		if !pooled(s) {
+			t.Fatalf("scratch dropped after %d small sorts, want it kept until %d", i, sortScratchMaxOversized)
+		}
+	}
+	putSortScratch(s, 1<<16) // a large sort resets the count
+	if !pooled(s) {
+		t.Fatal("scratch dropped by a sort that filled it")
+	}
+	for i := 1; i < sortScratchMaxOversized; i++ {
+		putSortScratch(s, 1<<10)
+		if !pooled(s) {
+			t.Fatalf("scratch dropped %d small sorts after a large one", i)
+		}
+	}
+	putSortScratch(s, 1<<10)
+	if pooled(s) {
+		t.Fatalf("scratch of %d kept after %d sorts of %d", 1<<16, sortScratchMaxOversized, 1<<10)
+	}
 }
 
 func TestScanExclusive(t *testing.T) {

@@ -136,6 +136,23 @@ func deinterleaveTranspose(h uint64, x []uint32, order uint) {
 	}
 }
 
+// GridCoord maps one position component to its cell on a grid of
+// maxCoord+1 cells per dimension that starts at origin, where inv is cells
+// per unit length. The result is clamped to the grid, so a position on the
+// upper face of the gridded cube lands in the last cell. Both trees quantise
+// with it, each over its own cube.
+func GridCoord(p, origin, inv float64, maxCoord uint32) uint32 {
+	v := (p - origin) * inv
+	if v <= 0 {
+		return 0
+	}
+	g := uint32(v)
+	if g > maxCoord {
+		return maxCoord
+	}
+	return g
+}
+
 // MortonIndex3D returns the Morton (Z-order) index of (x, y, z), using
 // MaxOrder3D bits per dimension. Higher coordinates bits beyond MaxOrder3D
 // are ignored. Bit layout: x is most significant within each 3-bit group,

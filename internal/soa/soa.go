@@ -38,6 +38,19 @@ func (l *List) Reset() {
 	l.X, l.Y, l.Z, l.M = l.X[:0], l.Y[:0], l.Z[:0], l.M[:0]
 }
 
+// Reserve makes room for n interactions without reallocating, leaving a
+// quarter of headroom when it has to grow. A walk that knows how long its
+// longest list has been calls it so that every pooled list does not have to
+// find that out, and grow into it step by step, on its own.
+func (l *List) Reserve(n int) {
+	if n <= cap(l.X) {
+		return
+	}
+	n += n / 4
+	grow := func(s []float64) []float64 { return append(make([]float64, 0, n), s...) }
+	l.X, l.Y, l.Z, l.M = grow(l.X), grow(l.Y), grow(l.Z), grow(l.M)
+}
+
 // Len returns the number of interactions collected.
 func (l *List) Len() int { return len(l.X) }
 

@@ -83,3 +83,25 @@ func TestListResetAndAddBodies(t *testing.T) {
 		t.Fatalf("Reset left %d entries", l.Len())
 	}
 }
+
+// Reserve keeps what the list holds and makes the next n entries free of
+// reallocation.
+func TestListReserve(t *testing.T) {
+	l := new(List)
+	l.Add(1, 2, 3, 4)
+	l.Reserve(100)
+	if l.Len() != 1 || l.X[0] != 1 || l.Y[0] != 2 || l.Z[0] != 3 || l.M[0] != 4 {
+		t.Fatalf("Reserve changed the contents: %+v", l)
+	}
+	x, m := &l.X[0], &l.M[0]
+	for i := 1; i < 100; i++ {
+		l.Add(0, 0, 0, 0)
+	}
+	if &l.X[0] != x || &l.M[0] != m {
+		t.Error("list reallocated within its reservation")
+	}
+	l.Reserve(50) // shorter than the capacity: nothing to do
+	if &l.X[0] != x {
+		t.Error("Reserve below capacity reallocated")
+	}
+}
