@@ -374,10 +374,9 @@ func runAblate(fs *flag.FlagSet, args []string) error {
 		{"layout", "walk (bvh)", core.Config{Algorithm: core.BVH, Layout: core.LayoutWalk}},
 		{"layout", "flat lists (bvh)", core.Config{Algorithm: core.BVH}},
 		{"bvh-leaf", "1", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 1}}},
+		{"bvh-leaf", "2", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 2}}},
 		{"bvh-leaf", "4", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 4}}},
 		{"bvh-leaf", "16", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 16}}},
-		{"ordering", "hilbert (paper)", core.Config{Algorithm: core.BVH}},
-		{"ordering", "morton", core.Config{Algorithm: core.BVH, BVH: bvh.Config{Ordering: bvh.Morton}}},
 		{"moments-order", "monopole (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
 		{"moments-order", "quadrupole", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{Quadrupole: true}}},
 		{"tree-reuse", "rebuild every step (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},

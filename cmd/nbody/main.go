@@ -55,7 +55,6 @@ func run() error {
 		seq       = flag.Bool("seq", false, "sequential execution (replaces every policy with seq)")
 		rebuild   = flag.Int("rebuild-every", 1, "rebuild the tree every k steps (tree reuse for k>1)")
 		leafSize  = flag.Int("leaf-size", 1, "BVH bodies per leaf")
-		ordering  = flag.String("ordering", "hilbert", "BVH body ordering: hilbert, morton")
 		quad      = flag.Bool("quadrupole", false, "octree: use quadrupole moments")
 		gather    = flag.Bool("gather-moments", false, "octree: gather-variant multipole reduction")
 		diagEach  = flag.Int("diag-every", 0, "print diagnostics every k steps (0 = only at start/end)")
@@ -75,15 +74,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ord := bvh.Hilbert
-	switch *ordering {
-	case "hilbert":
-	case "morton":
-		ord = bvh.Morton
-	default:
-		return fmt.Errorf("unknown ordering %q", *ordering)
-	}
-
 	var sys *body.System
 	startStep := 0
 	if *loadPath != "" {
@@ -109,7 +99,7 @@ func run() error {
 		Sequential:   *seq,
 		RebuildEvery: *rebuild,
 		Octree:       octree.Config{GatherMoments: *gather, Quadrupole: *quad},
-		BVH:          bvh.Config{LeafSize: *leafSize, Ordering: ord},
+		BVH:          bvh.Config{LeafSize: *leafSize},
 	}
 	sim, err := core.New(cfg, sys)
 	if err != nil {

@@ -14,7 +14,9 @@
 // structure acts as a skip list during traversal: finishing the subtree of
 // node i continues at i+1 (if i is a left child) or at the first
 // right-sibling found while climbing — a jump across multiple levels
-// without revisiting interior nodes.
+// without revisiting interior nodes. A node's body count is not stored
+// either: its leaves are a contiguous run, so its body range follows from
+// its index.
 //
 // Because bodies are permuted into curve order, each leaf covers a
 // contiguous body range, and sibling subtrees cover adjacent runs of the
@@ -22,6 +24,11 @@
 // is why the opening criterion measures the node's *box* extent — the
 // paper's note that θ means something slightly different here than in the
 // octree.
+//
+// Per heap slot the tree keeps one packed record of what a walk reads —
+// centre of mass, mass and opening size — so a CenterDistance visit loads
+// one 40-byte record. The boxes are kept apart as cold arrays, read only by
+// the build's reduction, the BoxDistance criterion, NodeBox and Stats.
 package bvh
 
 import (
@@ -34,29 +41,6 @@ import (
 	"nbody/internal/sfc"
 	"nbody/internal/vec"
 )
-
-// Ordering selects the space-filling curve used to sort the bodies.
-type Ordering uint8
-
-const (
-	// Hilbert ordering (the paper's choice): consecutive cells are always
-	// face neighbours, giving the most compact leaf runs.
-	Hilbert Ordering = iota
-	// Morton ordering (the Lauterbach-style ablation): cheaper keys but
-	// with locality jumps at octant boundaries.
-	Morton
-)
-
-// String implements fmt.Stringer.
-func (o Ordering) String() string {
-	switch o {
-	case Hilbert:
-		return "hilbert"
-	case Morton:
-		return "morton"
-	}
-	return fmt.Sprintf("Ordering(%d)", uint8(o))
-}
 
 // Criterion selects how the traversal decides whether a node is far enough
 // to approximate — the knob behind the paper's observation that θ means
@@ -91,15 +75,9 @@ func (c Criterion) String() string {
 type Config struct {
 	// LeafSize is the number of bodies per leaf. The default (0) selects
 	// 1, the paper's granularity; larger leaves trade tree depth for
-	// more exact pairwise work.
+	// more exact pairwise work. A leaf of more than one body is tested by
+	// the opening criterion like an interior node.
 	LeafSize int
-	// Ordering selects Hilbert (default) or Morton body ordering.
-	Ordering Ordering
-	// Order is the space-filling-curve grid resolution in bits per
-	// dimension (the "coarsest equidistant Cartesian grid capable to
-	// hold all bodies" is 2^Order per side). The default (0) selects
-	// sfc.MaxOrder3D = 21, the finest resolution a 64-bit key allows.
-	Order uint
 	// Criterion selects the opening test (default CenterDistance, the
 	// paper's).
 	Criterion Criterion
@@ -118,26 +96,32 @@ type Tree struct {
 	levels    int // numLeaves == 1 << (levels-1)
 	n         int // bodies covered by the last Build
 
-	// Per-node arrays in heap layout, indexed 1..2·numLeaves-1 (index 0
-	// unused).
+	// Per-node data in heap layout, indexed 1..2·numLeaves-1 (index 0
+	// unused): the hot record every walk reads, and the cold boxes.
+	nodes            []record
 	minX, minY, minZ []float64
 	maxX, maxY, maxZ []float64
-	m                []float64
-	comX, comY, comZ []float64
-	count            []int32
 
 	// Sort scratch.
 	keys []uint64
 	perm []int32
 }
 
+// record is what a traversal reads at a heap slot.
+type record struct {
+	x, y, z float64 // center of mass
+	m       float64
+	// size is the opening size, the longest edge of the node's box. It is
+	// negative exactly when the slot covers no bodies.
+	size float64
+}
+
+func (nd *record) empty() bool { return nd.size < 0 }
+
 // New returns an empty tree with the given configuration.
 func New(cfg Config) *Tree {
 	if cfg.LeafSize <= 0 {
 		cfg.LeafSize = 1
-	}
-	if cfg.Order == 0 || cfg.Order > sfc.MaxOrder3D {
-		cfg.Order = sfc.MaxOrder3D
 	}
 	return &Tree{cfg: cfg}
 }
@@ -190,7 +174,8 @@ func (t *Tree) Sort(r *par.Runtime, pol par.Policy, s *body.System, box bounds.A
 	keys := t.keys[:n]
 	perm := t.perm[:n]
 
-	order := t.cfg.Order
+	// 2^21 cells per side, the finest grid a 64-bit key resolves.
+	const order = sfc.MaxOrder3D
 	side := float64(uint64(1) << order)
 	cube := box.Cube()
 	origin := cube.Min
@@ -202,17 +187,12 @@ func (t *Tree) Sort(r *par.Runtime, pol par.Policy, s *body.System, box bounds.A
 	maxCoord := uint32(1)<<order - 1
 
 	posX, posY, posZ := s.PosX, s.PosY, s.PosZ
-	ordering := t.cfg.Ordering
 	r.ForGrain(pol, n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			gx := sfc.GridCoord(posX[i], origin.X, inv, maxCoord)
 			gy := sfc.GridCoord(posY[i], origin.Y, inv, maxCoord)
 			gz := sfc.GridCoord(posZ[i], origin.Z, inv, maxCoord)
-			if ordering == Hilbert {
-				keys[i] = sfc.HilbertIndex3D(gx, gy, gz, order)
-			} else {
-				keys[i] = sfc.MortonIndex3D(gx, gy, gz)
-			}
+			keys[i] = sfc.HilbertIndex3D(gx, gy, gz, order)
 			perm[i] = int32(i)
 		}
 	})
@@ -239,21 +219,16 @@ func (t *Tree) buildLevels(r *par.Runtime, pol par.Policy, s *body.System) {
 		numLeaves *= 2
 		levels++
 	}
-	if t.numLeaves != numLeaves || len(t.m) == 0 {
+	if t.numLeaves != numLeaves || len(t.nodes) == 0 {
 		t.numLeaves = numLeaves
-		t.levels = levels
 		nodes := 2 * numLeaves
+		t.nodes = make([]record, nodes)
 		t.minX = make([]float64, nodes)
 		t.minY = make([]float64, nodes)
 		t.minZ = make([]float64, nodes)
 		t.maxX = make([]float64, nodes)
 		t.maxY = make([]float64, nodes)
 		t.maxZ = make([]float64, nodes)
-		t.m = make([]float64, nodes)
-		t.comX = make([]float64, nodes)
-		t.comY = make([]float64, nodes)
-		t.comZ = make([]float64, nodes)
-		t.count = make([]int32, nodes)
 	}
 	t.levels = levels
 
@@ -285,14 +260,14 @@ func (t *Tree) buildLevels(r *par.Runtime, pol par.Policy, s *body.System) {
 			}
 			t.minX[node], t.minY[node], t.minZ[node] = bmin.X, bmin.Y, bmin.Z
 			t.maxX[node], t.maxY[node], t.maxZ[node] = bmax.X, bmax.Y, bmax.Z
-			t.m[node] = lm
+			nd := record{m: lm, size: longestEdge(bmax.X-bmin.X, bmax.Y-bmin.Y, bmax.Z-bmin.Z)}
 			if lm > 0 {
-				t.comX[node], t.comY[node], t.comZ[node] = lx/lm, ly/lm, lz/lm
+				nd.x, nd.y, nd.z = lx/lm, ly/lm, lz/lm
 			} else {
 				c := bmin.Add(bmax).Scale(0.5)
-				t.comX[node], t.comY[node], t.comZ[node] = c.X, c.Y, c.Z
+				nd.x, nd.y, nd.z = c.X, c.Y, c.Z
 			}
-			t.count[node] = int32(b1 - b0)
+			t.nodes[node] = nd
 		}
 	})
 
@@ -303,36 +278,38 @@ func (t *Tree) buildLevels(r *par.Runtime, pol par.Policy, s *body.System) {
 			for k := lo; k < hi; k++ {
 				node := first + k
 				l, rgt := 2*node, 2*node+1
-				cl, cr := t.count[l], t.count[rgt]
-				t.count[node] = cl + cr
+				a, b := &t.nodes[l], &t.nodes[rgt]
 				switch {
-				case cl == 0 && cr == 0:
+				case a.empty() && b.empty():
 					t.setEmpty(node)
 					continue
-				case cr == 0:
+				case b.empty():
 					t.copyNode(node, l)
 					continue
-				case cl == 0:
+				case a.empty():
 					t.copyNode(node, rgt)
 					continue
 				}
-				t.minX[node] = math.Min(t.minX[l], t.minX[rgt])
-				t.minY[node] = math.Min(t.minY[l], t.minY[rgt])
-				t.minZ[node] = math.Min(t.minZ[l], t.minZ[rgt])
-				t.maxX[node] = math.Max(t.maxX[l], t.maxX[rgt])
-				t.maxY[node] = math.Max(t.maxY[l], t.maxY[rgt])
-				t.maxZ[node] = math.Max(t.maxZ[l], t.maxZ[rgt])
-				lm := t.m[l] + t.m[rgt]
-				t.m[node] = lm
+				minX := math.Min(t.minX[l], t.minX[rgt])
+				minY := math.Min(t.minY[l], t.minY[rgt])
+				minZ := math.Min(t.minZ[l], t.minZ[rgt])
+				maxX := math.Max(t.maxX[l], t.maxX[rgt])
+				maxY := math.Max(t.maxY[l], t.maxY[rgt])
+				maxZ := math.Max(t.maxZ[l], t.maxZ[rgt])
+				t.minX[node], t.minY[node], t.minZ[node] = minX, minY, minZ
+				t.maxX[node], t.maxY[node], t.maxZ[node] = maxX, maxY, maxZ
+				lm := a.m + b.m
+				nd := record{m: lm, size: longestEdge(maxX-minX, maxY-minY, maxZ-minZ)}
 				if lm > 0 {
-					t.comX[node] = (t.m[l]*t.comX[l] + t.m[rgt]*t.comX[rgt]) / lm
-					t.comY[node] = (t.m[l]*t.comY[l] + t.m[rgt]*t.comY[rgt]) / lm
-					t.comZ[node] = (t.m[l]*t.comZ[l] + t.m[rgt]*t.comZ[rgt]) / lm
+					nd.x = (a.m*a.x + b.m*b.x) / lm
+					nd.y = (a.m*a.y + b.m*b.y) / lm
+					nd.z = (a.m*a.z + b.m*b.z) / lm
 				} else {
-					t.comX[node] = 0.5 * (t.minX[node] + t.maxX[node])
-					t.comY[node] = 0.5 * (t.minY[node] + t.maxY[node])
-					t.comZ[node] = 0.5 * (t.minZ[node] + t.maxZ[node])
+					nd.x = 0.5 * (minX + maxX)
+					nd.y = 0.5 * (minY + maxY)
+					nd.z = 0.5 * (minZ + maxZ)
 				}
+				t.nodes[node] = nd
 			}
 		})
 		// The ForGrain return is the level barrier: the next coarser
@@ -340,26 +317,34 @@ func (t *Tree) buildLevels(r *par.Runtime, pol par.Policy, s *body.System) {
 	}
 }
 
+// longestEdge is the opening size of a box with edges ex, ey, ez.
+func longestEdge(ex, ey, ez float64) float64 {
+	if ey > ex {
+		ex = ey
+	}
+	if ez > ex {
+		ex = ez
+	}
+	return ex
+}
+
 func (t *Tree) setEmpty(node int) {
 	t.minX[node], t.minY[node], t.minZ[node] = math.Inf(1), math.Inf(1), math.Inf(1)
 	t.maxX[node], t.maxY[node], t.maxZ[node] = math.Inf(-1), math.Inf(-1), math.Inf(-1)
-	t.m[node] = 0
-	t.comX[node], t.comY[node], t.comZ[node] = 0, 0, 0
-	t.count[node] = 0
+	t.nodes[node] = record{size: -1}
 }
 
 func (t *Tree) copyNode(dst, src int) {
 	t.minX[dst], t.minY[dst], t.minZ[dst] = t.minX[src], t.minY[src], t.minZ[src]
 	t.maxX[dst], t.maxY[dst], t.maxZ[dst] = t.maxX[src], t.maxY[src], t.maxZ[src]
-	t.m[dst] = t.m[src]
-	t.comX[dst], t.comY[dst], t.comZ[dst] = t.comX[src], t.comY[src], t.comZ[src]
+	t.nodes[dst] = t.nodes[src]
 }
 
 // TotalMass returns the root's mass after Build.
-func (t *Tree) TotalMass() float64 { return t.m[1] }
+func (t *Tree) TotalMass() float64 { return t.nodes[1].m }
 
 // CenterOfMass returns the root's center of mass after Build.
-func (t *Tree) CenterOfMass() (x, y, z float64) { return t.comX[1], t.comY[1], t.comZ[1] }
+func (t *Tree) CenterOfMass() (x, y, z float64) { return t.nodes[1].x, t.nodes[1].y, t.nodes[1].z }
 
 // NodeBox returns node i's bounding box (heap index). Exposed for tests.
 func (t *Tree) NodeBox(i int) bounds.AABB {
@@ -370,15 +355,23 @@ func (t *Tree) NodeBox(i int) bounds.AABB {
 }
 
 // NodeCount returns the number of bodies under node i. Exposed for tests.
-func (t *Tree) NodeCount(i int) int { return int(t.count[i]) }
+func (t *Tree) NodeCount(i int) int {
+	lo, hi := t.nodeRange(i)
+	return hi - lo
+}
 
 // LeafRange returns the body index range [lo, hi) covered by leaf j in
 // [0, NumLeaves). Exposed for tests.
-func (t *Tree) LeafRange(j int) (lo, hi int) {
-	lo = j * t.cfg.LeafSize
-	hi = min(lo+t.cfg.LeafSize, t.n)
-	if lo > t.n {
-		lo = t.n
+func (t *Tree) LeafRange(j int) (lo, hi int) { return t.nodeRange(t.numLeaves + j) }
+
+// nodeRange returns the body range [lo, hi) under heap slot i: the leaves
+// [first, end) of its subtree, times the leaf size, clipped to the bodies.
+func (t *Tree) nodeRange(i int) (lo, hi int) {
+	first, end := i, i+1
+	for first < t.numLeaves {
+		first, end = 2*first, 2*end
 	}
+	lo = min((first-t.numLeaves)*t.cfg.LeafSize, t.n)
+	hi = min((end-t.numLeaves)*t.cfg.LeafSize, t.n)
 	return lo, hi
 }

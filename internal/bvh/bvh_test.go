@@ -292,24 +292,6 @@ func TestCriterionString(t *testing.T) {
 	}
 }
 
-func TestMortonOrderingWorks(t *testing.T) {
-	n := 1000
-	s := randomSystem(n, 23)
-	r := par.NewRuntime(0, par.Dynamic)
-	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0}
-
-	tree := buildTree(t, Config{Ordering: Morton}, s, r)
-	checkStructure(t, tree, s)
-	ref := s.Clone()
-	allpairs.AllPairs(r, par.ParUnseq, ref, p)
-	tree.Accelerations(r, par.ParUnseq, s, p)
-	for i := 0; i < n; i++ {
-		if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-10*(1+ref.Acc(i).Norm()) {
-			t.Fatalf("morton body %d force mismatch", i)
-		}
-	}
-}
-
 func TestBuildNoSortStaysCorrect(t *testing.T) {
 	// Moving bodies and rebuilding without re-sorting must still produce
 	// exact boxes/moments (only compactness degrades).
@@ -456,33 +438,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// The structural explanation of the ordering ablation: Hilbert ordering
-// must produce more compact leaves than Morton ordering on the same data.
-func TestStatsHilbertBeatsMorton(t *testing.T) {
-	n := 8192
-	r := par.NewRuntime(0, par.Dynamic)
-	stat := func(ord Ordering) Stats {
-		s := randomSystem(n, 101)
-		return buildTree(t, Config{LeafSize: 4, Ordering: ord}, s, r).Stats()
-	}
-	h := stat(Hilbert)
-	m := stat(Morton)
-	t.Logf("hilbert: %v", h)
-	t.Logf("morton:  %v", m)
-	if h.MeanLeafDiagonal > m.MeanLeafDiagonal*1.05 {
-		t.Errorf("hilbert leaf diagonal %v not better than morton %v", h.MeanLeafDiagonal, m.MeanLeafDiagonal)
-	}
-}
-
-func TestOrderingString(t *testing.T) {
-	if Hilbert.String() != "hilbert" || Morton.String() != "morton" {
-		t.Error("Ordering strings wrong")
-	}
-	if Ordering(9).String() == "" {
-		t.Error("unknown ordering should print")
-	}
-}
-
 // Property: random systems always produce structurally valid trees whose
 // θ=0 forces match all-pairs.
 func TestPropBuildAndExactForce(t *testing.T) {
@@ -532,5 +487,20 @@ func BenchmarkForce1e5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree.Accelerations(r, par.ParUnseq, s, p)
+	}
+}
+
+// BenchmarkAccelerationsList1e5 times the force pass the engine runs by
+// default: one walk per 32-body group, then the flat list kernel.
+func BenchmarkAccelerationsList1e5(b *testing.B) {
+	s := randomSystem(100000, 1)
+	r := par.NewRuntime(0, par.Dynamic)
+	box := bounds.OfPositions(r, par.ParUnseq, s.PosX, s.PosY, s.PosZ)
+	tree := New(Config{})
+	tree.Build(r, par.ParUnseq, s, box)
+	p := grav.DefaultParams()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 	}
 }

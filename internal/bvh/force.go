@@ -19,7 +19,8 @@ import (
 // levels (the skip-list property of the balanced heap), and the opening
 // criterion uses the node's *bounding box* extent, since BVH boxes may be
 // elongated and overlap — so θ is not numerically comparable between the
-// two strategies.
+// two strategies. A leaf of more than one body is tested like an interior
+// node and, when it fails, evaluated body by body; θ = 0 stays exact.
 //
 // All iterations are independent; the paper runs this under par_unseq.
 func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params) {
@@ -29,6 +30,7 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 	numLeaves := t.numLeaves
 	leafSize := t.cfg.LeafSize
 	useBoxDist := t.cfg.Criterion == BoxDistance
+	nodes := t.nodes
 
 	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
 
@@ -39,42 +41,45 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 
 			node := 1
 			for node != 0 {
-				if t.count[node] == 0 {
+				nd := &nodes[node]
+				if nd.empty() {
 					node = skipNext(node)
 					continue
 				}
-				if node >= numLeaves {
-					// Leaf: exact interactions over its contiguous
-					// body range.
-					j := node - numLeaves
-					b0 := j * leafSize
-					b1 := min(b0+leafSize, n)
-					for b := b0; b < b1; b++ {
-						if b == i {
-							continue
-						}
-						grav.Accumulate(posX[b]-xi, posY[b]-yi, posZ[b]-zi, mass[b], eps2, &ax, &ay, &az)
+				leaf := node >= numLeaves
+				var b0, b1 int
+				if leaf {
+					b0 = (node - numLeaves) * leafSize
+					b1 = min(b0+leafSize, n)
+				}
+				if !leaf || b1-b0 > 1 {
+					// Interior node or bucket leaf: open or approximate
+					// by the configured criterion.
+					dx := nd.x - xi
+					dy := nd.y - yi
+					dz := nd.z - zi
+					crit2 := dx*dx + dy*dy + dz*dz
+					if useBoxDist {
+						crit2 = t.boxDist2(node, xi, yi, zi)
 					}
-					node = skipNext(node)
-					continue
+					if nd.size*nd.size < theta2*crit2 {
+						grav.Accumulate(dx, dy, dz, nd.m, eps2, &ax, &ay, &az)
+						node = skipNext(node)
+						continue
+					}
+					if !leaf {
+						node = 2 * node // descend to left child
+						continue
+					}
 				}
-				// Interior: open or approximate by the configured
-				// criterion.
-				dx := t.comX[node] - xi
-				dy := t.comY[node] - yi
-				dz := t.comZ[node] - zi
-				d2 := dx*dx + dy*dy + dz*dz
-				crit2 := d2
-				if useBoxDist {
-					crit2 = t.boxDist2(node, xi, yi, zi)
+				// Leaf: exact interactions over its contiguous body range.
+				for b := b0; b < b1; b++ {
+					if b == i {
+						continue
+					}
+					grav.Accumulate(posX[b]-xi, posY[b]-yi, posZ[b]-zi, mass[b], eps2, &ax, &ay, &az)
 				}
-				size := t.extent(node)
-				if size*size < theta2*crit2 {
-					grav.Accumulate(dx, dy, dz, t.m[node], eps2, &ax, &ay, &az)
-					node = skipNext(node)
-				} else {
-					node = 2 * node // descend to left child
-				}
+				node = skipNext(node)
 			}
 
 			s.AccX[i] = p.G * ax
@@ -106,18 +111,6 @@ func (t *Tree) boxDist2(i int, x, y, z float64) float64 {
 	return d2
 }
 
-// extent returns the longest edge of node i's bounding box.
-func (t *Tree) extent(i int) float64 {
-	ex := t.maxX[i] - t.minX[i]
-	if ey := t.maxY[i] - t.minY[i]; ey > ex {
-		ex = ey
-	}
-	if ez := t.maxZ[i] - t.minZ[i]; ez > ex {
-		ex = ez
-	}
-	return ex
-}
-
 // skipNext returns the node visited after finishing the subtree rooted at
 // node: the right sibling if node is a left child, otherwise the first
 // right sibling found climbing toward the root; 0 when the traversal is
@@ -141,6 +134,7 @@ func (t *Tree) Potential(r *par.Runtime, pol par.Policy, s *body.System, p grav.
 	theta2 := p.Theta * p.Theta
 	numLeaves := t.numLeaves
 	leafSize := t.cfg.LeafSize
+	nodes := t.nodes
 
 	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
 
@@ -151,40 +145,45 @@ func (t *Tree) Potential(r *par.Runtime, pol par.Policy, s *body.System, p grav.
 
 			node := 1
 			for node != 0 {
-				if t.count[node] == 0 {
+				nd := &nodes[node]
+				if nd.empty() {
 					node = skipNext(node)
 					continue
 				}
-				if node >= numLeaves {
-					j := node - numLeaves
-					b0 := j * leafSize
-					b1 := min(b0+leafSize, n)
-					for b := b0; b < b1; b++ {
-						if b == i {
-							continue
-						}
-						dx := posX[b] - xi
-						dy := posY[b] - yi
-						dz := posZ[b] - zi
-						r2 := dx*dx + dy*dy + dz*dz + eps2
-						if r2 > 0 {
-							phi -= mass[b] / math.Sqrt(r2)
-						}
+				leaf := node >= numLeaves
+				var b0, b1 int
+				if leaf {
+					b0 = (node - numLeaves) * leafSize
+					b1 = min(b0+leafSize, n)
+				}
+				if !leaf || b1-b0 > 1 {
+					dx := nd.x - xi
+					dy := nd.y - yi
+					dz := nd.z - zi
+					d2 := dx*dx + dy*dy + dz*dz
+					if nd.size*nd.size < theta2*d2 {
+						phi -= nd.m / math.Sqrt(d2+eps2)
+						node = skipNext(node)
+						continue
 					}
-					node = skipNext(node)
-					continue
+					if !leaf {
+						node = 2 * node
+						continue
+					}
 				}
-				dx := t.comX[node] - xi
-				dy := t.comY[node] - yi
-				dz := t.comZ[node] - zi
-				d2 := dx*dx + dy*dy + dz*dz
-				size := t.extent(node)
-				if size*size < theta2*d2 {
-					phi -= t.m[node] / math.Sqrt(d2+eps2)
-					node = skipNext(node)
-				} else {
-					node = 2 * node
+				for b := b0; b < b1; b++ {
+					if b == i {
+						continue
+					}
+					dx := posX[b] - xi
+					dy := posY[b] - yi
+					dz := posZ[b] - zi
+					r2 := dx*dx + dy*dy + dz*dz + eps2
+					if r2 > 0 {
+						phi -= mass[b] / math.Sqrt(r2)
+					}
 				}
+				node = skipNext(node)
 			}
 
 			out[i] = p.G * phi

@@ -1,6 +1,7 @@
 package bvh
 
 import (
+	"math"
 	"testing"
 
 	"nbody/internal/allpairs"
@@ -8,6 +9,9 @@ import (
 	"nbody/internal/grav"
 	"nbody/internal/par"
 	"nbody/internal/rng"
+	"nbody/internal/soa"
+	"nbody/internal/vec"
+	"nbody/internal/workload"
 )
 
 // The tests below cover AccelerationsList, the group traversal ("Grouped"
@@ -100,6 +104,310 @@ func TestGroupedConservativeAccuracy(t *testing.T) {
 				t.Errorf("%v stale=%v: list error %g exceeds per-body error %g — criterion not conservative",
 					crit, stale, list, perBody)
 			}
+		}
+	}
+}
+
+// oracle is the one-body-per-leaf BVH as it was before the packed node
+// record: eleven per-node arrays filled by the same level-by-level
+// reduction, and walks that read them. The record walks must reproduce its
+// interaction lists entry for entry and its per-body sums bit for bit.
+type oracle struct {
+	numLeaves, n                       int
+	useBoxDist                         bool
+	minX, minY, minZ, maxX, maxY, maxZ []float64
+	m, comX, comY, comZ                []float64
+	count                              []int32
+}
+
+func newOracle(s *body.System, numLeaves int, crit Criterion) *oracle {
+	nodes := 2 * numLeaves
+	o := &oracle{numLeaves: numLeaves, n: s.N(), useBoxDist: crit == BoxDistance}
+	for _, a := range []*[]float64{&o.minX, &o.minY, &o.minZ, &o.maxX, &o.maxY, &o.maxZ, &o.m, &o.comX, &o.comY, &o.comZ} {
+		*a = make([]float64, nodes)
+	}
+	o.count = make([]int32, nodes)
+	setEmpty := func(node int) {
+		o.minX[node], o.minY[node], o.minZ[node] = math.Inf(1), math.Inf(1), math.Inf(1)
+		o.maxX[node], o.maxY[node], o.maxZ[node] = math.Inf(-1), math.Inf(-1), math.Inf(-1)
+	}
+	copyNode := func(dst, src int) {
+		o.minX[dst], o.minY[dst], o.minZ[dst] = o.minX[src], o.minY[src], o.minZ[src]
+		o.maxX[dst], o.maxY[dst], o.maxZ[dst] = o.maxX[src], o.maxY[src], o.maxZ[src]
+		o.m[dst] = o.m[src]
+		o.comX[dst], o.comY[dst], o.comZ[dst] = o.comX[src], o.comY[src], o.comZ[src]
+	}
+	for j := 0; j < numLeaves; j++ {
+		node := numLeaves + j
+		if j >= o.n {
+			setEmpty(node)
+			continue
+		}
+		p := s.Pos(j)
+		bmin, bmax := vec.Splat(math.Inf(1)).Min(p), vec.Splat(math.Inf(-1)).Max(p)
+		var lm, lx, ly, lz float64
+		lm += s.Mass[j]
+		lx += s.Mass[j] * p.X
+		ly += s.Mass[j] * p.Y
+		lz += s.Mass[j] * p.Z
+		o.minX[node], o.minY[node], o.minZ[node] = bmin.X, bmin.Y, bmin.Z
+		o.maxX[node], o.maxY[node], o.maxZ[node] = bmax.X, bmax.Y, bmax.Z
+		o.m[node] = lm
+		if lm > 0 {
+			o.comX[node], o.comY[node], o.comZ[node] = lx/lm, ly/lm, lz/lm
+		} else {
+			c := bmin.Add(bmax).Scale(0.5)
+			o.comX[node], o.comY[node], o.comZ[node] = c.X, c.Y, c.Z
+		}
+		o.count[node] = 1
+	}
+	for node := numLeaves - 1; node >= 1; node-- {
+		l, r := 2*node, 2*node+1
+		cl, cr := o.count[l], o.count[r]
+		o.count[node] = cl + cr
+		switch {
+		case cl == 0 && cr == 0:
+			setEmpty(node)
+			continue
+		case cr == 0:
+			copyNode(node, l)
+			continue
+		case cl == 0:
+			copyNode(node, r)
+			continue
+		}
+		o.minX[node] = math.Min(o.minX[l], o.minX[r])
+		o.minY[node] = math.Min(o.minY[l], o.minY[r])
+		o.minZ[node] = math.Min(o.minZ[l], o.minZ[r])
+		o.maxX[node] = math.Max(o.maxX[l], o.maxX[r])
+		o.maxY[node] = math.Max(o.maxY[l], o.maxY[r])
+		o.maxZ[node] = math.Max(o.maxZ[l], o.maxZ[r])
+		lm := o.m[l] + o.m[r]
+		o.m[node] = lm
+		if lm > 0 {
+			o.comX[node] = (o.m[l]*o.comX[l] + o.m[r]*o.comX[r]) / lm
+			o.comY[node] = (o.m[l]*o.comY[l] + o.m[r]*o.comY[r]) / lm
+			o.comZ[node] = (o.m[l]*o.comZ[l] + o.m[r]*o.comZ[r]) / lm
+		} else {
+			o.comX[node] = 0.5 * (o.minX[node] + o.maxX[node])
+			o.comY[node] = 0.5 * (o.minY[node] + o.maxY[node])
+			o.comZ[node] = 0.5 * (o.minZ[node] + o.maxZ[node])
+		}
+	}
+	return o
+}
+
+func (o *oracle) extent(i int) float64 {
+	ex := o.maxX[i] - o.minX[i]
+	if ey := o.maxY[i] - o.minY[i]; ey > ex {
+		ex = ey
+	}
+	if ez := o.maxZ[i] - o.minZ[i]; ez > ex {
+		ex = ez
+	}
+	return ex
+}
+
+// boxDist2 is the squared distance between node i's box and the box
+// [lo, hi] (zero when they overlap); a point is a box with lo == hi.
+func (o *oracle) boxDist2(i int, lo, hi vec.V3) float64 {
+	var d2 float64
+	for _, v := range []float64{
+		math.Max(0, o.minX[i]-hi.X) + math.Max(0, lo.X-o.maxX[i]),
+		math.Max(0, o.minY[i]-hi.Y) + math.Max(0, lo.Y-o.maxY[i]),
+		math.Max(0, o.minZ[i]-hi.Z) + math.Max(0, lo.Z-o.maxZ[i]),
+	} {
+		d2 += v * v
+	}
+	return d2
+}
+
+// walk visits the tree for targets inside the box [lo, hi] the way the
+// eleven-array kernels did: accept(node) is called for each approximated
+// node, leaf(b) for the body of each reached leaf.
+func (o *oracle) walk(lo, hi vec.V3, theta2 float64, accept func(node int), leaf func(b int)) {
+	node := 1
+	for node != 0 {
+		if o.count[node] == 0 {
+			node = skipNext(node)
+			continue
+		}
+		if node >= o.numLeaves {
+			leaf(node - o.numLeaves)
+			node = skipNext(node)
+			continue
+		}
+		var crit2 float64
+		if o.useBoxDist {
+			crit2 = o.boxDist2(node, lo, hi)
+		} else {
+			c := vec.V3{X: o.comX[node], Y: o.comY[node], Z: o.comZ[node]}
+			crit2 = vec.Zero.Max(lo.Sub(c)).Add(vec.Zero.Max(c.Sub(hi))).Norm2()
+		}
+		size := o.extent(node)
+		if size*size < theta2*crit2 {
+			accept(node)
+			node = skipNext(node)
+		} else {
+			node = 2 * node
+		}
+	}
+}
+
+// TestRecordWalksMatchOracle pins bit-exactness at LeafSize 1: the same
+// list for every group, and the same per-body accelerations and potentials,
+// as the eleven-array walks — on two inputs, under both criteria, on a
+// fresh tree and after three refits.
+func TestRecordWalksMatchOracle(t *testing.T) {
+	r := par.NewRuntime(0, par.Dynamic)
+	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0.6}
+	theta2 := p.Theta * p.Theta
+	inputs := map[string]*body.System{
+		"galaxy":  workload.GalaxyCollision(3000, 11),
+		"plummer": workload.Plummer(2500, 12),
+	}
+	for name, input := range inputs {
+		for _, crit := range criteria {
+			for _, stale := range []bool{false, true} {
+				s := input.Clone()
+				tree := buildTree(t, Config{Criterion: crit}, s, r)
+				if stale {
+					staleOrder(tree, r, s)
+				}
+				o := newOracle(s, tree.NumLeaves(), crit)
+				n := s.N()
+
+				for b0 := 0; b0 < n; b0 += 32 {
+					b1 := min(b0+32, n)
+					lo, hi := vec.Splat(math.Inf(1)), vec.Splat(math.Inf(-1))
+					for b := b0; b < b1; b++ {
+						lo, hi = lo.Min(s.Pos(b)), hi.Max(s.Pos(b))
+					}
+					var want, got soa.List
+					o.walk(lo, hi, theta2,
+						func(node int) { want.Add(o.comX[node], o.comY[node], o.comZ[node], o.m[node]) },
+						func(b int) { want.AddBodies(s.PosX, s.PosY, s.PosZ, s.Mass, b, b+1) })
+					tree.groupList(&got, s, b0, b1, theta2)
+					if !sameList(&got, &want) {
+						t.Fatalf("%s %v stale=%v group at %d: list of %d entries differs from the oracle's %d",
+							name, crit, stale, b0, got.Len(), want.Len())
+					}
+				}
+
+				acc := s.Clone()
+				tree.Accelerations(r, par.ParUnseq, acc, p)
+				phi := make([]float64, n)
+				tree.Potential(r, par.ParUnseq, s, p, phi)
+				for i := 0; i < n; i++ {
+					xi := s.Pos(i)
+					var ax, ay, az float64
+					o.walk(xi, xi, theta2,
+						func(node int) {
+							grav.Accumulate(o.comX[node]-xi.X, o.comY[node]-xi.Y, o.comZ[node]-xi.Z, o.m[node], p.Eps2(), &ax, &ay, &az)
+						},
+						func(b int) {
+							if b != i {
+								grav.Accumulate(s.PosX[b]-xi.X, s.PosY[b]-xi.Y, s.PosZ[b]-xi.Z, s.Mass[b], p.Eps2(), &ax, &ay, &az)
+							}
+						})
+					if want := vec.New(p.G*ax, p.G*ay, p.G*az); acc.Acc(i) != want {
+						t.Fatalf("%s %v stale=%v body %d: acceleration %v, oracle %v", name, crit, stale, i, acc.Acc(i), want)
+					}
+					if crit != CenterDistance {
+						continue // Potential always opens by center distance
+					}
+					var want float64
+					o.walk(xi, xi, theta2,
+						func(node int) {
+							d := vec.V3{X: o.comX[node], Y: o.comY[node], Z: o.comZ[node]}.Sub(xi)
+							want -= o.m[node] / math.Sqrt(d.Norm2()+p.Eps2())
+						},
+						func(b int) {
+							if r2 := s.Pos(b).Sub(xi).Norm2() + p.Eps2(); b != i && r2 > 0 {
+								want -= s.Mass[b] / math.Sqrt(r2)
+							}
+						})
+					if want *= p.G; phi[i] != want {
+						t.Fatalf("%s stale=%v body %d: potential %v, oracle %v", name, stale, i, phi[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameList(a, b *soa.List) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := range a.X {
+		if a.X[i] != b.X[i] || a.Y[i] != b.Y[i] || a.Z[i] != b.Z[i] || a.M[i] != b.M[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// A leaf of more than one body is tested like an interior node: two tight
+// clusters of four, one leaf each, see each other as one pseudo-particle
+// on all three traversals.
+func TestBucketLeafTestedLikeInteriorNode(t *testing.T) {
+	r := par.NewRuntime(1, par.Dynamic)
+	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0.5}
+	s := body.NewSystem(8)
+	src := rng.New(431)
+	for i := 0; i < 8; i++ {
+		x := 0.0
+		if i >= 4 {
+			x = 100
+		}
+		s.Set(i, src.Range(0.5, 1.5), vec.New(x+src.Range(-0.1, 0.1), src.Range(-0.1, 0.1), src.Range(-0.1, 0.1)), vec.Zero)
+	}
+	tree := buildTree(t, Config{LeafSize: 4}, s, r)
+	if tree.NumLeaves() != 2 || tree.NodeCount(2) != 4 {
+		t.Fatalf("want two leaves of four bodies, got %d leaves, %d bodies in the first", tree.NumLeaves(), tree.NodeCount(2))
+	}
+
+	var list soa.List
+	tree.groupList(&list, s, 0, 4, p.Theta*p.Theta)
+	if list.Len() != 5 {
+		t.Errorf("group list has %d entries, want 4 bodies + 1 pseudo-particle", list.Len())
+	}
+
+	// Reference: exact terms within the own leaf, the other leaf's monopole.
+	acc := s.Clone()
+	tree.Accelerations(r, par.ParUnseq, acc, p)
+	flat := s.Clone()
+	tree.AccelerationsList(r, par.ParUnseq, flat, p, 4)
+	phi := make([]float64, 8)
+	tree.Potential(r, par.ParUnseq, s, p, phi)
+	for i := 0; i < 8; i++ {
+		own, other := 2, 3
+		if i >= 4 {
+			own, other = 3, 2
+		}
+		lo, hi := tree.nodeRange(own)
+		var ax, ay, az, want float64
+		xi := s.Pos(i)
+		for b := lo; b < hi; b++ {
+			if b != i {
+				d := s.Pos(b).Sub(xi)
+				grav.Accumulate(d.X, d.Y, d.Z, s.Mass[b], p.Eps2(), &ax, &ay, &az)
+				want -= s.Mass[b] / math.Sqrt(d.Norm2()+p.Eps2())
+			}
+		}
+		nd := tree.nodes[other]
+		d := vec.New(nd.x, nd.y, nd.z).Sub(xi)
+		grav.Accumulate(d.X, d.Y, d.Z, nd.m, p.Eps2(), &ax, &ay, &az)
+		want -= nd.m / math.Sqrt(d.Norm2()+p.Eps2())
+		ref := vec.New(ax, ay, az)
+		for name, got := range map[string]vec.V3{"per-body": acc.Acc(i), "list": flat.Acc(i)} {
+			if got.Sub(ref).Norm() > 1e-12*ref.Norm() {
+				t.Errorf("%s body %d: %v, want monopole of the far leaf %v", name, i, got, ref)
+			}
+		}
+		if math.Abs(phi[i]-want) > 1e-12*math.Abs(want) {
+			t.Errorf("potential body %d: %v, want %v", i, phi[i], want)
 		}
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"math"
 )
 
-// Stats summarizes the quality of a built BVH — the quantities that explain
-// the ordering ablation (Hilbert vs Morton) and the paper's box-overlap
-// discussion: how elongated the node boxes are and how much siblings
-// overlap, both of which degrade the effective accuracy of a given θ.
+// Stats summarizes the quality of a built BVH — the quantities behind the
+// paper's box-overlap discussion: how elongated the node boxes are and how
+// much siblings overlap, both of which degrade the effective accuracy of a
+// given θ.
 type Stats struct {
 	Bodies           int
 	Leaves           int // occupied leaves
@@ -32,11 +32,11 @@ func (t *Tree) Stats() Stats {
 	diagCount := 0
 	for j := 0; j < t.numLeaves; j++ {
 		node := t.numLeaves + j
-		if t.count[node] == 0 {
+		if t.nodes[node].empty() {
 			continue
 		}
 		st.Leaves++
-		if t.count[node] > 1 {
+		if t.NodeCount(node) > 1 {
 			diagSum += t.NodeBox(node).Diagonal()
 			diagCount++
 		}
@@ -49,7 +49,7 @@ func (t *Tree) Stats() Stats {
 	elongCount := 0
 	overlapping, pairs := 0, 0
 	for node := 1; node < t.numLeaves; node++ {
-		if t.count[node] == 0 {
+		if t.nodes[node].empty() {
 			continue
 		}
 		ex := t.maxX[node] - t.minX[node]
@@ -62,7 +62,7 @@ func (t *Tree) Stats() Stats {
 			elongCount++
 		}
 		l, r := 2*node, 2*node+1
-		if t.count[l] > 0 && t.count[r] > 0 {
+		if !t.nodes[l].empty() && !t.nodes[r].empty() {
 			pairs++
 			if boxesOverlap(t, l, r) {
 				overlapping++

@@ -484,13 +484,12 @@ func TestEmptyAndTinySystems(t *testing.T) {
 }
 
 func TestVariantConfigsRun(t *testing.T) {
-	// Quadrupole octree, gather-moments octree, Morton BVH, and large
-	// BVH leaves must all integrate without error.
+	// Quadrupole octree, gather-moments octree, large BVH leaves and the
+	// box-distance BVH criterion must all integrate without error.
 	sys := workload.GalaxyCollision(500, 41)
 	configs := []Config{
 		{Algorithm: Octree, DT: 0.001, Octree: octree.Config{Quadrupole: true}},
 		{Algorithm: Octree, DT: 0.001, Octree: octree.Config{GatherMoments: true}},
-		{Algorithm: BVH, DT: 0.001, BVH: bvh.Config{Ordering: bvh.Morton}},
 		{Algorithm: BVH, DT: 0.001, BVH: bvh.Config{LeafSize: 8}},
 		{Algorithm: BVH, DT: 0.001, BVH: bvh.Config{Criterion: bvh.BoxDistance}},
 	}

@@ -3,7 +3,7 @@ package sfc
 import "testing"
 
 // FuzzHilbert3D checks the bijection property for arbitrary coordinates
-// and orders.
+// and orders, and that the table walk agrees with Skilling's transform.
 func FuzzHilbert3D(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint32(0), uint8(1))
 	f.Add(uint32(1), uint32(2), uint32(3), uint8(10))
@@ -14,6 +14,9 @@ func FuzzHilbert3D(f *testing.F) {
 		mask := uint32(1)<<order - 1
 		x, y, z = x&mask, y&mask, z&mask
 		h := HilbertIndex3D(x, y, z, order)
+		if want := hilbertSkilling(x, y, z, order); h != want {
+			t.Fatalf("(%d,%d,%d)@%d: table %d, Skilling %d", x, y, z, order, h, want)
+		}
 		if h >= uint64(1)<<(3*order) {
 			t.Fatalf("index %d out of range for order %d", h, order)
 		}

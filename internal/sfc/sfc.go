@@ -1,11 +1,13 @@
 // Package sfc implements the space-filling curves used by the tree builders:
 //
-//   - the Hilbert curve via Skilling's transposed-Gray-code algorithm
+//   - the Hilbert curve, which orders the bodies for the Hilbert-sorted BVH
+//     strategy. HilbertIndex3D walks the curve's 24-state machine, one table
+//     lookup per level; Skilling's transposed-Gray-code algorithm
 //     ("Programming the Hilbert curve", AIP 2004 — reference [17] of the
-//     paper), which orders the bodies for the Hilbert-sorted BVH strategy;
-//   - the Morton (Z-order) curve, which defines the child ordering inside
-//     octree cells and serves as the ablation ordering for the BVH (the
-//     Lauterbach-style Morton BVH the paper's related work discusses).
+//     paper) is the oracle the table is generated from and tested against,
+//     and HilbertCoords3D decodes with it;
+//   - the Morton (Z-order) curve, the key of the key-sorted octree and the
+//     child ordering inside octree cells.
 //
 // Both curves map discrete 3D grid coordinates with `order` bits per
 // dimension to a single index of 3*order bits, preserving spatial locality.
@@ -22,8 +24,62 @@ const MaxOrder3D = 21
 // 2^order³ grid. Coordinates must be < 2^order; order must be in
 // [1, MaxOrder3D]. The index of consecutive cells along the curve differs by
 // one, and the cells are face neighbours.
+//
+// It walks the curve's state machine from the top level down: the cell's
+// octant at each level (a 3-bit group of the Morton interleave) is one
+// lookup in hilbertTable, giving that level's index digit and the state of
+// the child cell. The keys are bit-identical to Skilling's transform
+// (hilbertSkilling), from which the table is generated.
 func HilbertIndex3D(x, y, z uint32, order uint) uint64 {
 	checkOrder(order)
+	oct := MortonIndex3D(x, y, z)
+	var row uint8 // the root cell is in state 0 at every order
+	var h uint64
+	for shift := 3 * int(order-1); shift >= 0; shift -= 3 {
+		e := hilbertTable[row|uint8(oct>>uint(shift)&7)]
+		h = h<<3 | uint64(e&7)
+		row = e &^ 7
+	}
+	return h
+}
+
+// hilbertTable is the curve's state machine: entry row|octant, where row is
+// 8·state, holds the child cell's row in its upper five bits and the index
+// digit of the octant in its lower three. There are 24 states, one per
+// orientation of the curve inside a cell; the tail of the array is unused
+// and lets a uint8 index it without a bounds check.
+// TestHilbertTableFromSkilling regenerates it from hilbertSkilling and
+// prints it when it differs.
+var hilbertTable = [256]uint8{
+	0x08, 0x11, 0x1b, 0x02, 0x27, 0x2e, 0x34, 0x05,
+	0x38, 0x47, 0x49, 0x56, 0x5b, 0x14, 0x0a, 0x0d,
+	0x30, 0x01, 0x67, 0x6e, 0x73, 0x12, 0x0c, 0x15,
+	0x7e, 0x81, 0x1d, 0x1a, 0x4f, 0x50, 0x8c, 0x03,
+	0x94, 0x2b, 0x25, 0x22, 0x7f, 0x80, 0x4e, 0x51,
+	0x9c, 0x2d, 0x23, 0x2a, 0x1f, 0x06, 0xa0, 0x69,
+	0x48, 0x57, 0x8b, 0x04, 0x39, 0x46, 0x32, 0x35,
+	0x00, 0xab, 0x6f, 0x4c, 0x31, 0x3a, 0x66, 0x3d,
+	0xb4, 0x8f, 0x53, 0xb8, 0x45, 0x36, 0x42, 0x61,
+	0x10, 0x7b, 0x09, 0x4a, 0x2f, 0x3c, 0x26, 0x4d,
+	0x84, 0x5f, 0x55, 0x0e, 0x43, 0x90, 0x52, 0x21,
+	0x8e, 0x37, 0xb9, 0x60, 0x5d, 0x74, 0x5a, 0x0b,
+	0xbc, 0x6b, 0xaf, 0xb0, 0x65, 0x62, 0x3e, 0x41,
+	0xa4, 0x6d, 0x77, 0x16, 0x63, 0x6a, 0x98, 0x29,
+	0xae, 0xb1, 0x3f, 0x40, 0x75, 0x72, 0x5c, 0x13,
+	0x1e, 0x7d, 0xa1, 0x7a, 0x07, 0xac, 0x68, 0x4b,
+	0x82, 0x19, 0x85, 0xa6, 0xb3, 0x88, 0x54, 0xbf,
+	0x5e, 0x0f, 0x8d, 0x1c, 0x91, 0x20, 0x8a, 0x33,
+	0x92, 0x9b, 0x95, 0x24, 0x89, 0x18, 0xbe, 0xa7,
+	0x9a, 0x9d, 0x93, 0x2c, 0xa9, 0xb6, 0x78, 0x87,
+	0xa2, 0xa5, 0x79, 0x86, 0xbb, 0x6c, 0xa8, 0xb7,
+	0x76, 0xad, 0x17, 0x7c, 0x99, 0xaa, 0x28, 0x3b,
+	0xb2, 0x71, 0x83, 0x58, 0xb5, 0x9e, 0x44, 0x97,
+	0xba, 0xa3, 0x59, 0x70, 0xbd, 0x64, 0x96, 0x9f,
+}
+
+// hilbertSkilling is Skilling's forward transform, the oracle the state
+// table is generated from and tested against.
+func hilbertSkilling(x, y, z uint32, order uint) uint64 {
 	var t [3]uint32
 	t[0], t[1], t[2] = x, y, z
 	axesToTranspose(t[:], order)

@@ -1,6 +1,8 @@
 package sfc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -80,6 +82,110 @@ func TestHilbertOrder1Is2x2x2GrayWalk(t *testing.T) {
 			t.Fatalf("order-1 step %d not unit", h)
 		}
 		px, py, pz = x, y, z
+	}
+}
+
+// hilbertTablesFromSkilling derives the key's state machine from Skilling's
+// transform. A state is identified by how the curve numbers the eight
+// octants of a cell (octant → digit); inside a cell the curve is a rotated
+// or reflected copy of the whole, so a child cell's state follows from its
+// parent's state and its octant. States are numbered in breadth-first order
+// of discovery from the root of the order-21 curve, octants in Morton order;
+// the root of every order must be state 0.
+func hilbertTableFromSkilling(t *testing.T) (table [256]uint8) {
+	type cell struct {
+		x, y, z uint32 // the cell's coordinate prefix
+		level   uint
+	}
+	child := func(c cell, oct uint32) cell {
+		return cell{c.x<<1 | oct>>2, c.y<<1 | oct>>1&1, c.z<<1 | oct&1, c.level + 1}
+	}
+	digits := func(c cell, order uint) (d [8]uint8) {
+		shift := order - c.level - 1
+		for oct := uint32(0); oct < 8; oct++ {
+			k := child(c, oct)
+			h := hilbertSkilling(k.x<<shift, k.y<<shift, k.z<<shift, order)
+			d[oct] = uint8(h >> (3 * shift) & 7)
+		}
+		return d
+	}
+	ids := map[[8]uint8]int{}
+	var cells []cell // cells[id] is where state id was first seen
+	id := func(c cell) int {
+		d := digits(c, MaxOrder3D)
+		if k, ok := ids[d]; ok {
+			return k
+		}
+		ids[d] = len(cells)
+		cells = append(cells, c)
+		return ids[d]
+	}
+	id(cell{})
+	for k := 0; k < len(cells); k++ {
+		c := cells[k]
+		if c.level+2 >= MaxOrder3D {
+			t.Fatalf("state %d first seen at level %d: too deep to read its children", k, c.level)
+		}
+		d := digits(c, MaxOrder3D)
+		for oct := uint32(0); oct < 8; oct++ {
+			table[k<<3|int(oct)] = uint8(id(child(c, oct))<<3) | d[oct]
+		}
+	}
+	if len(cells) != 24 {
+		t.Fatalf("%d states, want 24", len(cells))
+	}
+	for order := uint(1); order <= MaxOrder3D; order++ {
+		if k, ok := ids[digits(cell{}, order)]; !ok || k != 0 {
+			t.Fatalf("order %d: root cell is not in state 0", order)
+		}
+	}
+	return table
+}
+
+func TestHilbertTableFromSkilling(t *testing.T) {
+	table := hilbertTableFromSkilling(t)
+	if table == hilbertTable {
+		return
+	}
+	var b strings.Builder
+	b.WriteString("var hilbertTable = [256]uint8{\n")
+	for s := 0; s < 24; s++ {
+		b.WriteString("\t")
+		for oct := 0; oct < 8; oct++ {
+			fmt.Fprintf(&b, "0x%02x, ", table[s<<3|oct])
+		}
+		b.WriteString("\n")
+	}
+	b.WriteString("}\n")
+	t.Errorf("committed table differs from Skilling's transform; regenerated:\n%s", b.String())
+}
+
+// The table walk must reproduce Skilling's keys: every cell at orders 1–4,
+// and 10⁵ random cells at each order above.
+func TestHilbertTableMatchesSkilling(t *testing.T) {
+	for order := uint(1); order <= 4; order++ {
+		side := uint32(1) << order
+		for x := uint32(0); x < side; x++ {
+			for y := uint32(0); y < side; y++ {
+				for z := uint32(0); z < side; z++ {
+					if got, want := HilbertIndex3D(x, y, z, order), hilbertSkilling(x, y, z, order); got != want {
+						t.Fatalf("order %d (%d,%d,%d): table %d, Skilling %d", order, x, y, z, got, want)
+					}
+				}
+			}
+		}
+	}
+	for order := uint(5); order <= MaxOrder3D; order++ {
+		s := rng.New(uint64(order) + 100)
+		mask := uint32(1)<<order - 1
+		for i := 0; i < 100_000; i++ {
+			x := uint32(s.Uint64()) & mask
+			y := uint32(s.Uint64()) & mask
+			z := uint32(s.Uint64()) & mask
+			if got, want := HilbertIndex3D(x, y, z, order), hilbertSkilling(x, y, z, order); got != want {
+				t.Fatalf("order %d (%d,%d,%d): table %d, Skilling %d", order, x, y, z, got, want)
+			}
+		}
 	}
 }
 

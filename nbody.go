@@ -66,8 +66,8 @@ type Config = core.Config
 // variant multipole reduction, quadrupole moments).
 type OctreeConfig = octree.Config
 
-// BVHConfig selects Hilbert-BVH variants (leaf size, curve ordering, grid
-// order, opening criterion).
+// BVHConfig selects Hilbert-BVH variants (leaf size, opening criterion,
+// list group size).
 type BVHConfig = bvh.Config
 
 // Params are the physical and accuracy parameters (G, softening ε, θ).
