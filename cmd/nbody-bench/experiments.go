@@ -358,9 +358,10 @@ func runAblate(fs *flag.FlagSet, args []string) error {
 		// Octree rows labelled "(paper)" pin the walk layout: the flat
 		// default builds the key-sorted tree and evaluates interaction
 		// lists, which is neither the paper's build nor its traversal, and
-		// has no scatter-or-gather choice to ablate.
+		// has no scatter-or-gather choice to ablate. The BVH structure row
+		// pins the paper's one body per leaf (the default is 4).
 		{"structure", "octree (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
-		{"structure", "bvh (paper)", core.Config{Algorithm: core.BVH}},
+		{"structure", "bvh (paper)", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 1}}},
 		{"criterion", "center-distance (paper)", core.Config{Algorithm: core.BVH}},
 		{"criterion", "box-distance", core.Config{Algorithm: core.BVH, BVH: bvh.Config{Criterion: bvh.BoxDistance}}},
 		{"moments", "scatter (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
@@ -373,9 +374,10 @@ func runAblate(fs *flag.FlagSet, args []string) error {
 		{"layout", "flat lists (octree)", core.Config{Algorithm: core.Octree}},
 		{"layout", "walk (bvh)", core.Config{Algorithm: core.BVH, Layout: core.LayoutWalk}},
 		{"layout", "flat lists (bvh)", core.Config{Algorithm: core.BVH}},
-		{"bvh-leaf", "1", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 1}}},
+		{"bvh-leaf", "1 (paper)", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 1}}},
 		{"bvh-leaf", "2", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 2}}},
-		{"bvh-leaf", "4", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 4}}},
+		{"bvh-leaf", "4 (default)", core.Config{Algorithm: core.BVH}},
+		{"bvh-leaf", "8", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 8}}},
 		{"bvh-leaf", "16", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 16}}},
 		{"moments-order", "monopole (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
 		{"moments-order", "quadrupole", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{Quadrupole: true}}},

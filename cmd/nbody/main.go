@@ -5,7 +5,7 @@
 // Examples:
 //
 //	nbody -algo octree -workload galaxy -n 100000 -steps 100
-//	nbody -algo bvh -n 1000000 -steps 10 -leaf-size 4
+//	nbody -algo bvh -n 1000000 -steps 10 -leaf-size 1
 //	nbody -algo all-pairs -n 10000 -seq
 //	nbody -workload solarsystem -n 100000 -dt 0.0417 -g 2.959e-4
 package main
@@ -54,7 +54,7 @@ func run() error {
 		schedStr  = flag.String("sched", "dynamic", "scheduler: dynamic, static, guided")
 		seq       = flag.Bool("seq", false, "sequential execution (replaces every policy with seq)")
 		rebuild   = flag.Int("rebuild-every", 1, "rebuild the tree every k steps (tree reuse for k>1)")
-		leafSize  = flag.Int("leaf-size", 1, "BVH bodies per leaf")
+		leafSize  = flag.Int("leaf-size", 0, "BVH bodies per leaf (0 = the package default, 4)")
 		quad      = flag.Bool("quadrupole", false, "octree: use quadrupole moments")
 		gather    = flag.Bool("gather-moments", false, "octree: gather-variant multipole reduction")
 		diagEach  = flag.Int("diag-every", 0, "print diagnostics every k steps (0 = only at start/end)")

@@ -20,10 +20,12 @@
 //
 // Because bodies are permuted into curve order, each leaf covers a
 // contiguous body range, and sibling subtrees cover adjacent runs of the
-// curve. Node bounding boxes may overlap and be elongated (Figure 4), which
-// is why the opening criterion measures the node's *box* extent — the
-// paper's note that θ means something slightly different here than in the
-// octree.
+// curve. A leaf holds up to Config.LeafSize bodies (4 by default; the
+// paper's heap has one body per leaf), and the flat kernel's walk groups
+// are whole subtrees, so a group's box is a node's box. Node bounding
+// boxes may overlap and be elongated (Figure 4), which is why the opening
+// criterion measures the node's *box* extent — the paper's note that θ
+// means something slightly different here than in the octree.
 //
 // Per heap slot the tree keeps one packed record of what a walk reads —
 // centre of mass, mass and opening size — so a CenterDistance visit loads
@@ -74,16 +76,18 @@ func (c Criterion) String() string {
 // Config selects the BVH variants exercised by the ablation benchmarks.
 type Config struct {
 	// LeafSize is the number of bodies per leaf. The default (0) selects
-	// 1, the paper's granularity; larger leaves trade tree depth for
-	// more exact pairwise work. A leaf of more than one body is tested by
-	// the opening criterion like an interior node.
+	// 4: the heap has a quarter of the slots of the paper's one body per
+	// leaf (LeafSize 1), and the step is faster at the same accuracy
+	// (EXPERIMENTS.md, "The bucketed BVH verdict"). A leaf of more than
+	// one body is tested by the opening criterion like an interior node.
 	LeafSize int
 	// Criterion selects the opening test (default CenterDistance, the
 	// paper's).
 	Criterion Criterion
 	// GroupBodies is the target number of bodies sharing one traversal in
 	// the flat interaction-list kernel (AccelerationsList), rounded up to
-	// whole leaves. The default (0) selects 32.
+	// a power-of-two number of whole leaves so that a group is the body
+	// range of one heap subtree. The default (0) selects 32.
 	GroupBodies int
 }
 
@@ -121,7 +125,7 @@ func (nd *record) empty() bool { return nd.size < 0 }
 // New returns an empty tree with the given configuration.
 func New(cfg Config) *Tree {
 	if cfg.LeafSize <= 0 {
-		cfg.LeafSize = 1
+		cfg.LeafSize = 4
 	}
 	return &Tree{cfg: cfg}
 }

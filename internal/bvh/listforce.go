@@ -1,8 +1,9 @@
 package bvh
 
 import (
-	"math"
+	"math/bits"
 
+	"nbody/internal/allpairs"
 	"nbody/internal/body"
 	"nbody/internal/grav"
 	"nbody/internal/par"
@@ -10,13 +11,13 @@ import (
 )
 
 // AccelerationsList is the flat-layout CALCULATEFORCE variant of the
-// Hilbert-BVH strategy: one skip-list walk per group of consecutive
-// leaves (curve order makes them spatially compact) collects accepted
-// far-field nodes and near-field leaf bodies into a soa.List, and a
-// second pass evaluates every body of the group against the list in one
+// Hilbert-BVH strategy: one skip-list walk per group — the bodies of one
+// heap subtree, which curve order makes spatially compact — collects
+// accepted far-field nodes and near-field leaf bodies into a soa.List, and
+// a second pass evaluates every body of the group against the list in one
 // tight branch-free loop. See octree.AccelerationsList and package soa
 // for the batching rationale; groupBodies is the target number of bodies
-// sharing a walk (rounded up to whole leaves).
+// sharing a walk (rounded up to a power-of-two number of whole leaves).
 //
 // The opening test is made conservative for the whole group: under
 // CenterDistance the node's com distance is measured to the group's
@@ -25,27 +26,32 @@ import (
 // approximated only when the per-body criterion would have accepted it
 // for every member. Accuracy is therefore never worse than the per-body
 // walk at equal θ.
+//
+// A system of at most allpairs.DirectMaxN bodies is summed pairwise
+// instead: there the direct sum is no slower than the walk and exact.
 func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupBodies int) {
-	n := s.N()
-	if groupBodies <= 0 {
-		groupBodies = 32
+	if s.N() <= allpairs.DirectMaxN {
+		allpairs.AllPairs(r, pol, s, p)
+		return
 	}
+	t.accelerationsList(r, pol, s, p, groupBodies)
+}
+
+// accelerationsList is AccelerationsList's tree walk, at any N.
+func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupBodies int) {
+	n := s.N()
 	eps2 := p.Eps2()
 	theta2 := p.Theta * p.Theta
-	leafSize := t.cfg.LeafSize
-
 	posX, posY, posZ := s.PosX, s.PosY, s.PosZ
 
-	// Whole leaves per group, so leaf body ranges never straddle groups.
-	leavesPer := (groupBodies + leafSize - 1) / leafSize
-	span := leavesPer * leafSize
+	shift, span := t.groupShape(groupBodies)
 	numGroups := (n + span - 1) / span
 
 	r.For(pol, numGroups, func(g int) {
 		b0 := g * span
 		b1 := min(b0+span, n)
 		list := soa.GetList()
-		t.groupList(list, s, b0, b1, theta2)
+		t.groupList(list, s, t.groupNode(g, shift), theta2)
 
 		// Evaluate: every group body against the same list.
 		for b := b0; b < b1; b++ {
@@ -58,11 +64,35 @@ func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System,
 	})
 }
 
-// groupList walks the tree once for the bodies [b0, b1) and appends their
-// shared interaction list to list: accepted nodes as pseudo-particles,
-// opened leaves as body ranges. A leaf of more than one body is tested
-// like an interior node.
-func (t *Tree) groupList(list *soa.List, s *body.System, b0, b1 int, theta2 float64) {
+// groupShape returns the shape of a walk group for a target of
+// groupBodies bodies (0 selects 32): 2^shift whole leaves, span bodies.
+// A power-of-two number of leaves makes every group one heap subtree.
+func (t *Tree) groupShape(groupBodies int) (shift uint, span int) {
+	if groupBodies <= 0 {
+		groupBodies = 32
+	}
+	leaves := (groupBodies + t.cfg.LeafSize - 1) / t.cfg.LeafSize
+	shift = uint(bits.Len(uint(leaves - 1)))
+	return shift, t.cfg.LeafSize << shift
+}
+
+// groupNode returns the heap node whose subtree holds group g's bodies:
+// the node above 2^shift leaves, or the root when the tree has fewer.
+func (t *Tree) groupNode(g int, shift uint) int {
+	return max(t.numLeaves>>shift, 1) + g
+}
+
+// groupList walks the tree once for the bodies under heap node group and
+// appends their shared interaction list to list: accepted nodes as
+// pseudo-particles, opened leaves and the group itself as body ranges. A
+// leaf of more than one body is tested like an interior node.
+//
+// The group box is the group node's box. Every box is a min/max over the
+// current positions of the bodies under it, after a refit as after a
+// build, so this is the tight box of the group's bodies. Every node inside
+// the group lies at distance zero from it and would be opened down to its
+// leaves, so the walk takes the group's bodies as one range on reaching it.
+func (t *Tree) groupList(list *soa.List, s *body.System, group int, theta2 float64) {
 	n := s.N()
 	numLeaves := t.numLeaves
 	leafSize := t.cfg.LeafSize
@@ -70,18 +100,9 @@ func (t *Tree) groupList(list *soa.List, s *body.System, b0, b1 int, theta2 floa
 	nodes := t.nodes
 	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
 
-	// Group bounding box from current positions (exact even when the
-	// leaf boxes are a refit's stale-order ones).
-	gMinX, gMinY, gMinZ := math.Inf(1), math.Inf(1), math.Inf(1)
-	gMaxX, gMaxY, gMaxZ := math.Inf(-1), math.Inf(-1), math.Inf(-1)
-	for b := b0; b < b1; b++ {
-		gMinX = math.Min(gMinX, posX[b])
-		gMinY = math.Min(gMinY, posY[b])
-		gMinZ = math.Min(gMinZ, posZ[b])
-		gMaxX = math.Max(gMaxX, posX[b])
-		gMaxY = math.Max(gMaxY, posY[b])
-		gMaxZ = math.Max(gMaxZ, posZ[b])
-	}
+	gMinX, gMinY, gMinZ := t.minX[group], t.minY[group], t.minZ[group]
+	gMaxX, gMaxY, gMaxZ := t.maxX[group], t.maxY[group], t.maxZ[group]
+	gLo, gHi := t.nodeRange(group)
 
 	// Squared distance from a point to the group box (zero inside).
 	pointDist2 := func(x, y, z float64) float64 {
@@ -129,6 +150,11 @@ func (t *Tree) groupList(list *soa.List, s *body.System, b0, b1 int, theta2 floa
 	for node != 0 {
 		nd := &nodes[node]
 		if nd.empty() {
+			node = skipNext(node)
+			continue
+		}
+		if node == group {
+			list.AddBodies(posX, posY, posZ, mass, gLo, gHi)
 			node = skipNext(node)
 			continue
 		}

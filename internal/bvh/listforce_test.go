@@ -1,6 +1,7 @@
 package bvh
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -16,18 +17,21 @@ import (
 
 // The tests below cover AccelerationsList, the group traversal ("Grouped"
 // names the shared walk and its conservative opening criterion), under
-// both Criterion values, whose group-level tests differ.
+// both Criterion values, whose group-level tests differ. Those on systems
+// of at most allpairs.DirectMaxN bodies call the walk, accelerationsList,
+// directly: AccelerationsList sums such systems pairwise.
 
 var criteria = []Criterion{CenterDistance, BoxDistance}
 
-// listError runs AccelerationsList on s and returns its mean squared
-// relative error against a direct sum over the same (already permuted)
-// body order, next to that of the per-body walk.
+// listError runs the list walk on s — at every N, below
+// allpairs.DirectMaxN too — and returns its mean squared relative error
+// against a direct sum over the same (already permuted) body order, next
+// to that of the per-body walk.
 func listError(tree *Tree, r *par.Runtime, s *body.System, p grav.Params, group int) (list, perBody float64) {
 	ref, walk := s.Clone(), s.Clone()
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
 	tree.Accelerations(r, par.ParUnseq, walk, p)
-	tree.AccelerationsList(r, par.ParUnseq, s, p, group)
+	tree.accelerationsList(r, par.ParUnseq, s, p, group)
 	for i := 0; i < s.N(); i++ {
 		mag := ref.Acc(i).Norm2() + 1e-12
 		list += s.Acc(i).Sub(ref.Acc(i)).Norm2() / mag
@@ -108,21 +112,21 @@ func TestGroupedConservativeAccuracy(t *testing.T) {
 	}
 }
 
-// oracle is the one-body-per-leaf BVH as it was before the packed node
-// record: eleven per-node arrays filled by the same level-by-level
-// reduction, and walks that read them. The record walks must reproduce its
-// interaction lists entry for entry and its per-body sums bit for bit.
+// oracle is the BVH as it was before the packed node record: eleven
+// per-node arrays filled by the same level-by-level reduction, and walks
+// that read them. The record walks must reproduce its interaction lists
+// entry for entry and its per-body sums bit for bit.
 type oracle struct {
-	numLeaves, n                       int
+	numLeaves, leafSize, n             int
 	useBoxDist                         bool
 	minX, minY, minZ, maxX, maxY, maxZ []float64
 	m, comX, comY, comZ                []float64
 	count                              []int32
 }
 
-func newOracle(s *body.System, numLeaves int, crit Criterion) *oracle {
+func newOracle(s *body.System, numLeaves, leafSize int, crit Criterion) *oracle {
 	nodes := 2 * numLeaves
-	o := &oracle{numLeaves: numLeaves, n: s.N(), useBoxDist: crit == BoxDistance}
+	o := &oracle{numLeaves: numLeaves, leafSize: leafSize, n: s.N(), useBoxDist: crit == BoxDistance}
 	for _, a := range []*[]float64{&o.minX, &o.minY, &o.minZ, &o.maxX, &o.maxY, &o.maxZ, &o.m, &o.comX, &o.comY, &o.comZ} {
 		*a = make([]float64, nodes)
 	}
@@ -139,17 +143,21 @@ func newOracle(s *body.System, numLeaves int, crit Criterion) *oracle {
 	}
 	for j := 0; j < numLeaves; j++ {
 		node := numLeaves + j
-		if j >= o.n {
+		b0, b1 := j*leafSize, min((j+1)*leafSize, o.n)
+		if b0 >= o.n {
 			setEmpty(node)
 			continue
 		}
-		p := s.Pos(j)
-		bmin, bmax := vec.Splat(math.Inf(1)).Min(p), vec.Splat(math.Inf(-1)).Max(p)
+		bmin, bmax := vec.Splat(math.Inf(1)), vec.Splat(math.Inf(-1))
 		var lm, lx, ly, lz float64
-		lm += s.Mass[j]
-		lx += s.Mass[j] * p.X
-		ly += s.Mass[j] * p.Y
-		lz += s.Mass[j] * p.Z
+		for b := b0; b < b1; b++ {
+			p := s.Pos(b)
+			bmin, bmax = bmin.Min(p), bmax.Max(p)
+			lm += s.Mass[b]
+			lx += s.Mass[b] * p.X
+			ly += s.Mass[b] * p.Y
+			lz += s.Mass[b] * p.Z
+		}
 		o.minX[node], o.minY[node], o.minZ[node] = bmin.X, bmin.Y, bmin.Z
 		o.maxX[node], o.maxY[node], o.maxZ[node] = bmax.X, bmax.Y, bmax.Z
 		o.m[node] = lm
@@ -159,7 +167,7 @@ func newOracle(s *body.System, numLeaves int, crit Criterion) *oracle {
 			c := bmin.Add(bmax).Scale(0.5)
 			o.comX[node], o.comY[node], o.comZ[node] = c.X, c.Y, c.Z
 		}
-		o.count[node] = 1
+		o.count[node] = int32(b1 - b0)
 	}
 	for node := numLeaves - 1; node >= 1; node-- {
 		l, r := 2*node, 2*node+1
@@ -224,16 +232,19 @@ func (o *oracle) boxDist2(i int, lo, hi vec.V3) float64 {
 
 // walk visits the tree for targets inside the box [lo, hi] the way the
 // eleven-array kernels did: accept(node) is called for each approximated
-// node, leaf(b) for the body of each reached leaf.
+// node, leaf(b) for each body of each opened leaf. A leaf of more than one
+// body is tested like an interior node.
 func (o *oracle) walk(lo, hi vec.V3, theta2 float64, accept func(node int), leaf func(b int)) {
 	node := 1
 	for node != 0 {
-		if o.count[node] == 0 {
+		count := int(o.count[node])
+		if count == 0 {
 			node = skipNext(node)
 			continue
 		}
-		if node >= o.numLeaves {
-			leaf(node - o.numLeaves)
+		isLeaf := node >= o.numLeaves
+		if isLeaf && count == 1 {
+			leaf((node - o.numLeaves) * o.leafSize)
 			node = skipNext(node)
 			continue
 		}
@@ -245,93 +256,109 @@ func (o *oracle) walk(lo, hi vec.V3, theta2 float64, accept func(node int), leaf
 			crit2 = vec.Zero.Max(lo.Sub(c)).Add(vec.Zero.Max(c.Sub(hi))).Norm2()
 		}
 		size := o.extent(node)
-		if size*size < theta2*crit2 {
+		switch {
+		case size*size < theta2*crit2:
 			accept(node)
 			node = skipNext(node)
-		} else {
+		case isLeaf:
+			for b := (node - o.numLeaves) * o.leafSize; count > 0; b, count = b+1, count-1 {
+				leaf(b)
+			}
+			node = skipNext(node)
+		default:
 			node = 2 * node
 		}
 	}
 }
 
-// TestRecordWalksMatchOracle pins bit-exactness at LeafSize 1: the same
-// list for every group, and the same per-body accelerations and potentials,
-// as the eleven-array walks — on two inputs, under both criteria, on a
-// fresh tree and after three refits.
+// TestRecordWalksMatchOracle pins bit-exactness at LeafSize 1 and 4: the
+// same list for every group, and the same per-body accelerations and
+// potentials, as the eleven-array walks — on two inputs, under both
+// criteria, on a fresh tree and after three refits.
 func TestRecordWalksMatchOracle(t *testing.T) {
 	r := par.NewRuntime(0, par.Dynamic)
 	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0.6}
-	theta2 := p.Theta * p.Theta
 	inputs := map[string]*body.System{
 		"galaxy":  workload.GalaxyCollision(3000, 11),
 		"plummer": workload.Plummer(2500, 12),
 	}
 	for name, input := range inputs {
-		for _, crit := range criteria {
-			for _, stale := range []bool{false, true} {
-				s := input.Clone()
-				tree := buildTree(t, Config{Criterion: crit}, s, r)
-				if stale {
-					staleOrder(tree, r, s)
-				}
-				o := newOracle(s, tree.NumLeaves(), crit)
-				n := s.N()
-
-				for b0 := 0; b0 < n; b0 += 32 {
-					b1 := min(b0+32, n)
-					lo, hi := vec.Splat(math.Inf(1)), vec.Splat(math.Inf(-1))
-					for b := b0; b < b1; b++ {
-						lo, hi = lo.Min(s.Pos(b)), hi.Max(s.Pos(b))
+		for _, leafSize := range []int{1, 4} {
+			for _, crit := range criteria {
+				for _, stale := range []bool{false, true} {
+					s := input.Clone()
+					tree := buildTree(t, Config{LeafSize: leafSize, Criterion: crit}, s, r)
+					if stale {
+						staleOrder(tree, r, s)
 					}
-					var want, got soa.List
-					o.walk(lo, hi, theta2,
-						func(node int) { want.Add(o.comX[node], o.comY[node], o.comZ[node], o.m[node]) },
-						func(b int) { want.AddBodies(s.PosX, s.PosY, s.PosZ, s.Mass, b, b+1) })
-					tree.groupList(&got, s, b0, b1, theta2)
-					if !sameList(&got, &want) {
-						t.Fatalf("%s %v stale=%v group at %d: list of %d entries differs from the oracle's %d",
-							name, crit, stale, b0, got.Len(), want.Len())
-					}
-				}
-
-				acc := s.Clone()
-				tree.Accelerations(r, par.ParUnseq, acc, p)
-				phi := make([]float64, n)
-				tree.Potential(r, par.ParUnseq, s, p, phi)
-				for i := 0; i < n; i++ {
-					xi := s.Pos(i)
-					var ax, ay, az float64
-					o.walk(xi, xi, theta2,
-						func(node int) {
-							grav.Accumulate(o.comX[node]-xi.X, o.comY[node]-xi.Y, o.comZ[node]-xi.Z, o.m[node], p.Eps2(), &ax, &ay, &az)
-						},
-						func(b int) {
-							if b != i {
-								grav.Accumulate(s.PosX[b]-xi.X, s.PosY[b]-xi.Y, s.PosZ[b]-xi.Z, s.Mass[b], p.Eps2(), &ax, &ay, &az)
-							}
-						})
-					if want := vec.New(p.G*ax, p.G*ay, p.G*az); acc.Acc(i) != want {
-						t.Fatalf("%s %v stale=%v body %d: acceleration %v, oracle %v", name, crit, stale, i, acc.Acc(i), want)
-					}
-					if crit != CenterDistance {
-						continue // Potential always opens by center distance
-					}
-					var want float64
-					o.walk(xi, xi, theta2,
-						func(node int) {
-							d := vec.V3{X: o.comX[node], Y: o.comY[node], Z: o.comZ[node]}.Sub(xi)
-							want -= o.m[node] / math.Sqrt(d.Norm2()+p.Eps2())
-						},
-						func(b int) {
-							if r2 := s.Pos(b).Sub(xi).Norm2() + p.Eps2(); b != i && r2 > 0 {
-								want -= s.Mass[b] / math.Sqrt(r2)
-							}
-						})
-					if want *= p.G; phi[i] != want {
-						t.Fatalf("%s stale=%v body %d: potential %v, oracle %v", name, stale, i, phi[i], want)
-					}
+					o := newOracle(s, tree.NumLeaves(), leafSize, crit)
+					at := fmt.Sprintf("%s leaf=%d %v stale=%v", name, leafSize, crit, stale)
+					matchOracle(t, r, at, tree, o, s, p)
 				}
 			}
+		}
+	}
+}
+
+// matchOracle checks tree's group lists, accelerations and potentials
+// against o's, built over the same bodies.
+func matchOracle(t *testing.T, r *par.Runtime, at string, tree *Tree, o *oracle, s *body.System, p grav.Params) {
+	t.Helper()
+	theta2 := p.Theta * p.Theta
+	n := s.N()
+
+	shift, span := tree.groupShape(32)
+	for g := 0; g*span < n; g++ {
+		b0, b1 := g*span, min((g+1)*span, n)
+		lo, hi := vec.Splat(math.Inf(1)), vec.Splat(math.Inf(-1))
+		for b := b0; b < b1; b++ {
+			lo, hi = lo.Min(s.Pos(b)), hi.Max(s.Pos(b))
+		}
+		var want, got soa.List
+		o.walk(lo, hi, theta2,
+			func(node int) { want.Add(o.comX[node], o.comY[node], o.comZ[node], o.m[node]) },
+			func(b int) { want.AddBodies(s.PosX, s.PosY, s.PosZ, s.Mass, b, b+1) })
+		tree.groupList(&got, s, tree.groupNode(g, shift), theta2)
+		if !sameList(&got, &want) {
+			t.Fatalf("%s group at %d: list of %d entries differs from the oracle's %d", at, b0, got.Len(), want.Len())
+		}
+	}
+
+	acc := s.Clone()
+	tree.Accelerations(r, par.ParUnseq, acc, p)
+	phi := make([]float64, n)
+	tree.Potential(r, par.ParUnseq, s, p, phi)
+	for i := 0; i < n; i++ {
+		xi := s.Pos(i)
+		var ax, ay, az float64
+		o.walk(xi, xi, theta2,
+			func(node int) {
+				grav.Accumulate(o.comX[node]-xi.X, o.comY[node]-xi.Y, o.comZ[node]-xi.Z, o.m[node], p.Eps2(), &ax, &ay, &az)
+			},
+			func(b int) {
+				if b != i {
+					grav.Accumulate(s.PosX[b]-xi.X, s.PosY[b]-xi.Y, s.PosZ[b]-xi.Z, s.Mass[b], p.Eps2(), &ax, &ay, &az)
+				}
+			})
+		if want := vec.New(p.G*ax, p.G*ay, p.G*az); acc.Acc(i) != want {
+			t.Fatalf("%s body %d: acceleration %v, oracle %v", at, i, acc.Acc(i), want)
+		}
+		if o.useBoxDist {
+			continue // Potential always opens by center distance
+		}
+		var want float64
+		o.walk(xi, xi, theta2,
+			func(node int) {
+				d := vec.V3{X: o.comX[node], Y: o.comY[node], Z: o.comZ[node]}.Sub(xi)
+				want -= o.m[node] / math.Sqrt(d.Norm2()+p.Eps2())
+			},
+			func(b int) {
+				if r2 := s.Pos(b).Sub(xi).Norm2() + p.Eps2(); b != i && r2 > 0 {
+					want -= s.Mass[b] / math.Sqrt(r2)
+				}
+			})
+		if want *= p.G; phi[i] != want {
+			t.Fatalf("%s body %d: potential %v, oracle %v", at, i, phi[i], want)
 		}
 	}
 }
@@ -369,7 +396,7 @@ func TestBucketLeafTestedLikeInteriorNode(t *testing.T) {
 	}
 
 	var list soa.List
-	tree.groupList(&list, s, 0, 4, p.Theta*p.Theta)
+	tree.groupList(&list, s, 2, p.Theta*p.Theta)
 	if list.Len() != 5 {
 		t.Errorf("group list has %d entries, want 4 bodies + 1 pseudo-particle", list.Len())
 	}
@@ -378,7 +405,7 @@ func TestBucketLeafTestedLikeInteriorNode(t *testing.T) {
 	acc := s.Clone()
 	tree.Accelerations(r, par.ParUnseq, acc, p)
 	flat := s.Clone()
-	tree.AccelerationsList(r, par.ParUnseq, flat, p, 4)
+	tree.accelerationsList(r, par.ParUnseq, flat, p, 4)
 	phi := make([]float64, 8)
 	tree.Potential(r, par.ParUnseq, s, p, phi)
 	for i := 0; i < 8; i++ {
@@ -415,17 +442,188 @@ func TestBucketLeafTestedLikeInteriorNode(t *testing.T) {
 func TestGroupedEmptyAndDefaults(t *testing.T) {
 	r := par.NewRuntime(2, par.Dynamic)
 	empty := randomSystem(0, 413)
-	buildTree(t, Config{}, empty, r).AccelerationsList(r, par.ParUnseq, empty, grav.DefaultParams(), 0)
+	buildTree(t, Config{}, empty, r).accelerationsList(r, par.ParUnseq, empty, grav.DefaultParams(), 0)
 
 	// A non-positive group size selects the default of 32.
 	s := randomSystem(200, 417)
 	tree := buildTree(t, Config{}, s, r)
 	want := s.Clone()
-	tree.AccelerationsList(r, par.ParUnseq, want, grav.DefaultParams(), 32)
-	tree.AccelerationsList(r, par.ParUnseq, s, grav.DefaultParams(), 0)
+	tree.accelerationsList(r, par.ParUnseq, want, grav.DefaultParams(), 32)
+	tree.accelerationsList(r, par.ParUnseq, s, grav.DefaultParams(), 0)
 	for i := 0; i < s.N(); i++ {
 		if s.Acc(i) != want.Acc(i) {
 			t.Fatalf("body %d: group size 0 gave %v, 32 gave %v", i, s.Acc(i), want.Acc(i))
+		}
+	}
+}
+
+// positionGroupList is groupList as it was before groups were subtrees:
+// the group is any body range [b0, b1), its box a min/max over the
+// bodies' positions, and its own bodies are reached leaf by leaf. It is
+// the oracle of the subtree walk.
+func positionGroupList(t *Tree, list *soa.List, s *body.System, b0, b1 int, theta2 float64) {
+	n := s.N()
+	numLeaves := t.numLeaves
+	leafSize := t.cfg.LeafSize
+	useBoxDist := t.cfg.Criterion == BoxDistance
+	nodes := t.nodes
+	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
+
+	gMinX, gMinY, gMinZ := math.Inf(1), math.Inf(1), math.Inf(1)
+	gMaxX, gMaxY, gMaxZ := math.Inf(-1), math.Inf(-1), math.Inf(-1)
+	for b := b0; b < b1; b++ {
+		gMinX = math.Min(gMinX, posX[b])
+		gMinY = math.Min(gMinY, posY[b])
+		gMinZ = math.Min(gMinZ, posZ[b])
+		gMaxX = math.Max(gMaxX, posX[b])
+		gMaxY = math.Max(gMaxY, posY[b])
+		gMaxZ = math.Max(gMaxZ, posZ[b])
+	}
+	pointDist2 := func(x, y, z float64) float64 {
+		var d2 float64
+		if v := gMinX - x; v > 0 {
+			d2 += v * v
+		} else if v := x - gMaxX; v > 0 {
+			d2 += v * v
+		}
+		if v := gMinY - y; v > 0 {
+			d2 += v * v
+		} else if v := y - gMaxY; v > 0 {
+			d2 += v * v
+		}
+		if v := gMinZ - z; v > 0 {
+			d2 += v * v
+		} else if v := z - gMaxZ; v > 0 {
+			d2 += v * v
+		}
+		return d2
+	}
+	boxDist2 := func(i int) float64 {
+		var d2 float64
+		if v := t.minX[i] - gMaxX; v > 0 {
+			d2 += v * v
+		} else if v := gMinX - t.maxX[i]; v > 0 {
+			d2 += v * v
+		}
+		if v := t.minY[i] - gMaxY; v > 0 {
+			d2 += v * v
+		} else if v := gMinY - t.maxY[i]; v > 0 {
+			d2 += v * v
+		}
+		if v := t.minZ[i] - gMaxZ; v > 0 {
+			d2 += v * v
+		} else if v := gMinZ - t.maxZ[i]; v > 0 {
+			d2 += v * v
+		}
+		return d2
+	}
+
+	node := 1
+	for node != 0 {
+		nd := &nodes[node]
+		if nd.empty() {
+			node = skipNext(node)
+			continue
+		}
+		leaf := node >= numLeaves
+		var lo, hi int
+		if leaf {
+			lo = (node - numLeaves) * leafSize
+			hi = min(lo+leafSize, n)
+		}
+		if !leaf || hi-lo > 1 {
+			var crit2 float64
+			if useBoxDist {
+				crit2 = boxDist2(node)
+			} else {
+				crit2 = pointDist2(nd.x, nd.y, nd.z)
+			}
+			if nd.size*nd.size < theta2*crit2 {
+				list.Add(nd.x, nd.y, nd.z, nd.m)
+				node = skipNext(node)
+				continue
+			}
+			if !leaf {
+				node = 2 * node
+				continue
+			}
+		}
+		list.AddBodies(posX, posY, posZ, mass, lo, hi)
+		node = skipNext(node)
+	}
+}
+
+// A walk group is one heap subtree: its box is the subtree root's box and
+// its own bodies enter the list as one range. Neither may change a list —
+// against the position-pass walk over the same bodies, at every leaf
+// size, at the default group size and at one that is not a power-of-two
+// number of leaves, under both criteria, fresh and after three refits.
+func TestSubtreeGroupsMatchPositionGroups(t *testing.T) {
+	r := par.NewRuntime(0, par.Dynamic)
+	theta2 := 0.6 * 0.6
+	input := workload.GalaxyCollision(3000, 13)
+	for _, leafSize := range []int{1, 2, 4, 16} {
+		for _, groupBodies := range []int{0, 48} {
+			for _, crit := range criteria {
+				for _, stale := range []bool{false, true} {
+					s := input.Clone()
+					tree := buildTree(t, Config{LeafSize: leafSize, Criterion: crit, GroupBodies: groupBodies}, s, r)
+					if stale {
+						staleOrder(tree, r, s)
+					}
+					shift, span := tree.groupShape(groupBodies)
+					if want := max(groupBodies, 32); span < want || span >= 2*want {
+						t.Fatalf("leaf=%d group=%d: span %d bodies, want the next power-of-two number of leaves", leafSize, groupBodies, span)
+					}
+					n := s.N()
+					for g := 0; g*span < n; g++ {
+						b0, b1 := g*span, min((g+1)*span, n)
+						node := tree.groupNode(g, shift)
+						if lo, hi := tree.nodeRange(node); lo != b0 || hi != b1 {
+							t.Fatalf("leaf=%d group=%d: group %d is bodies [%d,%d), node %d holds [%d,%d)",
+								leafSize, groupBodies, g, b0, b1, node, lo, hi)
+						}
+						var want, got soa.List
+						positionGroupList(tree, &want, s, b0, b1, theta2)
+						tree.groupList(&got, s, node, theta2)
+						if !sameList(&got, &want) {
+							t.Fatalf("leaf=%d group=%d %v stale=%v group %d: list of %d entries, position walk %d",
+								leafSize, groupBodies, crit, stale, g, got.Len(), want.Len())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Up to allpairs.DirectMaxN bodies AccelerationsList is the pairwise sum,
+// bit for bit; one body more and it is the walk again.
+func TestAccelerationsListDirectUpToCutoff(t *testing.T) {
+	r := par.NewRuntime(0, par.Dynamic)
+	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0.8}
+	for _, n := range []int{allpairs.DirectMaxN, allpairs.DirectMaxN + 1} {
+		s := workload.Plummer(n, 19)
+		tree := buildTree(t, Config{}, s, r)
+		direct, walk := s.Clone(), s.Clone()
+		allpairs.AllPairs(r, par.ParUnseq, direct, p)
+		tree.accelerationsList(r, par.ParUnseq, walk, p, 0)
+		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
+		want := walk
+		if n <= allpairs.DirectMaxN {
+			want = direct
+		}
+		differ := 0
+		for i := 0; i < n; i++ {
+			if s.Acc(i) != want.Acc(i) {
+				t.Fatalf("n=%d body %d: %v, want %v", n, i, s.Acc(i), want.Acc(i))
+			}
+			if s.Acc(i) != direct.Acc(i) {
+				differ++
+			}
+		}
+		if n > allpairs.DirectMaxN && differ == 0 {
+			t.Errorf("n=%d: the walk reproduced the pairwise sum exactly; θ %v approximates nothing", n, p.Theta)
 		}
 	}
 }

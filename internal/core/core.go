@@ -718,8 +718,9 @@ type Diagnostics struct {
 // large-N runs should use. Between steps that is the tree the last
 // committed step left: Diagnostics is an observer and a run's trajectory
 // does not depend on how often it is sampled. Systems of at most
-// exactPotentialMaxN bodies, and the all-pairs solvers (which keep no tree
-// and already pay O(N²) a step), get the pairwise sum either way.
+// allpairs.DirectMaxN bodies, whose list force pass is the pairwise sum
+// too, and the all-pairs solvers (which keep no tree and already pay
+// O(N²) a step) get the pairwise sum either way.
 func (s *Sim) Diagnostics(exact bool) Diagnostics {
 	d := Diagnostics{
 		Mass:          s.sys.TotalMass(),
@@ -730,14 +731,6 @@ func (s *Sim) Diagnostics(exact bool) Diagnostics {
 	d.TotalEnergy = d.KineticEnergy + d.Potential
 	return d
 }
-
-// exactPotentialMaxN is the largest system whose potential is always the
-// pairwise sum: up to here it is several times cheaper than building and
-// walking a tree (0.11 ms against 0.69 ms at N = 256, 1.7 ms against 6.6 ms
-// at N = 1024, one worker; measured when the sample still built its own
-// tree) and carries no θ error. A service request on a small session spends
-// most of its time in this sample.
-const exactPotentialMaxN = 1024
 
 // structureCurrent reports whether the tree describes the positions in
 // s.sys. It does from the end of a structure phase until the next drift —
@@ -782,7 +775,7 @@ func (s *Sim) potentialEnergy(exact bool) float64 {
 	p := s.cfg.Params
 	// A failed build (node pool exhausted after every growth attempt) is
 	// pathological; the next step reports it, the sample falls back.
-	if exact || s.sys.N() <= exactPotentialMaxN || !s.hasStructure() || s.observeStructure() != nil {
+	if exact || s.sys.N() <= allpairs.DirectMaxN || !s.hasStructure() || s.observeStructure() != nil {
 		pol := par.Par
 		if s.cfg.Sequential {
 			pol = par.Seq

@@ -187,10 +187,11 @@ func TestSequentialMatchesParallel(t *testing.T) {
 func TestRebuildEveryApproximation(t *testing.T) {
 	// Tree reuse must stay close to the every-step-rebuild trajectory
 	// over a short horizon, and every structure pass is either a rebuild
-	// or a refit.
+	// or a refit. The system is above allpairs.DirectMaxN, so the force
+	// passes walk the reused trees.
 	const steps = 20
 	run := func(rebuildEvery int, a Algorithm) (*Sim, Diagnostics) {
-		sys := workload.GalaxyCollision(1000, 23)
+		sys := workload.GalaxyCollision(1200, 23)
 		sim, err := New(Config{Algorithm: a, DT: 0.0005, RebuildEvery: rebuildEvery,
 			Params: grav.Params{G: 1, Eps: 0.05, Theta: 0.3}}, sys)
 		if err != nil {
@@ -317,11 +318,13 @@ func TestDiagnosticsApproxVsExact(t *testing.T) {
 	}
 }
 
-// Up to exactPotentialMaxN bodies the pairwise sum is cheaper than a tree
-// walk, so Diagnostics(false) must return it — not a θ-approximation.
+// Up to allpairs.DirectMaxN bodies the pairwise sum is no dearer than a
+// tree walk, so the flat force pass and Diagnostics(false) must both
+// return it bit for bit — not a θ-approximation; one body more and both
+// walk the tree.
 func TestDiagnosticsSmallNIsExact(t *testing.T) {
 	for _, a := range []Algorithm{Octree, BVH} {
-		for _, n := range []int{exactPotentialMaxN, exactPotentialMaxN + 1} {
+		for _, n := range []int{allpairs.DirectMaxN, allpairs.DirectMaxN + 1} {
 			sys := workload.Plummer(n, 34)
 			sim, err := New(Config{Algorithm: a, DT: 0.01, Sequential: true, Params: grav.Params{G: 1, Eps: 0.05, Theta: 0.8}}, sys)
 			if err != nil {
@@ -330,23 +333,36 @@ func TestDiagnosticsSmallNIsExact(t *testing.T) {
 			if err := sim.Run(1); err != nil {
 				t.Fatal(err)
 			}
+			small := n <= allpairs.DirectMaxN
 			exact, approx := sim.Diagnostics(true).Potential, sim.Diagnostics(false).Potential
-			if small := n <= exactPotentialMaxN; (exact == approx) != small {
+			if (exact == approx) != small {
 				t.Errorf("%v n=%d: Diagnostics(false) potential %v, pairwise %v", a, n, approx, exact)
+			}
+			// KDK's last force pass saw the final positions.
+			ref := sys.Clone()
+			allpairs.AllPairs(sim.rt, par.Seq, ref, sim.Config().Params)
+			differ := 0
+			for i := 0; i < n; i++ {
+				if sys.Acc(i) != ref.Acc(i) {
+					differ++
+				}
+			}
+			if (differ == 0) != small {
+				t.Errorf("%v n=%d: %d of %d accelerations differ from the pairwise sum", a, n, differ, n)
 			}
 		}
 	}
 }
 
 // Diagnostics is an observer: sampling between steps must not change the
-// trajectory. Above exactPotentialMaxN it used to rebuild the tree it
+// trajectory. Above allpairs.DirectMaxN it used to rebuild the tree it
 // measured, which under tree reuse replaced the topology the next refit step
 // walks — so a run's bytes depended on how often it was sampled. Compared by
 // body ID (tree solvers permute), bit for bit: both default solvers are
 // reproducible run to run.
 func TestDiagnosticsDoesNotPerturbTrajectory(t *testing.T) {
 	const (
-		n     = 4 * exactPotentialMaxN
+		n     = 4 * allpairs.DirectMaxN
 		steps = 8
 	)
 	for _, alg := range []Algorithm{Octree, BVH} {

@@ -118,10 +118,11 @@ func TestGoldenL2SolarValidation(t *testing.T) {
 // always-rebuild baseline on the same workload: with refits actually
 // happening, permutation-invariant observables must agree within the
 // approximation tolerance, and the refit/rebuild counters must reflect the
-// policy.
+// policy. The system is just above allpairs.DirectMaxN, so the force passes
+// walk the refitted trees.
 func TestRefitMatchesRebuild(t *testing.T) {
 	const (
-		n     = 600
+		n     = 1200
 		steps = 20
 	)
 	p := grav.Params{G: 1, Eps: 0.05, Theta: 0.5}

@@ -3,6 +3,7 @@ package octree
 import (
 	"math"
 
+	"nbody/internal/allpairs"
 	"nbody/internal/body"
 	"nbody/internal/grav"
 	"nbody/internal/par"
@@ -33,7 +34,19 @@ import (
 // consecutive bodies, so this traversal profits greatly from
 // Config.PresortMorton (compact groups open far fewer nodes); core enables
 // it for the flat layout.
+//
+// A system of at most allpairs.DirectMaxN bodies is summed pairwise
+// instead: there the direct sum is no slower than the walk and exact.
 func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupSize int) {
+	if s.N() <= allpairs.DirectMaxN {
+		allpairs.AllPairs(r, pol, s, p)
+		return
+	}
+	t.accelerationsList(r, pol, s, p, groupSize)
+}
+
+// accelerationsList is AccelerationsList's tree walk, at any N.
+func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupSize int) {
 	n := s.N()
 	if groupSize <= 0 {
 		groupSize = 32

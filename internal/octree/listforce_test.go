@@ -10,7 +10,10 @@ import (
 )
 
 // The tests below cover AccelerationsList, the group traversal: "Grouped"
-// names the shared walk and its conservative opening criterion.
+// names the shared walk and its conservative opening criterion. Those on
+// systems of at most allpairs.DirectMaxN bodies call the walk,
+// accelerationsList, directly: AccelerationsList sums such systems
+// pairwise.
 
 func TestGroupedExactWhenThetaZero(t *testing.T) {
 	r := par.NewRuntime(0, par.Dynamic)
@@ -23,7 +26,7 @@ func TestGroupedExactWhenThetaZero(t *testing.T) {
 
 			tree := buildTree(t, Config{}, s, r)
 			tree.ComputeMoments(r, s)
-			tree.AccelerationsList(r, par.ParUnseq, s, p, groupSize)
+			tree.accelerationsList(r, par.ParUnseq, s, p, groupSize)
 			for i := 0; i < n; i++ {
 				if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-10*(1+ref.Acc(i).Norm()) {
 					t.Fatalf("n=%d group=%d body %d: %v vs %v", n, groupSize, i, s.Acc(i), ref.Acc(i))
@@ -90,7 +93,7 @@ func TestGroupedWithChains(t *testing.T) {
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
 	tree := buildTree(t, Config{MaxDepth: 6}, s, r)
 	tree.ComputeMoments(r, s)
-	tree.AccelerationsList(r, par.ParUnseq, s, p, 16)
+	tree.accelerationsList(r, par.ParUnseq, s, p, 16)
 	for i := 0; i < s.N(); i++ {
 		if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-9*(1+ref.Acc(i).Norm()) {
 			t.Fatalf("body %d: %v vs %v", i, s.Acc(i), ref.Acc(i))
@@ -107,18 +110,50 @@ func TestGroupedEmptyAndDefaults(t *testing.T) {
 		t.Skip("empty build unsupported shape")
 	}
 	tree.ComputeMoments(r, s)
-	tree.AccelerationsList(r, par.ParUnseq, s, grav.DefaultParams(), 0)
+	tree.accelerationsList(r, par.ParUnseq, s, grav.DefaultParams(), 0)
 
 	// A non-positive group size selects the default of 32.
 	def := randomSystem(200, 317)
 	tree = buildTree(t, Config{}, def, r)
 	tree.ComputeMoments(r, def)
 	want := def.Clone()
-	tree.AccelerationsList(r, par.ParUnseq, want, grav.DefaultParams(), 32)
-	tree.AccelerationsList(r, par.ParUnseq, def, grav.DefaultParams(), 0)
+	tree.accelerationsList(r, par.ParUnseq, want, grav.DefaultParams(), 32)
+	tree.accelerationsList(r, par.ParUnseq, def, grav.DefaultParams(), 0)
 	for i := 0; i < def.N(); i++ {
 		if def.Acc(i) != want.Acc(i) {
 			t.Fatalf("body %d: group size 0 gave %v, 32 gave %v", i, def.Acc(i), want.Acc(i))
+		}
+	}
+}
+
+// Up to allpairs.DirectMaxN bodies AccelerationsList is the pairwise sum,
+// bit for bit; one body more and it is the walk again.
+func TestAccelerationsListDirectUpToCutoff(t *testing.T) {
+	r := par.NewRuntime(0, par.Dynamic)
+	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0.8}
+	for _, n := range []int{allpairs.DirectMaxN, allpairs.DirectMaxN + 1} {
+		s := randomSystem(n, 319)
+		tree := buildTree(t, Config{PresortMorton: true}, s, r)
+		tree.ComputeMoments(r, s)
+		direct, walk := s.Clone(), s.Clone()
+		allpairs.AllPairs(r, par.ParUnseq, direct, p)
+		tree.accelerationsList(r, par.ParUnseq, walk, p, 0)
+		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
+		want := walk
+		if n <= allpairs.DirectMaxN {
+			want = direct
+		}
+		differ := 0
+		for i := 0; i < n; i++ {
+			if s.Acc(i) != want.Acc(i) {
+				t.Fatalf("n=%d body %d: %v, want %v", n, i, s.Acc(i), want.Acc(i))
+			}
+			if s.Acc(i) != direct.Acc(i) {
+				differ++
+			}
+		}
+		if n > allpairs.DirectMaxN && differ == 0 {
+			t.Errorf("n=%d: the walk reproduced the pairwise sum exactly; θ %v approximates nothing", n, p.Theta)
 		}
 	}
 }

@@ -184,7 +184,7 @@ func TestSortedBuildDegenerateInputs(t *testing.T) {
 			tree.Potential(r, par.ParUnseq, s, p, phi)
 			tree.Accelerations(r, par.ParUnseq, s, p)
 			walk := accByID(s)
-			tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
+			tree.accelerationsList(r, par.ParUnseq, s, p, 0)
 			list := accByID(s)
 			for i := range walk {
 				if !walk[i].IsFinite() || !list[i].IsFinite() || math.IsNaN(phi[i]) || math.IsInf(phi[i], 0) {
@@ -229,7 +229,7 @@ func TestSortedBuildExactWhenThetaZero(t *testing.T) {
 		}
 		tree.Accelerations(r, par.ParUnseq, s, p)
 		check("walk")
-		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
+		tree.accelerationsList(r, par.ParUnseq, s, p, 0)
 		check("list")
 
 		phi := make([]float64, n)
