@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"nbody/internal/body"
 	"nbody/internal/bvh"
 	"nbody/internal/core"
 	"nbody/internal/grav"
@@ -336,25 +337,25 @@ func runAblate(fs *flag.FlagSet, args []string) error {
 	}
 
 	header("Ablations — galaxy workload (n=%d)", *n)
-	base := galaxySystem(*n, *c.seed)
-	rt := c.runtime(par.Dynamic)
-	tb := metrics.NewTable("ablation", "variant", "bodies/s", "ms/step")
-
-	add := func(group, variant string, cfg core.Config) error {
-		cfg.DT = galaxyDT
-		cfg.Runtime = rt
-		m, err := measure(cfg, base, *c.steps, *c.repeats)
-		if err != nil {
-			return err
-		}
-		tb.AddRow(group, variant, m.throughput, float64(m.perStep.Microseconds())/1000)
-		return nil
+	tb, err := ablate(ablateRows(), galaxySystem(*n, *c.seed), c.runtime(par.Dynamic), *c.steps, *c.repeats)
+	if err != nil {
+		return err
 	}
+	c.render(tb)
+	return nil
+}
 
-	steps := []struct {
-		group, variant string
-		cfg            core.Config
-	}{
+// ablateRow is one row of the ablation table.
+type ablateRow struct {
+	group, variant string
+	cfg            core.Config
+}
+
+// ablateRows lists the ablation table. Several rows share a configuration
+// (each group keeps its own baseline row); ablate measures each distinct
+// configuration once.
+func ablateRows() []ablateRow {
+	rows := []ablateRow{
 		// Octree rows labelled "(paper)" pin the walk layout: the flat
 		// default builds the key-sorted tree and evaluates interaction
 		// lists, which is neither the paper's build nor its traversal, and
@@ -379,30 +380,44 @@ func runAblate(fs *flag.FlagSet, args []string) error {
 		{"bvh-leaf", "4 (default)", core.Config{Algorithm: core.BVH}},
 		{"bvh-leaf", "8", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 8}}},
 		{"bvh-leaf", "16", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 16}}},
-		{"moments-order", "monopole (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
-		{"moments-order", "quadrupole", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{Quadrupole: true}}},
 		{"tree-reuse", "rebuild every step (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
 		{"tree-reuse", "rebuild every 4 (octree)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, RebuildEvery: 4}},
 		{"tree-reuse", "rebuild every 4 (bvh)", core.Config{Algorithm: core.BVH, RebuildEvery: 4}},
 		{"tree-reuse", "refit thresh 0.02 (octree)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, RefitThreshold: 0.02}},
 		{"tree-reuse", "refit thresh 0.02 (bvh)", core.Config{Algorithm: core.BVH, RefitThreshold: 0.02}},
 	}
-	for _, s := range steps {
-		if err := add(s.group, s.variant, s.cfg); err != nil {
-			return err
-		}
-	}
-
 	for _, theta := range []float64{0.3, 0.5, 0.8} {
 		for _, alg := range []core.Algorithm{core.Octree, core.BVH} {
 			p := grav.DefaultParams()
 			p.Theta = theta
-			if err := add("theta", fmt.Sprintf("θ=%g (%v)", theta, alg), core.Config{Algorithm: alg, Params: p}); err != nil {
-				return err
-			}
+			rows = append(rows, ablateRow{"theta", fmt.Sprintf("θ=%g (%v)", theta, alg), core.Config{Algorithm: alg, Params: p}})
 		}
 	}
+	return rows
+}
 
-	c.render(tb)
-	return nil
+// ablate times every row on the galaxy system base, measuring each distinct
+// configuration once: rows that share a configuration print one number, so
+// the table's spread between them is not run-to-run noise.
+func ablate(rows []ablateRow, base *body.System, rt *par.Runtime, steps, repeats int) (*metrics.Table, error) {
+	tb := metrics.NewTable("ablation", "variant", "bodies/s", "ms/step")
+	measured := make(map[core.Config]measurement)
+	for _, row := range rows {
+		cfg := row.cfg
+		cfg.DT = galaxyDT
+		cfg.Runtime = rt
+		if cfg.Params == (grav.Params{}) {
+			cfg.Params = grav.DefaultParams() // as core.New does, so θ=0.5 is the default row
+		}
+		m, ok := measured[cfg]
+		if !ok {
+			var err error
+			if m, err = measure(cfg, base, steps, repeats); err != nil {
+				return nil, fmt.Errorf("%s %s: %w", row.group, row.variant, err)
+			}
+			measured[cfg] = m
+		}
+		tb.AddRow(row.group, row.variant, m.throughput, float64(m.perStep.Microseconds())/1000)
+	}
+	return tb, nil
 }

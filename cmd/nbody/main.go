@@ -55,7 +55,6 @@ func run() error {
 		seq       = flag.Bool("seq", false, "sequential execution (replaces every policy with seq)")
 		rebuild   = flag.Int("rebuild-every", 1, "rebuild the tree every k steps (tree reuse for k>1)")
 		leafSize  = flag.Int("leaf-size", 0, "BVH bodies per leaf (0 = the package default, 4)")
-		quad      = flag.Bool("quadrupole", false, "octree: use quadrupole moments")
 		gather    = flag.Bool("gather-moments", false, "octree: gather-variant multipole reduction")
 		diagEach  = flag.Int("diag-every", 0, "print diagnostics every k steps (0 = only at start/end)")
 		exact     = flag.Bool("exact-energy", false, "use the O(N²) potential for diagnostics")
@@ -98,7 +97,7 @@ func run() error {
 		Runtime:      par.NewRuntime(*workers, sched),
 		Sequential:   *seq,
 		RebuildEvery: *rebuild,
-		Octree:       octree.Config{GatherMoments: *gather, Quadrupole: *quad},
+		Octree:       octree.Config{GatherMoments: *gather},
 		BVH:          bvh.Config{LeafSize: *leafSize},
 	}
 	sim, err := core.New(cfg, sys)

@@ -77,8 +77,7 @@ const (
 	// accuracy is never worse than the walk layout at equal θ.
 	LayoutFlat Layout = iota
 	// LayoutWalk keeps the per-body tree-walk kernels — the paper's
-	// baseline data path, and the only one supporting octree quadrupole
-	// moments (core falls back to it automatically in that case).
+	// baseline data path.
 	LayoutWalk
 )
 
@@ -270,7 +269,7 @@ func New(cfg Config, sys *body.System) (*Sim, error) {
 	if cfg.RefitThreshold < 0 || math.IsNaN(cfg.RefitThreshold) || math.IsInf(cfg.RefitThreshold, 0) {
 		return nil, fmt.Errorf("core: refit threshold %v must be finite and non-negative", cfg.RefitThreshold)
 	}
-	if cfg.Algorithm == Octree && cfg.Layout == LayoutFlat && !cfg.Octree.Quadrupole {
+	if cfg.Algorithm == Octree && cfg.Layout == LayoutFlat {
 		// The flat interaction-list walk shares one traversal among a
 		// group of consecutive bodies; without spatial sorting those
 		// groups span the whole domain and the conservative criterion
@@ -685,7 +684,7 @@ func (s *Sim) phaseForce() {
 
 	case Octree:
 		b.Time(metrics.PhaseForce, func() {
-			if s.cfg.Layout == LayoutFlat && !s.cfg.Octree.Quadrupole {
+			if s.cfg.Layout == LayoutFlat {
 				s.tree.AccelerationsList(s.rt, s.pol.force, s.sys, p, s.cfg.Octree.GroupSize)
 			} else {
 				s.tree.Accelerations(s.rt, s.pol.force, s.sys, p)

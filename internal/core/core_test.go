@@ -500,11 +500,10 @@ func TestEmptyAndTinySystems(t *testing.T) {
 }
 
 func TestVariantConfigsRun(t *testing.T) {
-	// Quadrupole octree, gather-moments octree, large BVH leaves and the
-	// box-distance BVH criterion must all integrate without error.
+	// Gather-moments octree, large BVH leaves and the box-distance BVH
+	// criterion must all integrate without error.
 	sys := workload.GalaxyCollision(500, 41)
 	configs := []Config{
-		{Algorithm: Octree, DT: 0.001, Octree: octree.Config{Quadrupole: true}},
 		{Algorithm: Octree, DT: 0.001, Octree: octree.Config{GatherMoments: true}},
 		{Algorithm: BVH, DT: 0.001, BVH: bvh.Config{LeafSize: 8}},
 		{Algorithm: BVH, DT: 0.001, BVH: bvh.Config{Criterion: bvh.BoxDistance}},
@@ -606,56 +605,5 @@ func TestRunIsRunContextBackground(t *testing.T) {
 	}
 	if sim.StepCount() != 3 {
 		t.Fatalf("Run(3) advanced %d steps", sim.StepCount())
-	}
-}
-
-// TestQuadrupoleHonoredUnderEveryGroupSize guards against a Quadrupole
-// request being evaluated by a monopole-only kernel: whatever GroupSize and
-// Layout say, it runs the per-body kernels on the concurrent tree. So its
-// error against the direct sum must (1) beat those kernels' monopole run,
-// (2) equal the walk layout's quadrupole run to rounding (scattered moments
-// reorder float adds, nothing more), and (3) differ from the same
-// configuration's monopole run — which a flat request routed to the monopole
-// list kernel would reproduce exactly. (The flat monopole run is no accuracy
-// yardstick for (1): its bucket leaves and conservative group criterion make
-// it more accurate than per-body quadrupoles at this N.)
-func TestQuadrupoleHonoredUnderEveryGroupSize(t *testing.T) {
-	p := grav.Params{G: 1, Eps: 0.05, Theta: 0.6}
-	l2 := func(cfg Config) float64 {
-		sys := workload.GalaxyCollision(2000, 43)
-		cfg.Algorithm, cfg.DT, cfg.Params = Octree, 1e-3, p
-		sim, err := New(cfg, sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.Step(); err != nil {
-			t.Fatal(err)
-		}
-		// After a step sys.Acc is the force pass at the final positions.
-		ref := sys.Clone()
-		allpairs.AllPairs(par.Default(), par.ParUnseq, ref, p)
-		var num, den float64
-		for i := 0; i < sys.N(); i++ {
-			num += sys.Acc(i).Sub(ref.Acc(i)).Norm2()
-			den += ref.Acc(i).Norm2()
-		}
-		return math.Sqrt(num / den)
-	}
-	for _, gs := range []int{0, 32} {
-		monoWalk := l2(Config{Layout: LayoutWalk, Octree: octree.Config{GroupSize: gs}})
-		quadWalk := l2(Config{Layout: LayoutWalk, Octree: octree.Config{GroupSize: gs, Quadrupole: true}})
-		for _, lay := range Layouts() {
-			mono := l2(Config{Layout: lay, Octree: octree.Config{GroupSize: gs}})
-			quad := l2(Config{Layout: lay, Octree: octree.Config{GroupSize: gs, Quadrupole: true}})
-			if !(quad < monoWalk) {
-				t.Errorf("layout=%v group=%d: quadrupole L2 %.3g does not beat per-body monopole %.3g", lay, gs, quad, monoWalk)
-			}
-			if math.Abs(quad-quadWalk) > 1e-9*quadWalk {
-				t.Errorf("layout=%v group=%d: quadrupole L2 %.12g is not the per-body kernels' %.12g", lay, gs, quad, quadWalk)
-			}
-			if math.Abs(quad-mono) < 1e-3*mono {
-				t.Errorf("layout=%v group=%d: quadrupole L2 %.6g equals the monopole run's %.6g; Quadrupole was ignored", lay, gs, quad, mono)
-			}
-		}
 	}
 }

@@ -40,7 +40,6 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 	}
 
 	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
-	quad := t.cfg.Quadrupole
 
 	r.ForGrain(pol, n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -58,11 +57,7 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 					d2 := dx*dx + dy*dy + dz*dz
 					size := sizeAt[t.depthOf(node)]
 					if size*size < theta2*d2 {
-						if quad {
-							t.accumulateQuad(node, dx, dy, dz, d2, eps2, &ax, &ay, &az)
-						} else {
-							grav.Accumulate(dx, dy, dz, t.m[node], eps2, &ax, &ay, &az)
-						}
+						grav.Accumulate(dx, dy, dz, t.m[node], eps2, &ax, &ay, &az)
 						node = t.advance(node)
 						continue
 					}
@@ -112,43 +107,6 @@ func (t *Tree) advance(node int32) int32 {
 		node = t.parentOf(node)
 	}
 	return -1
-}
-
-// accumulateQuad adds the monopole plus traceless-quadrupole acceleration
-// of node, whose center of mass lies at offset (dx, dy, dz) = com - x from
-// the body, with d2 = |d|².
-//
-// With e = x - com = -d and traceless Q, the field beyond the monopole is
-//
-//	a_quad = G·[ Q·e / r⁵ - (5/2)·(eᵀQe)·e / r⁷ ]
-//	       = G·[ -Q·d / r⁵ + (5/2)·(dᵀQd)·d / r⁷ ]
-//
-// (derived from Φ = -G·M/r - G·(eᵀQe)/(2r⁵)).
-func (t *Tree) accumulateQuad(node int32, dx, dy, dz, d2, eps2 float64, ax, ay, az *float64) {
-	r2 := d2 + eps2
-	if r2 == 0 {
-		return
-	}
-	inv := 1 / math.Sqrt(r2)
-	inv2 := inv * inv
-	inv3 := inv2 * inv
-
-	// Monopole.
-	fm := t.m[node] * inv3
-	*ax += fm * dx
-	*ay += fm * dy
-	*az += fm * dz
-
-	// Quadrupole.
-	qdx := t.qxx[node]*dx + t.qxy[node]*dy + t.qxz[node]*dz
-	qdy := t.qxy[node]*dx + t.qyy[node]*dy + t.qyz[node]*dz
-	qdz := t.qxz[node]*dx + t.qyz[node]*dy + t.qzz[node]*dz
-	dqd := dx*qdx + dy*qdy + dz*qdz
-	inv5 := inv3 * inv2
-	inv7 := inv5 * inv2
-	*ax += -qdx*inv5 + 2.5*dqd*dx*inv7
-	*ay += -qdy*inv5 + 2.5*dqd*dy*inv7
-	*az += -qdz*inv5 + 2.5*dqd*dz*inv7
 }
 
 // Potential estimates each body's gravitational potential energy with the

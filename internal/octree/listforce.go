@@ -29,11 +29,10 @@ import (
 // zero under the kernel convention, so no index test is needed (see
 // package soa).
 //
-// The list approximates accepted nodes by their monopole only; core routes
-// Quadrupole configurations to the walk kernels instead. Groups are runs of
-// consecutive bodies, so this traversal profits greatly from
+// Accepted nodes are monopoles, as on every octree path. Groups are runs
+// of consecutive bodies, so this traversal profits greatly from
 // Config.PresortMorton (compact groups open far fewer nodes); core enables
-// it for the flat layout.
+// it for every flat-layout octree.
 //
 // A system of at most allpairs.DirectMaxN bodies is summed pairwise
 // instead: there the direct sum is no slower than the walk and exact.

@@ -10,8 +10,7 @@ import (
 
 // ComputeMoments performs the paper's CALCULATEMULTIPOLES step (Figure 2):
 // a wait-free parallel tree reduction computing each node's total mass and
-// center of mass (and, with Config.Quadrupole, second moments) from the
-// leaves up.
+// center of mass from the leaves up.
 //
 // One thread is scheduled per allocated node; threads whose node is not a
 // leaf exit immediately, keeping the useful parallelism O(N). Each leaf
@@ -45,12 +44,6 @@ func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
 			t.comX[i], t.comY[i], t.comZ[i] = 0, 0, 0
 			t.counter[i] = 0
 		}
-		if t.cfg.Quadrupole {
-			for i := lo; i < hi; i++ {
-				t.qxx[i], t.qyy[i], t.qzz[i] = 0, 0, 0
-				t.qxy[i], t.qxz[i], t.qyz[i] = 0, 0, 0
-			}
-		}
 	})
 
 	mass := s.Mass
@@ -62,32 +55,19 @@ func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
 			return // internal node: handled by its last-arriving child
 		}
 
-		// Leaf moments: Σm, Σm·x (and Σm·x⊗x for quadrupoles) over the
-		// leaf's chain (usually a single body, or none).
+		// Leaf moments: Σm and Σm·x over the leaf's chain (usually a
+		// single body, or none).
 		var lm, lx, ly, lz float64
-		var sxx, syy, szz, sxy, sxz, syz float64
 		for b := leafBody(tok); b >= 0; b = t.next[b] {
 			mb := mass[b]
 			lm += mb
 			lx += mb * posX[b]
 			ly += mb * posY[b]
 			lz += mb * posZ[b]
-			if t.cfg.Quadrupole {
-				sxx += mb * posX[b] * posX[b]
-				syy += mb * posY[b] * posY[b]
-				szz += mb * posZ[b] * posZ[b]
-				sxy += mb * posX[b] * posY[b]
-				sxz += mb * posX[b] * posZ[b]
-				syz += mb * posY[b] * posZ[b]
-			}
 		}
 		node := int32(i)
 		t.m[node] = lm
 		t.comX[node], t.comY[node], t.comZ[node] = lx, ly, lz
-		if t.cfg.Quadrupole {
-			t.qxx[node], t.qyy[node], t.qzz[node] = sxx, syy, szz
-			t.qxy[node], t.qxz[node], t.qyz[node] = sxy, sxz, syz
-		}
 
 		// Climb: accumulate into the parent; the last arrival carries on.
 		for node != 0 {
@@ -100,27 +80,14 @@ func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
 				}
 				first := t.child[p]
 				var gm, gx, gy, gz float64
-				var gxx, gyy, gzz, gxy, gxz, gyz float64
 				for c := first; c < first+8; c++ {
 					gm += t.m[c]
 					gx += t.comX[c]
 					gy += t.comY[c]
 					gz += t.comZ[c]
-					if t.cfg.Quadrupole {
-						gxx += t.qxx[c]
-						gyy += t.qyy[c]
-						gzz += t.qzz[c]
-						gxy += t.qxy[c]
-						gxz += t.qxz[c]
-						gyz += t.qyz[c]
-					}
 				}
 				t.m[p] = gm
 				t.comX[p], t.comY[p], t.comZ[p] = gx, gy, gz
-				if t.cfg.Quadrupole {
-					t.qxx[p], t.qyy[p], t.qzz[p] = gxx, gyy, gzz
-					t.qxy[p], t.qxz[p], t.qyz[p] = gxy, gxz, gyz
-				}
 			} else {
 				// Scatter the node's moments with relaxed atomic adds,
 				// then signal arrival; the fetch_add returning 7 marks
@@ -130,14 +97,6 @@ func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
 					atomicx.AddFloat64(&t.comX[p], t.comX[node])
 					atomicx.AddFloat64(&t.comY[p], t.comY[node])
 					atomicx.AddFloat64(&t.comZ[p], t.comZ[node])
-					if t.cfg.Quadrupole {
-						atomicx.AddFloat64(&t.qxx[p], t.qxx[node])
-						atomicx.AddFloat64(&t.qyy[p], t.qyy[node])
-						atomicx.AddFloat64(&t.qzz[p], t.qzz[node])
-						atomicx.AddFloat64(&t.qxy[p], t.qxy[node])
-						atomicx.AddFloat64(&t.qxz[p], t.qxz[node])
-						atomicx.AddFloat64(&t.qyz[p], t.qyz[node])
-					}
 				}
 				if atomic.AddInt32(&t.counter[p], 1) != 8 {
 					return
@@ -151,8 +110,7 @@ func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
 }
 
 // normalizeMoments converts the mass-weighted position sums the reduction
-// leaves in every node to centers of mass, and raw second moments to
-// traceless quadrupole tensors Q = 3(S - m·c⊗c) - tr(S - m·c⊗c)·I.
+// leaves in every node to centers of mass.
 func (t *Tree) normalizeMoments(r *par.Runtime) {
 	r.ForGrain(par.ParUnseq, t.NumNodes(), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -160,22 +118,9 @@ func (t *Tree) normalizeMoments(r *par.Runtime) {
 			if m == 0 {
 				continue
 			}
-			cx := t.comX[i] / m
-			cy := t.comY[i] / m
-			cz := t.comZ[i] / m
-			t.comX[i], t.comY[i], t.comZ[i] = cx, cy, cz
-			if t.cfg.Quadrupole {
-				dxx := t.qxx[i] - m*cx*cx
-				dyy := t.qyy[i] - m*cy*cy
-				dzz := t.qzz[i] - m*cz*cz
-				trace := dxx + dyy + dzz
-				t.qxx[i] = 3*dxx - trace
-				t.qyy[i] = 3*dyy - trace
-				t.qzz[i] = 3*dzz - trace
-				t.qxy[i] = 3 * (t.qxy[i] - m*cx*cy)
-				t.qxz[i] = 3 * (t.qxz[i] - m*cx*cz)
-				t.qyz[i] = 3 * (t.qyz[i] - m*cy*cz)
-			}
+			t.comX[i] /= m
+			t.comY[i] /= m
+			t.comZ[i] /= m
 		}
 	})
 }

@@ -76,10 +76,6 @@ type Config struct {
 	// with plain loads instead of every thread scattering them with
 	// atomic adds (the paper's variant; the default).
 	GatherMoments bool
-	// Quadrupole additionally computes traceless quadrupole moments and
-	// uses them during force evaluation — the paper's "extends to
-	// multipoles" note, implemented.
-	Quadrupole bool
 	// GroupSize is the number of consecutive bodies that share one walk
 	// and one interaction list in AccelerationsList (0 selects 32). The
 	// per-body traversal ignores it. Combine with PresortMorton for
@@ -118,9 +114,6 @@ type Tree struct {
 	comX    []float64
 	comY    []float64
 	comZ    []float64
-
-	// Quadrupole second moments (allocated only when cfg.Quadrupole).
-	qxx, qyy, qzz, qxy, qxz, qyz []float64
 
 	// Per-group state.
 	parent []int32
@@ -229,14 +222,6 @@ func (t *Tree) grow(groups int) {
 	t.comX = make([]float64, nodes)
 	t.comY = make([]float64, nodes)
 	t.comZ = make([]float64, nodes)
-	if t.cfg.Quadrupole {
-		t.qxx = make([]float64, nodes)
-		t.qyy = make([]float64, nodes)
-		t.qzz = make([]float64, nodes)
-		t.qxy = make([]float64, nodes)
-		t.qxz = make([]float64, nodes)
-		t.qyz = make([]float64, nodes)
-	}
 	t.parent = make([]int32, groups)
 	t.depth = make([]uint8, groups)
 }

@@ -409,38 +409,6 @@ func TestForceErrorDecreasesWithTheta(t *testing.T) {
 	}
 }
 
-// Quadrupole moments must improve accuracy at fixed θ.
-func TestQuadrupoleImprovesAccuracy(t *testing.T) {
-	n := 2000
-	s := randomSystem(n, 53)
-	ref := s.Clone()
-	r := par.NewRuntime(0, par.Dynamic)
-	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0.7}
-
-	allpairs.AllPairs(r, par.ParUnseq, ref, p)
-
-	meanErr := func(cfg Config) float64 {
-		work := s.Clone()
-		tree := buildTree(t, cfg, work, r)
-		tree.ComputeMoments(r, work)
-		tree.Accelerations(r, par.ParUnseq, work, p)
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += work.Acc(i).Sub(ref.Acc(i)).Norm() / (ref.Acc(i).Norm() + 1e-12)
-		}
-		return sum / float64(n)
-	}
-
-	mono := meanErr(Config{})
-	quad := meanErr(Config{Quadrupole: true})
-	if quad >= mono {
-		t.Errorf("quadrupole error %g not below monopole %g", quad, mono)
-	}
-	if quad > mono/2 {
-		t.Errorf("quadrupole error %g should be well below monopole %g", quad, mono)
-	}
-}
-
 // Forces computed through chained (coincident) bodies stay finite and equal
 // the all-pairs result.
 func TestForceWithChains(t *testing.T) {
@@ -594,5 +562,52 @@ func BenchmarkForce1e5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree.Accelerations(r, par.ParUnseq, s, p)
+	}
+}
+
+// The key-sorted tree is what the flat layout runs: the three benchmarks
+// below time its build, its level-by-level moment gather and the
+// interaction-list force pass.
+
+func BenchmarkSortedBuild1e5(b *testing.B) {
+	s := randomSystem(100000, 1)
+	r := par.NewRuntime(0, par.Dynamic)
+	box := bounds.OfPositions(r, par.ParUnseq, s.PosX, s.PosY, s.PosZ)
+	tree := New(Config{PresortMorton: true})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tree.Build(r, s, box); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// sortedTree1e5 builds the key-sorted tree over 100 000 random bodies.
+func sortedTree1e5(b *testing.B) (*Tree, *body.System, *par.Runtime) {
+	s := randomSystem(100000, 1)
+	r := par.NewRuntime(0, par.Dynamic)
+	box := bounds.OfPositions(r, par.ParUnseq, s.PosX, s.PosY, s.PosZ)
+	tree := New(Config{PresortMorton: true})
+	if err := tree.Build(r, s, box); err != nil {
+		b.Fatal(err)
+	}
+	return tree, s, r
+}
+
+func BenchmarkSortedMoments1e5(b *testing.B) {
+	tree, s, r := sortedTree1e5(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.ComputeMoments(r, s)
+	}
+}
+
+func BenchmarkAccelerationsList1e5(b *testing.B) {
+	tree, s, r := sortedTree1e5(b)
+	tree.ComputeMoments(r, s)
+	p := grav.DefaultParams()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 	}
 }

@@ -128,10 +128,6 @@ func (t *Tree) buildSorted(r *par.Runtime, s *body.System, cube bounds.AABB) {
 	t.parent, t.depth = resize(t.parent, groups), resize(t.depth, groups)
 	t.m = resize(t.m, nodes)
 	t.comX, t.comY, t.comZ = resize(t.comX, nodes), resize(t.comY, nodes), resize(t.comZ, nodes)
-	if t.cfg.Quadrupole {
-		t.qxx, t.qyy, t.qzz = resize(t.qxx, nodes), resize(t.qyy, nodes), resize(t.qzz, nodes)
-		t.qxy, t.qxz, t.qyz = resize(t.qxy, nodes), resize(t.qxz, nodes), resize(t.qyz, nodes)
-	}
 	child, leafEnd, parent, depths := t.child, t.leafEnd, t.parent, t.depth
 
 	t.levels = append(t.levels[:0], 0)
@@ -257,12 +253,10 @@ func (t *Tree) gatherMoments(r *par.Runtime, s *body.System) {
 	t.normalizeMoments(r)
 }
 
-// gatherNode stores the raw sums Σm, Σm·x (and Σm·x⊗x with quadrupoles) of
-// node c, whose children already hold theirs.
+// gatherNode stores the raw sums Σm and Σm·x of node c, whose children
+// already hold theirs.
 func (t *Tree) gatherNode(c int32, s *body.System) {
 	var m, x, y, z float64
-	var xx, yy, zz, xy, xz, yz float64
-	quad := t.cfg.Quadrupole
 	switch tok := t.child[c]; {
 	case tok >= 0:
 		for k := tok; k < tok+8; k++ {
@@ -270,36 +264,16 @@ func (t *Tree) gatherNode(c int32, s *body.System) {
 			x += t.comX[k]
 			y += t.comY[k]
 			z += t.comZ[k]
-			if quad {
-				xx += t.qxx[k]
-				yy += t.qyy[k]
-				zz += t.qzz[k]
-				xy += t.qxy[k]
-				xz += t.qxz[k]
-				yz += t.qyz[k]
-			}
 		}
 	case tok != TokenEmpty:
 		for b := tokenBody(tok); b < t.leafEnd[c]; b++ {
-			mb, px, py, pz := s.Mass[b], s.PosX[b], s.PosY[b], s.PosZ[b]
+			mb := s.Mass[b]
 			m += mb
-			x += mb * px
-			y += mb * py
-			z += mb * pz
-			if quad {
-				xx += mb * px * px
-				yy += mb * py * py
-				zz += mb * pz * pz
-				xy += mb * px * py
-				xz += mb * px * pz
-				yz += mb * py * pz
-			}
+			x += mb * s.PosX[b]
+			y += mb * s.PosY[b]
+			z += mb * s.PosZ[b]
 		}
 	}
 	t.m[c] = m
 	t.comX[c], t.comY[c], t.comZ[c] = x, y, z
-	if quad {
-		t.qxx[c], t.qyy[c], t.qzz[c] = xx, yy, zz
-		t.qxy[c], t.qxz[c], t.qyz[c] = xy, xz, yz
-	}
 }

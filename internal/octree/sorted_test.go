@@ -249,7 +249,7 @@ func TestSortedBuildExactWhenThetaZero(t *testing.T) {
 func TestSortedMomentsFollowDriftOnKeptTopology(t *testing.T) {
 	r := par.NewRuntime(0, par.Dynamic)
 	s := randomSystem(5000, 193)
-	tree := buildTree(t, Config{PresortMorton: true, Quadrupole: true}, s, r)
+	tree := buildTree(t, Config{PresortMorton: true}, s, r)
 	tree.ComputeMoments(r, s)
 	for i := 0; i < s.N(); i++ {
 		d := 0.3 * math.Sin(float64(i))
@@ -286,9 +286,5 @@ func TestSortedMomentsFollowDriftOnKeptTopology(t *testing.T) {
 		if math.Abs(tree.m[node]-m) > 1e-12*m || com.Sub(mx.Scale(1/m)).Norm() > 1e-11 {
 			t.Fatalf("node %d: moments (%v, %v), direct sum (%v, %v)", node, tree.m[node], com, m, mx.Scale(1/m))
 		}
-	}
-	// The quadrupole of the root is traceless whatever the bodies did.
-	if tr := tree.qxx[0] + tree.qyy[0] + tree.qzz[0]; math.Abs(tr) > 1e-6*math.Abs(tree.qxx[0]) {
-		t.Errorf("root quadrupole trace %v", tr)
 	}
 }

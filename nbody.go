@@ -63,7 +63,7 @@ const (
 type Config = core.Config
 
 // OctreeConfig selects Concurrent Octree variants (depth cap, gather-
-// variant multipole reduction, quadrupole moments).
+// variant multipole reduction, key-sorted build, list group size).
 type OctreeConfig = octree.Config
 
 // BVHConfig selects Hilbert-BVH variants (leaf size, opening criterion,
