@@ -369,9 +369,9 @@ func ablateRows() []ablateRow {
 		{"moments", "gather", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{GatherMoments: true}}},
 		// The two builds under the same (per-body) traversal.
 		{"build", "concurrent insertion (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
-		{"build", "key-sorted", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
+		{"build", "key-sorted", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{KeySorted: true}}},
 		// The two traversals over the same (key-sorted) tree.
-		{"layout", "walk (key-sorted octree)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
+		{"layout", "walk (key-sorted octree)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{KeySorted: true}}},
 		{"layout", "flat lists (octree)", core.Config{Algorithm: core.Octree}},
 		{"layout", "walk (bvh)", core.Config{Algorithm: core.BVH, Layout: core.LayoutWalk}},
 		{"layout", "flat lists (bvh)", core.Config{Algorithm: core.BVH}},

@@ -164,45 +164,18 @@ func (t *Tree) BuildNoSort(r *par.Runtime, pol par.Policy, s *body.System) {
 	t.buildLevels(r, pol, s)
 }
 
-// Sort implements HILBERTSORT (Algorithm 7): grid the bodies on the
-// coarsest Cartesian grid covering box, compute each body's curve index
-// (precomputed once, as the paper notes), sort a permutation by key, and
-// apply it to the body arrays. Exposed separately from Build so the
-// harness can time the sort phase on its own (Figure 8).
+// Sort implements HILBERTSORT (Algorithm 7, sfc.SortBodies) over the
+// bounding cube of box: it computes each body's curve index, sorts the
+// (key, body) pairs and applies the permutation to the body arrays. Exposed
+// separately from Build so the harness can time the sort phase on its own
+// (Figure 8).
 func (t *Tree) Sort(r *par.Runtime, pol par.Policy, s *body.System, box bounds.AABB) {
 	n := s.N()
 	if len(t.keys) < n {
 		t.keys = make([]uint64, n)
 		t.perm = make([]int32, n)
 	}
-	keys := t.keys[:n]
-	perm := t.perm[:n]
-
-	// 2^21 cells per side, the finest grid a 64-bit key resolves.
-	const order = sfc.MaxOrder3D
-	side := float64(uint64(1) << order)
-	cube := box.Cube()
-	origin := cube.Min
-	ext := cube.MaxExtent()
-	inv := 0.0
-	if ext > 0 {
-		inv = side / ext
-	}
-	maxCoord := uint32(1)<<order - 1
-
-	posX, posY, posZ := s.PosX, s.PosY, s.PosZ
-	r.ForGrain(pol, n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			gx := sfc.GridCoord(posX[i], origin.X, inv, maxCoord)
-			gy := sfc.GridCoord(posY[i], origin.Y, inv, maxCoord)
-			gz := sfc.GridCoord(posZ[i], origin.Z, inv, maxCoord)
-			keys[i] = sfc.HilbertIndex3D(gx, gy, gz, order)
-			perm[i] = int32(i)
-		}
-	})
-
-	par.SortByKeys(r, pol, keys, perm)
-	s.Permute(r, pol, perm)
+	sfc.SortBodies(r, pol, s, box.Cube(), t.keys[:n], t.perm[:n])
 }
 
 // buildLevels implements BUILDTREEANDMULTIPOLES: construct the leaf nodes

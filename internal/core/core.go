@@ -275,8 +275,8 @@ func New(cfg Config, sys *body.System) (*Sim, error) {
 		// groups span the whole domain and the conservative criterion
 		// opens everything. So the bodies are curve-ordered
 		// unconditionally, and the tree is built from the sorted keys
-		// rather than by inserting into it (octree.Config.PresortMorton).
-		cfg.Octree.PresortMorton = true
+		// rather than by inserting into it (octree.Config.KeySorted).
+		cfg.Octree.KeySorted = true
 	}
 
 	s := &Sim{cfg: cfg, sys: sys, rt: cfg.Runtime}
@@ -748,7 +748,7 @@ func (s *Sim) structureCurrent() bool {
 
 // observeStructure makes the tree describe the current positions for an
 // observer outside the step loop. It leaves a current tree alone: rebuilding
-// it would Morton-permute the bodies and replace the topology the next
+// it would Hilbert-permute the bodies and replace the topology the next
 // refit step reuses, so sampling would change the trajectory. Otherwise it
 // builds one, and tells the reuse policy so.
 func (s *Sim) observeStructure() error {

@@ -131,7 +131,7 @@ func (s *Sim) RunPipelined(ctx context.Context, n int, o PipelineOpts) (int, err
 			Run:    advanceTask(curStructure),
 		})
 		if structured {
-			// Rebuild steps permute body order (Hilbert/Morton sort), so
+			// Rebuild steps permute body order (the Hilbert sort), so
 			// the structure phase writes every per-body array, not just
 			// the tree.
 			o.Exec.Submit(ctx, &exec.Task{

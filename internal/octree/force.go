@@ -92,7 +92,7 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 // exact at θ = 0. The concurrent build's max-depth chains are not buckets;
 // they are always evaluated body by body, as in the paper.
 func (t *Tree) isBucket(node, tok int32) bool {
-	return t.cfg.PresortMorton && isBody(tok) && t.leafEnd[node]-tokenBody(tok) > 1
+	return t.cfg.KeySorted && isBody(tok) && t.leafEnd[node]-tokenBody(tok) > 1
 }
 
 // advance returns the DFS successor of node once its subtree is finished

@@ -31,7 +31,7 @@ import (
 //
 // Accepted nodes are monopoles, as on every octree path. Groups are runs
 // of consecutive bodies, so this traversal profits greatly from
-// Config.PresortMorton (compact groups open far fewer nodes); core enables
+// Config.KeySorted (compact groups open far fewer nodes); core enables
 // it for every flat-layout octree.
 //
 // A system of at most allpairs.DirectMaxN bodies is summed pairwise
@@ -62,7 +62,7 @@ func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System,
 	}
 
 	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
-	sorted := t.cfg.PresortMorton
+	sorted := t.cfg.KeySorted
 	numGroups := (n + groupSize - 1) / groupSize
 
 	r.For(pol, numGroups, func(g int) {

@@ -73,7 +73,7 @@ func TestGroupedConservativeAccuracy(t *testing.T) {
 	perBody := meanErr(Config{}, func(tree *Tree, s *parBody) {
 		tree.Accelerations(r, par.ParUnseq, s, p)
 	})
-	list := meanErr(Config{PresortMorton: true}, func(tree *Tree, s *parBody) {
+	list := meanErr(Config{KeySorted: true}, func(tree *Tree, s *parBody) {
 		tree.AccelerationsList(r, par.ParUnseq, s, p, 32)
 	})
 	if list > perBody*1.01 {
@@ -133,7 +133,7 @@ func TestAccelerationsListDirectUpToCutoff(t *testing.T) {
 	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0.8}
 	for _, n := range []int{allpairs.DirectMaxN, allpairs.DirectMaxN + 1} {
 		s := randomSystem(n, 319)
-		tree := buildTree(t, Config{PresortMorton: true}, s, r)
+		tree := buildTree(t, Config{KeySorted: true}, s, r)
 		tree.ComputeMoments(r, s)
 		direct, walk := s.Clone(), s.Clone()
 		allpairs.AllPairs(r, par.ParUnseq, direct, p)

@@ -28,10 +28,10 @@ import (
 //     the parent, summing its 8 children with plain loads. Fewer atomics,
 //     but the reads are strided.
 //
-// A key-sorted tree (Config.PresortMorton) knows its levels and needs
+// A key-sorted tree (Config.KeySorted) knows its levels and needs
 // neither: see gatherMoments.
 func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
-	if t.cfg.PresortMorton {
+	if t.cfg.KeySorted {
 		t.gatherMoments(r, s)
 		return
 	}

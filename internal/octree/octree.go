@@ -13,8 +13,9 @@
 //	                       of its 8 children (allocated as one sibling group)
 //
 // Sibling groups additionally store one parent offset and one depth byte
-// per group. Children within a group are ordered by Morton octant
-// (x-bit<<2 | y-bit<<1 | z-bit), matching the paper.
+// per group. In the concurrent build children within a group are ordered by
+// octant (x-bit<<2 | y-bit<<1 | z-bit), matching the paper; in the
+// key-sorted build they are ordered by Hilbert digit, the curve's order.
 //
 // Nodes are carved out of a pre-reserved pool by a concurrent bump
 // allocator (a single atomic counter). Because groups are always allocated
@@ -26,9 +27,9 @@
 // at MaxDepth the tree instead chains bodies in a per-leaf lock-free list
 // (an extension to the paper, which assumes distinct positions).
 //
-// That is the paper's build, and what Config.PresortMorton == false runs.
-// With PresortMorton the same arrays are filled from the bodies' sorted
-// Morton keys by counting (sorted.go): no locks, leaves of up to leafBucket
+// That is the paper's build, and what Config.KeySorted == false runs.
+// With KeySorted the same arrays are filled from the bodies' sorted
+// Hilbert keys by counting (sorted.go): no locks, leaves of up to leafBucket
 // bodies, moments gathered level by level. It is the build the default
 // (flat-layout) simulation uses; the concurrent build is the paper-fidelity
 // variant and the oracle the sorted one is tested against.
@@ -78,11 +79,11 @@ type Config struct {
 	GatherMoments bool
 	// GroupSize is the number of consecutive bodies that share one walk
 	// and one interaction list in AccelerationsList (0 selects 32). The
-	// per-body traversal ignores it. Combine with PresortMorton for
-	// compact groups.
+	// per-body traversal ignores it. Combine with KeySorted for compact
+	// groups.
 	GroupSize int
-	// PresortMorton selects the key-sorted build: Build sorts the bodies
-	// along the Morton curve of the root cube (permuting the system like
+	// KeySorted selects the key-sorted build: Build sorts the bodies
+	// along the Hilbert curve of the root cube (permuting the system like
 	// the BVH's Hilbert sort does) and constructs the tree from the sorted
 	// keys by counting instead of by concurrent insertion. It is a
 	// different tree, not a reordering of the same one: a leaf holds up to
@@ -92,7 +93,7 @@ type Config struct {
 	// summed exactly), the pool is sized from counts so Build cannot fail,
 	// and tree, moments and accelerations are bit-identical for any worker
 	// count. GatherMoments is ignored: the sorted tree always gathers.
-	PresortMorton bool
+	KeySorted bool
 }
 
 // DefaultMaxDepth is the subdivision bound used when Config.MaxDepth is 0.
@@ -122,12 +123,11 @@ type Tree struct {
 	// Per-body chain links for leaves holding more than one body.
 	next []int32
 
-	// Key-sorted build only (Config.PresortMorton; see sorted.go).
+	// Key-sorted build only (Config.KeySorted; see sorted.go).
 	bucket      int      // leaf capacity above the key depth cap
 	leafEnd     []int32  // per node: end of the body range starting at tokenBody(child)
 	levels      []int32  // levels[d] = groups of depth ≤ d
-	keys        []uint64 // Morton keys of the bodies, sorted
-	sortKeys    []uint64 // the same keys in pre-sort body order
+	keys        []uint64 // Hilbert keys of the bodies, sorted
 	sortPerm    []int32
 	front, back []span  // frontier of the level being built, and of the next
 	slots       []int32 // per frontier entry: children joining the next frontier
@@ -237,7 +237,7 @@ func (t *Tree) capGroups() int {
 // Build constructs the octree over the bodies of s, whose bounding box must
 // be box (typically the result of bounds.OfPositions).
 //
-// Without Config.PresortMorton it implements the paper's BUILDTREE step
+// Without Config.KeySorted it implements the paper's BUILDTREE step
 // (Algorithm 4): a Parallel For over bodies, each performing a root-to-leaf
 // traversal and inserting with CAS-based fine-grained locking. The loop
 // requires the par policy's parallel forward progress guarantee — a thread
@@ -245,7 +245,7 @@ func (t *Tree) capGroups() int {
 // pre-reserved node pool overflows, Build transparently grows it and
 // rebuilds, returning an error only if growth hits an unreasonable bound.
 //
-// With Config.PresortMorton it permutes s into Morton order and builds from
+// With Config.KeySorted it permutes s into Hilbert order and builds from
 // the sorted keys (buildSorted); that path returns no error.
 func (t *Tree) Build(r *par.Runtime, s *body.System, box bounds.AABB) error {
 	n := s.N()
@@ -260,7 +260,7 @@ func (t *Tree) Build(r *par.Runtime, s *body.System, box bounds.AABB) error {
 		t.next = make([]int32, n)
 	}
 
-	if t.cfg.PresortMorton {
+	if t.cfg.KeySorted {
 		t.buildSorted(r, s, cube)
 		return nil
 	}

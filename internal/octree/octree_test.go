@@ -61,7 +61,7 @@ func TestBuildSingleBody(t *testing.T) {
 	if tree.NumGroups() != 0 {
 		t.Errorf("single body allocated %d groups", tree.NumGroups())
 	}
-	leaf := tree.FindLeaf(1, 2, 3)
+	leaf := findLeaf(tree, 1, 2, 3)
 	if leaf != 0 {
 		t.Errorf("single body leaf = %d, want root", leaf)
 	}
@@ -99,8 +99,8 @@ func TestBuildTwoOctants(t *testing.T) {
 		t.Errorf("two separable bodies allocated %d groups, want 1", tree.NumGroups())
 	}
 	// The two bodies must sit in distinct leaves each containing one body.
-	l0 := tree.FindLeaf(-1, -1, -1)
-	l1 := tree.FindLeaf(1, 1, 1)
+	l0 := findLeaf(tree, -1, -1, -1)
+	l1 := findLeaf(tree, 1, 1, 1)
 	if l0 == l1 {
 		t.Errorf("both bodies in leaf %d", l0)
 	}
@@ -143,9 +143,9 @@ func TestBuildEveryBodyFindable(t *testing.T) {
 	s := randomSystem(5000, 7)
 	tree := buildTree(t, Config{}, s, r)
 	for i := 0; i < s.N(); i++ {
-		leaf := tree.FindLeaf(s.PosX[i], s.PosY[i], s.PosZ[i])
+		leaf := findLeaf(tree, s.PosX[i], s.PosY[i], s.PosZ[i])
 		if leaf < 0 {
-			t.Fatalf("body %d: FindLeaf failed", i)
+			t.Fatalf("body %d: findLeaf failed", i)
 		}
 		found := false
 		for _, b := range tree.LeafBodies(leaf) {
@@ -573,7 +573,7 @@ func BenchmarkSortedBuild1e5(b *testing.B) {
 	s := randomSystem(100000, 1)
 	r := par.NewRuntime(0, par.Dynamic)
 	box := bounds.OfPositions(r, par.ParUnseq, s.PosX, s.PosY, s.PosZ)
-	tree := New(Config{PresortMorton: true})
+	tree := New(Config{KeySorted: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tree.Build(r, s, box); err != nil {
@@ -587,7 +587,7 @@ func sortedTree1e5(b *testing.B) (*Tree, *body.System, *par.Runtime) {
 	s := randomSystem(100000, 1)
 	r := par.NewRuntime(0, par.Dynamic)
 	box := bounds.OfPositions(r, par.ParUnseq, s.PosX, s.PosY, s.PosZ)
-	tree := New(Config{PresortMorton: true})
+	tree := New(Config{KeySorted: true})
 	if err := tree.Build(r, s, box); err != nil {
 		b.Fatal(err)
 	}
@@ -609,5 +609,46 @@ func BenchmarkAccelerationsList1e5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
+	}
+}
+
+// findLeaf returns the index of the leaf node whose cell covers position
+// (x, y, z) in a tree of the concurrent build, following child links from
+// the root exactly as insertion does: child slot = octant. It returns -1 if
+// the traversal encounters an inconsistency. The key-sorted build orders
+// children along the curve, so there it would take wrong turns.
+func findLeaf(t *Tree, x, y, z float64) int32 {
+	node := int32(0)
+	cx, cy, cz := t.rootCenter.X, t.rootCenter.Y, t.rootCenter.Z
+	half := t.rootHalf
+	for {
+		tok := t.child[node]
+		if tok < 0 {
+			return node
+		}
+		oct := int32(0)
+		half *= 0.5
+		if x >= cx {
+			oct |= 4
+			cx += half
+		} else {
+			cx -= half
+		}
+		if y >= cy {
+			oct |= 2
+			cy += half
+		} else {
+			cy -= half
+		}
+		if z >= cz {
+			oct |= 1
+			cz += half
+		} else {
+			cz -= half
+		}
+		node = tok + oct
+		if node >= int32(t.NumNodes()) {
+			return -1
+		}
 	}
 }

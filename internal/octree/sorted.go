@@ -30,43 +30,8 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n, n+n/4)
 }
 
-// sortBodies reorders the bodies of s along the Morton curve of cube and
-// leaves their keys, in the new order, in t.keys.
-func (t *Tree) sortBodies(r *par.Runtime, s *body.System, cube bounds.AABB) {
-	n := s.N()
-	t.sortKeys = resize(t.sortKeys, n)
-	t.sortPerm = resize(t.sortPerm, n)
-	t.keys = resize(t.keys, n)
-	unsorted, perm, keys := t.sortKeys, t.sortPerm, t.keys
-
-	const maxCoord = uint32(1)<<sfc.MaxOrder3D - 1
-	inv := 0.0
-	if ext := cube.MaxExtent(); ext > 0 {
-		inv = float64(maxCoord+1) / ext
-	}
-	origin := cube.Min
-	posX, posY, posZ := s.PosX, s.PosY, s.PosZ
-
-	r.ForGrain(par.ParUnseq, n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			unsorted[i] = sfc.MortonIndex3D(
-				sfc.GridCoord(posX[i], origin.X, inv, maxCoord),
-				sfc.GridCoord(posY[i], origin.Y, inv, maxCoord),
-				sfc.GridCoord(posZ[i], origin.Z, inv, maxCoord))
-			perm[i] = int32(i)
-		}
-	})
-	par.SortByKeys(r, par.Par, unsorted, perm)
-	r.ForGrain(par.ParUnseq, n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = unsorted[perm[i]]
-		}
-	})
-	s.Permute(r, par.ParUnseq, perm)
-}
-
 // sharedDigits returns how many leading octal digits (tree levels) two
-// 63-bit Morton keys have in common, sfc.MaxOrder3D if they are equal.
+// 63-bit curve keys have in common, sfc.MaxOrder3D if they are equal.
 func sharedDigits(a, b uint64) int { return (bits.LeadingZeros64(a^b) - 1) / 3 }
 
 // countGroups returns the number of sibling groups the tree over the sorted
@@ -93,17 +58,19 @@ func countGroups(r *par.Runtime, keys []uint64, bucket, maxLevels int) int {
 		})
 }
 
-// buildSorted constructs the tree from the bodies' sorted Morton keys by
+// buildSorted constructs the tree from the bodies' sorted Hilbert keys by
 // counting instead of inserting (Cornerstone; Bédorf et al.'s sparse
 // octree): a cell at depth d is a run of keys sharing their first d octal
 // digits, so its eight children are the eight digit boundaries inside the
-// run, found by binary search. The pass is level-synchronous. Every entry
-// of the frontier is an internal node and gets the next sibling group, in
-// frontier order; a child holding more than t.bucket bodies above the depth
-// cap joins the next frontier, whose slots come from an exclusive scan of
-// the per-entry counts. The pool is sized from countGroups up front, so
-// there is nothing to overflow and no pass is ever redone, and nothing
-// depends on the schedule, so the tree is the same for any worker count.
+// run, found by binary search. Child slot k of a node holds the cell whose
+// digit is k: the children are in curve order, not octant order. The pass
+// is level-synchronous. Every entry of the frontier is an internal node and
+// gets the next sibling group, in frontier order; a child holding more than
+// t.bucket bodies above the depth cap joins the next frontier, whose slots
+// come from an exclusive scan of the per-entry counts. The pool is sized
+// from countGroups up front, so there is nothing to overflow and no pass is
+// ever redone, and nothing depends on the schedule, so the tree is the same
+// for any worker count.
 //
 // Groups come out in breadth-first order (t.levels records where each depth
 // starts), which keeps child > parent for the stackless traversals and lets
@@ -115,7 +82,8 @@ func (t *Tree) buildSorted(r *par.Runtime, s *body.System, cube bounds.AABB) {
 	n := int32(s.N())
 	var keys []uint64
 	if n > 1 {
-		t.sortBodies(r, s, cube)
+		t.keys, t.sortPerm = resize(t.keys, int(n)), resize(t.sortPerm, int(n))
+		sfc.SortBodies(r, par.Par, s, cube, t.keys, t.sortPerm)
 		keys = t.keys
 	}
 	maxLevels := min(t.cfg.MaxDepth, sfc.MaxOrder3D)
@@ -235,7 +203,7 @@ func digitEnd(keys []uint64, lo, hi int32, shift uint, oct uint64) int32 {
 
 // gatherMoments is ComputeMoments on a key-sorted tree: one pass per level,
 // deepest first, in which every node sums either its leaf's body range or
-// its eight children in octant order. Each sum is taken by one goroutine in
+// its eight children in slot order. Each sum is taken by one goroutine in
 // a fixed order and nothing is accumulated atomically, so the moments — and
 // the accelerations computed from them — are bit-identical for any worker
 // count and schedule. The ranges are body indices, so the pass is equally

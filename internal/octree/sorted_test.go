@@ -14,11 +14,11 @@ import (
 	"nbody/internal/vec"
 )
 
-// The tests below cover the key-sorted build (Config.PresortMorton): against
+// The tests below cover the key-sorted build (Config.KeySorted): against
 // the concurrent build as oracle at a leaf bucket of one, and on its own at
 // the shipped bucket.
 
-var sortedCfg = Config{PresortMorton: true}
+var sortedCfg = Config{KeySorted: true}
 
 // buildBucket is buildTree through newBucket.
 func buildBucket(t *testing.T, bucket int, s *body.System, r *par.Runtime) *Tree {
@@ -122,6 +122,52 @@ func TestSortedBuildBitIdenticalAcrossWorkers(t *testing.T) {
 			!slices.Equal(ref.sys.AccY, got.sys.AccY) ||
 			!slices.Equal(ref.sys.AccZ, got.sys.AccZ) {
 			t.Errorf("%d workers: body order or accelerations differ from 1 worker", workers)
+		}
+	}
+}
+
+// Every body of every leaf lies in the cell its key names. A leaf's child
+// slots from the root down are the first d Hilbert digits of the key of
+// each body in it, and those digits, decoded with sfc.HilbertCoords3D, are
+// the cell of the 2^d-per-side grid over the root cube that holds the body.
+func TestSortedLeavesLieInTheirKeysCells(t *testing.T) {
+	r := par.NewRuntime(3, par.Dynamic)
+	for _, s := range []*body.System{randomSystem(20000, 197), clusteredSystem(20000, 199)} {
+		tree := buildTree(t, sortedCfg, s, r)
+		box := tree.RootBox()
+		tol := 1e-9 * box.MaxExtent()
+		leaves := 0
+		for node := int32(0); node < int32(tree.NumNodes()); node++ {
+			tok := tree.child[node]
+			if tok >= 0 || tok == TokenEmpty {
+				continue
+			}
+			leaves++
+			d := tree.depthOf(node)
+			var path uint64 // the slots from the root to node, as octal digits
+			for c, k := node, 0; c != 0; c, k = tree.parentOf(c), k+1 {
+				path |= uint64((c-1)%8) << (3 * k)
+			}
+			var cx, cy, cz uint32
+			if d > 0 {
+				cx, cy, cz = sfc.HilbertCoords3D(path, uint(d))
+			}
+			size := box.MaxExtent() / float64(uint64(1)<<d)
+			lo := box.Min.Add(vec.New(float64(cx), float64(cy), float64(cz)).Scale(size))
+			for b := tokenBody(tok); b < tree.leafEnd[node]; b++ {
+				if prefix := tree.keys[b] >> (3 * (sfc.MaxOrder3D - d)); prefix != path {
+					t.Fatalf("leaf %d at depth %d: body %d's key starts %o, the leaf's path is %o", node, d, b, prefix, path)
+				}
+				p := s.Pos(int(b))
+				for axis, v := range [3]float64{p.X - lo.X, p.Y - lo.Y, p.Z - lo.Z} {
+					if v < -tol || v > size+tol {
+						t.Fatalf("leaf %d at depth %d: body %d at %v is outside its cell %v + %g on axis %d", node, d, b, p, lo, size, axis)
+					}
+				}
+			}
+		}
+		if leaves < s.N()/leafBucket {
+			t.Fatalf("%d leaves for %d bodies", leaves, s.N())
 		}
 	}
 }
@@ -249,7 +295,7 @@ func TestSortedBuildExactWhenThetaZero(t *testing.T) {
 func TestSortedMomentsFollowDriftOnKeptTopology(t *testing.T) {
 	r := par.NewRuntime(0, par.Dynamic)
 	s := randomSystem(5000, 193)
-	tree := buildTree(t, Config{PresortMorton: true}, s, r)
+	tree := buildTree(t, Config{KeySorted: true}, s, r)
 	tree.ComputeMoments(r, s)
 	for i := 0; i < s.N(); i++ {
 		d := 0.3 * math.Sin(float64(i))

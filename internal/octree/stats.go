@@ -107,48 +107,6 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-// FindLeaf returns the index of the leaf node whose cell covers position
-// (x, y, z), following child links from the root exactly as insertion does.
-// It returns -1 if the traversal encounters an inconsistency. (The
-// key-sorted build assigns cells by quantised key, not by comparing with
-// cell centres, so there a body within rounding of a cell face may sit in
-// the leaf next to the one this returns.)
-func (t *Tree) FindLeaf(x, y, z float64) int32 {
-	node := int32(0)
-	cx, cy, cz := t.rootCenter.X, t.rootCenter.Y, t.rootCenter.Z
-	half := t.rootHalf
-	for {
-		tok := t.child[node]
-		if tok < 0 {
-			return node
-		}
-		oct := int32(0)
-		half *= 0.5
-		if x >= cx {
-			oct |= 4
-			cx += half
-		} else {
-			cx -= half
-		}
-		if y >= cy {
-			oct |= 2
-			cy += half
-		} else {
-			cy -= half
-		}
-		if z >= cz {
-			oct |= 1
-			cz += half
-		} else {
-			cz -= half
-		}
-		node = tok + oct
-		if node >= int32(t.NumNodes()) {
-			return -1
-		}
-	}
-}
-
 // LeafBodies returns the ids of the bodies chained at leaf node i (nil for
 // an empty or internal node).
 func (t *Tree) LeafBodies(i int32) []int32 {

@@ -39,14 +39,15 @@ func ExampleReduceRanges() {
 	// 285
 }
 
-// A key sort producing a permutation, the analog of the paper's
-// HILBERTSORT fallback for toolchains without views::zip.
+// A sort of (key, index) pairs, the analog of the paper's HILBERTSORT,
+// which sorts (hilbert, body) pairs: both slices come out permuted
+// together, and idx is the permutation to apply to the bodies.
 func ExampleSortByKeys() {
 	r := par.NewRuntime(2, par.Dynamic)
 	keys := []uint64{30, 10, 20}
 	idx := []int32{0, 1, 2}
 	par.SortByKeys(r, par.Par, keys, idx)
-	fmt.Println(idx)
+	fmt.Println(keys, idx)
 	// Output:
-	// [1 2 0]
+	// [10 20 30] [1 2 0]
 }

@@ -32,7 +32,7 @@ func FuzzMorton3D(f *testing.F) {
 	f.Add(uint32(1), uint32(2), uint32(3))
 	f.Fuzz(func(t *testing.T, x, y, z uint32) {
 		x, y, z = x&0x1fffff, y&0x1fffff, z&0x1fffff
-		gx, gy, gz := MortonCoords3D(MortonIndex3D(x, y, z))
+		gx, gy, gz := mortonCoords3D(mortonIndex3D(x, y, z))
 		if gx != x || gy != y || gz != z {
 			t.Fatalf("roundtrip (%d,%d,%d) -> (%d,%d,%d)", x, y, z, gx, gy, gz)
 		}

@@ -1,19 +1,19 @@
-// Package sfc implements the space-filling curves used by the tree builders:
+// Package sfc implements the space-filling curve both trees order their
+// bodies by, the Hilbert curve, and the sort that orders them (SortBodies,
+// the paper's HILBERTSORT). HilbertIndex3D walks the curve's 24-state
+// machine two levels per table lookup; Skilling's transposed-Gray-code
+// algorithm ("Programming the Hilbert curve", AIP 2004 — reference [17] of
+// the paper) is the oracle the tables are generated from and tested
+// against, and HilbertCoords3D decodes with it. The Morton (Z-order)
+// interleave is kept only as the octant digits the table walk reads.
 //
-//   - the Hilbert curve, which orders the bodies for the Hilbert-sorted BVH
-//     strategy. HilbertIndex3D walks the curve's 24-state machine, one table
-//     lookup per level; Skilling's transposed-Gray-code algorithm
-//     ("Programming the Hilbert curve", AIP 2004 — reference [17] of the
-//     paper) is the oracle the table is generated from and tested against,
-//     and HilbertCoords3D decodes with it;
-//   - the Morton (Z-order) curve, the key of the key-sorted octree and the
-//     child ordering inside octree cells.
-//
-// Both curves map discrete 3D grid coordinates with `order` bits per
-// dimension to a single index of 3*order bits, preserving spatial locality.
-// The Hilbert curve additionally guarantees that consecutive indices are
-// face-adjacent cells (unit steps), which is what makes BVH nodes built from
-// contiguous runs compact.
+// The curve maps discrete 3D grid coordinates with `order` bits per
+// dimension to a single index of 3*order bits, preserving spatial locality:
+// the first d octal digits of an index name the cell of the 2^d³ grid that
+// holds it, so every cell at every depth is one contiguous index range (the
+// key-sorted octree builds its nodes from that), and consecutive indices
+// are face-adjacent cells (unit steps), which is what makes BVH nodes built
+// from contiguous runs compact.
 package sfc
 
 // MaxOrder3D is the largest per-dimension bit count whose 3D index fits in a
@@ -25,23 +25,48 @@ const MaxOrder3D = 21
 // [1, MaxOrder3D]. The index of consecutive cells along the curve differs by
 // one, and the cells are face neighbours.
 //
-// It walks the curve's state machine from the top level down: the cell's
-// octant at each level (a 3-bit group of the Morton interleave) is one
-// lookup in hilbertTable, giving that level's index digit and the state of
-// the child cell. The keys are bit-identical to Skilling's transform
-// (hilbertSkilling), from which the table is generated.
+// It walks the curve's state machine from the top level down, two levels
+// per lookup: the cell's octants at two consecutive levels (six bits of the
+// Morton interleave) are one lookup in hilbertPairs, giving both levels'
+// index digits and the state of the grandchild cell. An odd order takes one
+// single-level step in hilbertTable first. The keys are bit-identical to
+// Skilling's transform (hilbertSkilling), from which the tables are
+// generated.
 func HilbertIndex3D(x, y, z uint32, order uint) uint64 {
 	checkOrder(order)
-	oct := MortonIndex3D(x, y, z)
-	var row uint8 // the root cell is in state 0 at every order
+	oct := mortonIndex3D(x, y, z)
+	var row uint16 // the root cell is in state 0 at every order
 	var h uint64
-	for shift := 3 * int(order-1); shift >= 0; shift -= 3 {
-		e := hilbertTable[row|uint8(oct>>uint(shift)&7)]
-		h = h<<3 | uint64(e&7)
-		row = e &^ 7
+	shift := 3 * order
+	if order&1 != 0 {
+		shift -= 3
+		e := hilbertTable[oct>>shift&7]
+		h = uint64(e & 7)
+		row = uint16(e>>3) << 6
+	}
+	for shift > 0 {
+		shift -= 6
+		e := hilbertPairs[row|uint16(oct>>shift&63)]
+		h = h<<6 | uint64(e&63)
+		row = e &^ 63
 	}
 	return h
 }
+
+// hilbertPairs is hilbertTable composed with itself: entry row|pair, where
+// row is 64·state and pair holds the octants of a cell and of its child
+// (the parent's in the upper three bits), holds the grandchild's row in its
+// upper bits and the two index digits, parent's first, in its lower six.
+var hilbertPairs = func() (pairs [24 * 64]uint16) {
+	for state := range 24 {
+		for pair := range 64 {
+			e1 := hilbertTable[state<<3|pair>>3]
+			e2 := hilbertTable[e1&^7|uint8(pair&7)]
+			pairs[state<<6|pair] = uint16(e2>>3)<<6 | uint16(e1&7)<<3 | uint16(e2&7)
+		}
+	}
+	return pairs
+}()
 
 // hilbertTable is the curve's state machine: entry row|octant, where row is
 // 8·state, holds the child cell's row in its upper five bits and the index
@@ -192,12 +217,11 @@ func deinterleaveTranspose(h uint64, x []uint32, order uint) {
 	}
 }
 
-// GridCoord maps one position component to its cell on a grid of
+// gridCoord maps one position component to its cell on a grid of
 // maxCoord+1 cells per dimension that starts at origin, where inv is cells
 // per unit length. The result is clamped to the grid, so a position on the
-// upper face of the gridded cube lands in the last cell. Both trees quantise
-// with it, each over its own cube.
-func GridCoord(p, origin, inv float64, maxCoord uint32) uint32 {
+// upper face of the gridded cube lands in the last cell.
+func gridCoord(p, origin, inv float64, maxCoord uint32) uint32 {
 	v := (p - origin) * inv
 	if v <= 0 {
 		return 0
@@ -209,16 +233,17 @@ func GridCoord(p, origin, inv float64, maxCoord uint32) uint32 {
 	return g
 }
 
-// MortonIndex3D returns the Morton (Z-order) index of (x, y, z), using
+// mortonIndex3D returns the Morton (Z-order) index of (x, y, z), using
 // MaxOrder3D bits per dimension. Higher coordinates bits beyond MaxOrder3D
 // are ignored. Bit layout: x is most significant within each 3-bit group,
-// matching the octree child ordering (child = xbit<<2 | ybit<<1 | zbit).
-func MortonIndex3D(x, y, z uint32) uint64 {
+// so each group is a cell's octant xbit<<2 | ybit<<1 | zbit, the digit
+// HilbertIndex3D's tables are indexed by.
+func mortonIndex3D(x, y, z uint32) uint64 {
 	return part1By2(x)<<2 | part1By2(y)<<1 | part1By2(z)
 }
 
-// MortonCoords3D inverts MortonIndex3D.
-func MortonCoords3D(m uint64) (x, y, z uint32) {
+// mortonCoords3D inverts mortonIndex3D.
+func mortonCoords3D(m uint64) (x, y, z uint32) {
 	return compact1By2(m >> 2), compact1By2(m >> 1), compact1By2(m)
 }
 

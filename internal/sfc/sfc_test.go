@@ -160,8 +160,10 @@ func TestHilbertTableFromSkilling(t *testing.T) {
 	t.Errorf("committed table differs from Skilling's transform; regenerated:\n%s", b.String())
 }
 
-// The table walk must reproduce Skilling's keys: every cell at orders 1–4,
-// and 10⁵ random cells at each order above.
+// The table walk must reproduce Skilling's keys at every order, odd ones
+// (a single-level step, then two levels a lookup) and even ones (two levels
+// a lookup throughout): every cell at orders 1–4, and 10⁵ random cells at
+// each order above.
 func TestHilbertTableMatchesSkilling(t *testing.T) {
 	for order := uint(1); order <= 4; order++ {
 		side := uint32(1) << order
@@ -213,7 +215,7 @@ func TestMorton3DRoundTrip(t *testing.T) {
 		x := uint32(s.Uint64()) & 0x1fffff
 		y := uint32(s.Uint64()) & 0x1fffff
 		z := uint32(s.Uint64()) & 0x1fffff
-		gx, gy, gz := MortonCoords3D(MortonIndex3D(x, y, z))
+		gx, gy, gz := mortonCoords3D(mortonIndex3D(x, y, z))
 		if gx != x || gy != y || gz != z {
 			t.Fatalf("roundtrip (%d,%d,%d) -> (%d,%d,%d)", x, y, z, gx, gy, gz)
 		}
@@ -222,32 +224,33 @@ func TestMorton3DRoundTrip(t *testing.T) {
 
 func TestMortonKnownValues(t *testing.T) {
 	// Interleaving of single set bits.
-	if got := MortonIndex3D(1, 0, 0); got != 4 {
-		t.Errorf("MortonIndex3D(1,0,0) = %d, want 4", got)
+	if got := mortonIndex3D(1, 0, 0); got != 4 {
+		t.Errorf("mortonIndex3D(1,0,0) = %d, want 4", got)
 	}
-	if got := MortonIndex3D(0, 1, 0); got != 2 {
-		t.Errorf("MortonIndex3D(0,1,0) = %d, want 2", got)
+	if got := mortonIndex3D(0, 1, 0); got != 2 {
+		t.Errorf("mortonIndex3D(0,1,0) = %d, want 2", got)
 	}
-	if got := MortonIndex3D(0, 0, 1); got != 1 {
-		t.Errorf("MortonIndex3D(0,0,1) = %d, want 1", got)
+	if got := mortonIndex3D(0, 0, 1); got != 1 {
+		t.Errorf("mortonIndex3D(0,0,1) = %d, want 1", got)
 	}
-	if got := MortonIndex3D(1, 1, 1); got != 7 {
-		t.Errorf("MortonIndex3D(1,1,1) = %d, want 7", got)
+	if got := mortonIndex3D(1, 1, 1); got != 7 {
+		t.Errorf("mortonIndex3D(1,1,1) = %d, want 7", got)
 	}
-	if got := MortonIndex3D(2, 0, 0); got != 32 {
-		t.Errorf("MortonIndex3D(2,0,0) = %d, want 32", got)
+	if got := mortonIndex3D(2, 0, 0); got != 32 {
+		t.Errorf("mortonIndex3D(2,0,0) = %d, want 32", got)
 	}
 }
 
-// Morton order must match the octree child convention: the index of a cell
-// within its parent 2x2x2 block is xbit<<2 | ybit<<1 | zbit.
+// Each 3-bit group of the interleave must be the octant the Hilbert tables
+// are indexed by (and the concurrent octree's child slot): the index of a
+// cell within its parent 2x2x2 block is xbit<<2 | ybit<<1 | zbit.
 func TestMortonChildOrder(t *testing.T) {
 	for x := uint32(0); x < 2; x++ {
 		for y := uint32(0); y < 2; y++ {
 			for z := uint32(0); z < 2; z++ {
 				want := uint64(x<<2 | y<<1 | z)
-				if got := MortonIndex3D(x, y, z); got != want {
-					t.Errorf("MortonIndex3D(%d,%d,%d) = %d, want %d", x, y, z, got, want)
+				if got := mortonIndex3D(x, y, z); got != want {
+					t.Errorf("mortonIndex3D(%d,%d,%d) = %d, want %d", x, y, z, got, want)
 				}
 			}
 		}
@@ -255,13 +258,13 @@ func TestMortonChildOrder(t *testing.T) {
 }
 
 // Property: Morton order of two points is determined by the highest
-// differing coordinate bit (the defining property used by Morton BVHs).
+// differing coordinate bit, so each 3-bit group is one level's octant.
 func TestPropMortonMonotoneInSingleAxis(t *testing.T) {
 	f := func(xr, yr, zr uint32) bool {
 		x := xr & 0x1ffffe // leave room for +1
 		y := yr & 0x1fffff
 		z := zr & 0x1fffff
-		return MortonIndex3D(x+1, y, z) > MortonIndex3D(x, y, z)
+		return mortonIndex3D(x+1, y, z) > mortonIndex3D(x, y, z)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -345,7 +348,7 @@ func BenchmarkHilbertIndex3D(b *testing.B) {
 func BenchmarkMortonIndex3D(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink += MortonIndex3D(uint32(i)&0x1fffff, uint32(i*7)&0x1fffff, uint32(i*13)&0x1fffff)
+		sink += mortonIndex3D(uint32(i)&0x1fffff, uint32(i*7)&0x1fffff, uint32(i*13)&0x1fffff)
 	}
 	_ = sink
 }

@@ -33,4 +33,4 @@ go test -race ./...
 
 # Run every benchmark of the engine layers EXPERIMENTS.md cites once, so
 # they keep compiling and running.
-go test -run '^$' -bench . -benchtime 1x ./internal/sfc ./internal/octree ./internal/bvh ./internal/soa
+go test -run '^$' -bench . -benchtime 1x ./internal/sfc ./internal/par ./internal/octree ./internal/bvh ./internal/soa
