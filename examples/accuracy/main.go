@@ -106,7 +106,7 @@ func runOctree(rt *par.Runtime, s *body.System, p grav.Params, cfg octree.Config
 	}
 	tree.ComputeMoments(rt, s)
 	start := time.Now()
-	tree.Accelerations(rt, par.ParUnseq, s, p)
+	tree.Accelerations(rt, par.ParUnseq, s, p, nil)
 	return time.Since(start)
 }
 
@@ -115,7 +115,7 @@ func runBVH(rt *par.Runtime, s *body.System, p grav.Params, cfg bvh.Config) time
 	box := bounds.OfPositions(rt, par.ParUnseq, s.PosX, s.PosY, s.PosZ)
 	tree.Build(rt, par.ParUnseq, s, box)
 	start := time.Now()
-	tree.Accelerations(rt, par.ParUnseq, s, p)
+	tree.Accelerations(rt, par.ParUnseq, s, p, nil)
 	return time.Since(start)
 }
 

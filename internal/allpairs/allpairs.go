@@ -24,13 +24,13 @@ import (
 	"nbody/internal/soa"
 )
 
-// DirectMaxN is the largest system the tree solvers' list kernels and the
-// engine's potential sample sum pairwise instead of walking a tree. Up to
-// here the pairwise sum costs no more than a tree step (one worker, whole
-// step: 130 µs against 174 µs octree and 229 µs BVH at N = 256; 2.0 ms
-// against 2.4 and 2.5 ms at N = 1 024), and it carries no θ error, so a
-// small system's accuracy does not depend on how its bodies happen to
-// cluster.
+// DirectMaxN is the largest system the tree solvers' list kernels sum
+// pairwise instead of walking a tree; the potentials that pass writes, and
+// so the engine's energy sample, are pairwise too. Up to here the pairwise
+// sum costs no more than a tree step (one worker, whole step: 130 µs
+// against 174 µs octree and 229 µs BVH at N = 256; 2.0 ms against 2.4 and
+// 2.5 ms at N = 1 024), and it carries no θ error, so a small system's
+// accuracy does not depend on how its bodies happen to cluster.
 const DirectMaxN = 1024
 
 // tile is the block edge of AllPairsCol's pair supertiles: 64 bodies × 3
@@ -40,20 +40,33 @@ const tile = 64
 // AllPairs computes accelerations with the classical all-pairs algorithm
 // under the given policy (the paper runs it with par_unseq).
 func AllPairs(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params) {
+	AllPairsPhi(r, pol, s, p, nil)
+}
+
+// AllPairsPhi is AllPairs that also writes each body's potential φᵢ (per
+// unit mass, G-scaled) into phi unless phi is nil; ½·Σ mᵢφᵢ is then the
+// system's potential energy. The kernel returns the potential beside the
+// acceleration, so φ costs one add per pair.
+func AllPairsPhi(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, phi []float64) {
 	n := s.N()
 	eps2 := p.Eps2()
+	self := soa.SelfInv(eps2)
 	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
 
 	r.ForGrain(pol, n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			xi, yi, zi := posX[i], posY[i], posZ[i]
 			// The shared soa kernel hoists the eps2 branch out of the
-			// inner loop; the self term j == i contributes zero either
-			// way, so no index test is needed.
-			ax, ay, az := soa.Accel(posX, posY, posZ, mass, 0, n, xi, yi, zi, eps2)
+			// inner loop; the self term j == i contributes zero
+			// acceleration either way, so no index test is needed, and
+			// its potential term is taken back out below.
+			ax, ay, az, pot := soa.AccelPot(posX, posY, posZ, mass, 0, n, xi, yi, zi, eps2)
 			s.AccX[i] = p.G * ax
 			s.AccY[i] = p.G * ay
 			s.AccZ[i] = p.G * az
+			if phi != nil {
+				phi[i] = p.G * (mass[i]*self - pot)
+			}
 		}
 	})
 }
@@ -139,7 +152,8 @@ func AllPairsCol(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params) 
 
 // PotentialEnergy returns the exact total gravitational potential energy
 // Σ_{i<j} -G·mᵢ·mⱼ/√(rᵢⱼ² + ε²), computed with a parallel reduction over
-// rows of the pair matrix. O(N²) — intended for diagnostics and tests.
+// rows of the pair matrix. O(N²): the independent oracle of diagnostics and
+// tests, and the potential of AllPairsCol, whose scatter writes no φ.
 func PotentialEnergy(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params) float64 {
 	n := s.N()
 	eps2 := p.Eps2()

@@ -196,6 +196,33 @@ func TestPotentialEnergyParallelMatchesSeq(t *testing.T) {
 	}
 }
 
+// The potentials AllPairsPhi writes beside the accelerations sum to the
+// pairwise energy, softened or not, with two coincident bodies whose pair
+// is −G·m²/ε softened and nothing unsoftened; the accelerations are the
+// bits AllPairs writes.
+func TestAllPairsPhiMatchesPotentialEnergy(t *testing.T) {
+	r := par.NewRuntime(3, par.Dynamic)
+	for _, eps := range []float64{1e-2, 0} {
+		p := grav.Params{G: 2, Eps: eps}
+		s := randomSystem(700, 17)
+		s.SetPos(1, s.Pos(0))
+		phi := make([]float64, s.N())
+		AllPairsPhi(r, par.ParUnseq, s, p, phi)
+		want := s.Clone()
+		AllPairs(r, par.ParUnseq, want, p)
+		var u float64
+		for i := range phi {
+			u += 0.5 * s.Mass[i] * phi[i]
+			if s.Acc(i) != want.Acc(i) {
+				t.Fatalf("eps=%v body %d: acceleration %v, AllPairs %v", eps, i, s.Acc(i), want.Acc(i))
+			}
+		}
+		if exact := PotentialEnergy(r, par.Par, s, p); math.Abs(u-exact) > 1e-12*math.Abs(exact) {
+			t.Errorf("eps=%v: ½Σmφ = %v, PotentialEnergy %v", eps, u, exact)
+		}
+	}
+}
+
 func TestGravParamsValidate(t *testing.T) {
 	if err := grav.DefaultParams().Validate(); err != nil {
 		t.Errorf("default params invalid: %v", err)

@@ -181,8 +181,9 @@ func (s *System) Particles() []Particle {
 
 // Permute reorders the bodies so that new body i is old body perm[i].
 // perm must be a permutation of [0, N); the reorder is applied to every
-// per-body array in parallel gather passes. This is how the HILBERTSORT
-// step is materialized for toolchains without views::zip (the paper's
+// per-body array in parallel gather passes, each cut into a few chunks per
+// worker (par.StreamGrain). This is how the HILBERTSORT step is
+// materialized for toolchains without views::zip (the paper's
 // AdaptiveCpp/Clang fallback, and ours).
 func (s *System) Permute(r *par.Runtime, p par.Policy, perm []int32) {
 	n := s.N()
@@ -192,6 +193,7 @@ func (s *System) Permute(r *par.Runtime, p par.Policy, perm []int32) {
 	if s.scratch == nil {
 		s.scratch = make([]float64, n)
 	}
+	grain := r.StreamGrain(n)
 	for _, arr := range []*[]float64{
 		&s.Mass,
 		&s.PosX, &s.PosY, &s.PosZ,
@@ -200,7 +202,7 @@ func (s *System) Permute(r *par.Runtime, p par.Policy, perm []int32) {
 	} {
 		src := *arr
 		dst := s.scratch
-		r.ForGrain(p, n, 0, func(lo, hi int) {
+		r.ForGrain(p, n, grain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				dst[i] = src[perm[i]]
 			}
@@ -212,7 +214,7 @@ func (s *System) Permute(r *par.Runtime, p par.Policy, perm []int32) {
 		s.scratchID = make([]int32, n)
 	}
 	srcID, dstID := s.ID, s.scratchID
-	r.ForGrain(p, n, 0, func(lo, hi int) {
+	r.ForGrain(p, n, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dstID[i] = srcID[perm[i]]
 		}

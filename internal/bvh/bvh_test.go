@@ -1,7 +1,9 @@
 package bvh
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -172,7 +174,7 @@ func TestForceExactWhenThetaZero(t *testing.T) {
 			// Reference computed after Build so both see the permuted order.
 			ref := s.Clone()
 			allpairs.AllPairs(r, par.ParUnseq, ref, p)
-			tree.Accelerations(r, par.ParUnseq, s, p)
+			tree.Accelerations(r, par.ParUnseq, s, p, nil)
 
 			for i := 0; i < n; i++ {
 				d := s.Acc(i).Sub(ref.Acc(i)).Norm()
@@ -193,7 +195,7 @@ func TestForceApproximationQuality(t *testing.T) {
 	tree := buildTree(t, Config{}, s, r)
 	ref := s.Clone()
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
-	tree.Accelerations(r, par.ParUnseq, s, p)
+	tree.Accelerations(r, par.ParUnseq, s, p, nil)
 
 	// Bodies whose net force nearly cancels have huge *relative* errors
 	// for any approximate method, so normalize by the field's mean
@@ -227,7 +229,7 @@ func TestForceErrorDecreasesWithTheta(t *testing.T) {
 	meanErr := func(theta float64) float64 {
 		p := grav.Params{G: 1, Eps: 1e-3, Theta: theta}
 		allpairs.AllPairs(r, par.ParUnseq, ref, p)
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.Accelerations(r, par.ParUnseq, s, p, nil)
 		var sum float64
 		for i := 0; i < n; i++ {
 			sum += s.Acc(i).Sub(ref.Acc(i)).Norm() / (ref.Acc(i).Norm() + 1e-12)
@@ -252,7 +254,7 @@ func TestBoxDistanceCriterionMoreAccurate(t *testing.T) {
 		tree := buildTree(t, Config{Criterion: crit}, s, r)
 		ref := s.Clone()
 		allpairs.AllPairs(r, par.ParUnseq, ref, p)
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.Accelerations(r, par.ParUnseq, s, p, nil)
 		var sum float64
 		for i := 0; i < n; i++ {
 			sum += s.Acc(i).Sub(ref.Acc(i)).Norm() / (ref.Acc(i).Norm() + 1e-12)
@@ -275,7 +277,7 @@ func TestBoxDistanceCriterionExactAtThetaZero(t *testing.T) {
 	tree := buildTree(t, Config{Criterion: BoxDistance}, s, r)
 	ref := s.Clone()
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
-	tree.Accelerations(r, par.ParUnseq, s, p)
+	tree.Accelerations(r, par.ParUnseq, s, p, nil)
 	for i := 0; i < n; i++ {
 		if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-10*(1+ref.Acc(i).Norm()) {
 			t.Fatalf("body %d force mismatch", i)
@@ -312,7 +314,7 @@ func TestBuildNoSortStaysCorrect(t *testing.T) {
 	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0}
 	ref := s.Clone()
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
-	tree.Accelerations(r, par.ParUnseq, s, p)
+	tree.Accelerations(r, par.ParUnseq, s, p, nil)
 	for i := 0; i < n; i++ {
 		if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-10*(1+ref.Acc(i).Norm()) {
 			t.Fatalf("no-sort rebuild body %d force mismatch", i)
@@ -339,7 +341,7 @@ func TestMasslessBodies(t *testing.T) {
 	}
 	r := par.NewRuntime(4, par.Dynamic)
 	tree := buildTree(t, Config{}, s, r)
-	tree.Accelerations(r, par.ParUnseq, s, grav.DefaultParams())
+	tree.Accelerations(r, par.ParUnseq, s, grav.DefaultParams(), nil)
 	for i := 0; i < s.N(); i++ {
 		if !s.Acc(i).IsFinite() {
 			t.Fatalf("body %d acceleration %v", i, s.Acc(i))
@@ -355,7 +357,7 @@ func TestCoincidentBodies(t *testing.T) {
 	r := par.NewRuntime(4, par.Dynamic)
 	tree := buildTree(t, Config{}, s, r)
 	checkStructure(t, tree, s)
-	tree.Accelerations(r, par.ParUnseq, s, grav.Params{G: 1, Eps: 0, Theta: 0.5})
+	tree.Accelerations(r, par.ParUnseq, s, grav.Params{G: 1, Eps: 0, Theta: 0.5}, nil)
 	for i := 0; i < 8; i++ {
 		if !s.Acc(i).IsFinite() {
 			t.Fatalf("coincident bodies produced %v", s.Acc(i))
@@ -371,28 +373,106 @@ func TestSingleBody(t *testing.T) {
 	if tree.NumLeaves() != 1 || tree.Levels() != 1 {
 		t.Errorf("single body: leaves=%d levels=%d", tree.NumLeaves(), tree.Levels())
 	}
-	tree.Accelerations(r, par.ParUnseq, s, grav.DefaultParams())
+	tree.Accelerations(r, par.ParUnseq, s, grav.DefaultParams(), nil)
 	if s.Acc(0) != vec.Zero {
 		t.Errorf("lone body acceleration %v", s.Acc(0))
 	}
 }
 
-func TestPotentialMatchesExactAtThetaZero(t *testing.T) {
-	n := 500
-	s := randomSystem(n, 43)
-	r := par.NewRuntime(0, par.Dynamic)
-	p := grav.Params{G: 2, Eps: 1e-3, Theta: 0}
-	tree := buildTree(t, Config{LeafSize: 2}, s, r)
-
-	phi := make([]float64, n)
-	tree.Potential(r, par.ParUnseq, s, p, phi)
-	var treeU float64
-	for i := 0; i < n; i++ {
-		treeU += 0.5 * s.Mass[i] * phi[i]
-	}
+// checkPotentials holds the potentials both traversals of a built tree
+// write beside the accelerations to the pairwise sum: the energy ½·Σ mᵢφᵢ
+// within tol relative, or, when tol is 0, within the traversal's own
+// relative L2 force error against the pairwise accelerations.
+func checkPotentials(t *testing.T, at string, tree *Tree, r *par.Runtime, s *body.System, p grav.Params, tol float64) {
+	t.Helper()
+	ref := s.Clone()
+	allpairs.AllPairs(r, par.Seq, ref, p)
 	exactU := allpairs.PotentialEnergy(r, par.Par, s, p)
-	if math.Abs(treeU-exactU) > 1e-9*math.Abs(exactU) {
-		t.Errorf("tree potential %v vs exact %v", treeU, exactU)
+	phi := make([]float64, s.N())
+	for _, tr := range []struct {
+		name string
+		run  func()
+	}{
+		{"walk", func() { tree.Accelerations(r, par.ParUnseq, s, p, phi) }},
+		{"list", func() { tree.accelerationsList(r, par.ParUnseq, s, p, 0, phi) }},
+	} {
+		tr.run()
+		var u, d2, a2 float64
+		for i := 0; i < s.N(); i++ {
+			u += 0.5 * s.Mass[i] * phi[i]
+			d2 += s.Acc(i).Sub(ref.Acc(i)).Norm2()
+			a2 += ref.Acc(i).Norm2()
+		}
+		bound := tol
+		if bound == 0 {
+			bound = math.Sqrt(d2 / a2)
+		}
+		if rel := math.Abs(u-exactU) / math.Abs(exactU); !(rel <= bound) {
+			t.Errorf("%s %s: potential energy %v, pairwise %v: relative error %.3g, bound %.3g", at, tr.name, u, exactU, rel, bound)
+		}
+	}
+}
+
+// potentialCases runs check on a tree of leaf size 1 and the shipped leaf
+// size under both criteria, softened and not, over an input with two
+// coincident bodies: their pair is −G·m²/ε softened and, like their force,
+// nothing unsoftened, and the list traversal, whose lists hold each target
+// itself, must take its self term back out.
+func potentialCases(t *testing.T, theta float64, check func(at string, tree *Tree, s *body.System, p grav.Params)) {
+	r := par.NewRuntime(0, par.Dynamic)
+	for _, eps := range []float64{1e-3, 0} {
+		for _, leafSize := range []int{1, 0} {
+			for _, crit := range []Criterion{CenterDistance, BoxDistance} {
+				s := randomSystem(2000, 43)
+				s.SetPos(1, s.Pos(0))
+				tree := buildTree(t, Config{LeafSize: leafSize, Criterion: crit}, s, r)
+				check(fmt.Sprintf("eps=%v leaf=%d %v", eps, leafSize, crit), tree, s, grav.Params{G: 2, Eps: eps, Theta: theta})
+			}
+		}
+	}
+}
+
+// θ = 0 opens every node: both traversals' potentials sum the pairwise
+// energy to rounding.
+func TestPotentialMatchesExactAtThetaZero(t *testing.T) {
+	r := par.NewRuntime(0, par.Dynamic)
+	potentialCases(t, 0, func(at string, tree *Tree, s *body.System, p grav.Params) {
+		checkPotentials(t, at, tree, r, s, p, 1e-12)
+	})
+}
+
+// At the shipped θ the potential energy is no worse than the forces it
+// comes with.
+func TestPotentialWithinForceErrorEnvelope(t *testing.T) {
+	r := par.NewRuntime(0, par.Dynamic)
+	potentialCases(t, grav.DefaultParams().Theta, func(at string, tree *Tree, s *body.System, p grav.Params) {
+		checkPotentials(t, at, tree, r, s, p, 0)
+	})
+}
+
+// Sort, tree, accelerations and the potentials both traversals write are
+// bit-identical for any worker count.
+func TestPotentialsBitIdenticalAcrossWorkers(t *testing.T) {
+	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0.6}
+	base := randomSystem(20000, 47)
+	run := func(workers int) (walk, list []float64, sys *body.System) {
+		r := par.NewRuntime(workers, par.Dynamic)
+		s := base.Clone()
+		tree := buildTree(t, Config{}, s, r)
+		walk, list = make([]float64, s.N()), make([]float64, s.N())
+		tree.Accelerations(r, par.ParUnseq, s.Clone(), p, walk)
+		tree.AccelerationsListPhi(r, par.ParUnseq, s, p, 0, list)
+		return walk, list, s
+	}
+	refWalk, refList, ref := run(1)
+	for _, workers := range []int{2, 5} {
+		walk, list, s := run(workers)
+		if !slices.Equal(ref.ID, s.ID) || !slices.Equal(ref.AccX, s.AccX) || !slices.Equal(ref.AccY, s.AccY) || !slices.Equal(ref.AccZ, s.AccZ) {
+			t.Errorf("%d workers: body order or accelerations differ from 1 worker", workers)
+		}
+		if !slices.Equal(refWalk, walk) || !slices.Equal(refList, list) {
+			t.Errorf("%d workers: potentials differ from 1 worker", workers)
+		}
 	}
 }
 
@@ -453,7 +533,7 @@ func TestPropBuildAndExactForce(t *testing.T) {
 		p := grav.Params{G: 1, Eps: 1e-3, Theta: 0}
 		ref := s.Clone()
 		allpairs.AllPairs(r, par.ParUnseq, ref, p)
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.Accelerations(r, par.ParUnseq, s, p, nil)
 		for i := 0; i < n; i++ {
 			if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-9*(1+ref.Acc(i).Norm()) {
 				return false
@@ -486,7 +566,7 @@ func BenchmarkForce1e5(b *testing.B) {
 	p := grav.DefaultParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.Accelerations(r, par.ParUnseq, s, p, nil)
 	}
 }
 

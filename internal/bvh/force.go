@@ -1,8 +1,6 @@
 package bvh
 
 import (
-	"math"
-
 	"nbody/internal/body"
 	"nbody/internal/grav"
 	"nbody/internal/par"
@@ -23,7 +21,11 @@ import (
 // node and, when it fails, evaluated body by body; θ = 0 stays exact.
 //
 // All iterations are independent; the paper runs this under par_unseq.
-func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params) {
+//
+// Unless phi is nil, each body's potential φᵢ (per unit mass, G-scaled) is
+// written into phi, summed over the same accepted nodes and leaf bodies as
+// its acceleration.
+func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, phi []float64) {
 	n := s.N()
 	eps2 := p.Eps2()
 	theta2 := p.Theta * p.Theta
@@ -37,7 +39,7 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 	r.ForGrain(pol, n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			xi, yi, zi := posX[i], posY[i], posZ[i]
-			var ax, ay, az float64
+			var ax, ay, az, pot float64
 
 			node := 1
 			for node != 0 {
@@ -63,7 +65,7 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 						crit2 = t.boxDist2(node, xi, yi, zi)
 					}
 					if nd.size*nd.size < theta2*crit2 {
-						grav.Accumulate(dx, dy, dz, nd.m, eps2, &ax, &ay, &az)
+						grav.Accumulate(dx, dy, dz, nd.m, eps2, &ax, &ay, &az, &pot)
 						node = skipNext(node)
 						continue
 					}
@@ -77,7 +79,7 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 					if b == i {
 						continue
 					}
-					grav.Accumulate(posX[b]-xi, posY[b]-yi, posZ[b]-zi, mass[b], eps2, &ax, &ay, &az)
+					grav.Accumulate(posX[b]-xi, posY[b]-yi, posZ[b]-zi, mass[b], eps2, &ax, &ay, &az, &pot)
 				}
 				node = skipNext(node)
 			}
@@ -85,6 +87,9 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 			s.AccX[i] = p.G * ax
 			s.AccY[i] = p.G * ay
 			s.AccZ[i] = p.G * az
+			if phi != nil {
+				phi[i] = -p.G * pot
+			}
 		}
 	})
 }
@@ -123,70 +128,4 @@ func skipNext(node int) int {
 		return 0
 	}
 	return node + 1
-}
-
-// Potential estimates each body's gravitational potential (per unit mass,
-// G-scaled) with the same traversal and opening criterion, for O(N log N)
-// energy diagnostics. Total potential energy is ½·Σ mᵢφᵢ.
-func (t *Tree) Potential(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, out []float64) {
-	n := s.N()
-	eps2 := p.Eps2()
-	theta2 := p.Theta * p.Theta
-	numLeaves := t.numLeaves
-	leafSize := t.cfg.LeafSize
-	nodes := t.nodes
-
-	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
-
-	r.ForGrain(pol, n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xi, yi, zi := posX[i], posY[i], posZ[i]
-			var phi float64
-
-			node := 1
-			for node != 0 {
-				nd := &nodes[node]
-				if nd.empty() {
-					node = skipNext(node)
-					continue
-				}
-				leaf := node >= numLeaves
-				var b0, b1 int
-				if leaf {
-					b0 = (node - numLeaves) * leafSize
-					b1 = min(b0+leafSize, n)
-				}
-				if !leaf || b1-b0 > 1 {
-					dx := nd.x - xi
-					dy := nd.y - yi
-					dz := nd.z - zi
-					d2 := dx*dx + dy*dy + dz*dz
-					if nd.size*nd.size < theta2*d2 {
-						phi -= nd.m / math.Sqrt(d2+eps2)
-						node = skipNext(node)
-						continue
-					}
-					if !leaf {
-						node = 2 * node
-						continue
-					}
-				}
-				for b := b0; b < b1; b++ {
-					if b == i {
-						continue
-					}
-					dx := posX[b] - xi
-					dy := posY[b] - yi
-					dz := posZ[b] - zi
-					r2 := dx*dx + dy*dy + dz*dz + eps2
-					if r2 > 0 {
-						phi -= mass[b] / math.Sqrt(r2)
-					}
-				}
-				node = skipNext(node)
-			}
-
-			out[i] = p.G * phi
-		}
-	})
 }

@@ -30,19 +30,28 @@ import (
 // A system of at most allpairs.DirectMaxN bodies is summed pairwise
 // instead: there the direct sum is no slower than the walk and exact.
 func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupBodies int) {
-	if s.N() <= allpairs.DirectMaxN {
-		allpairs.AllPairs(r, pol, s, p)
-		return
-	}
-	t.accelerationsList(r, pol, s, p, groupBodies)
+	t.AccelerationsListPhi(r, pol, s, p, groupBodies, nil)
 }
 
-// accelerationsList is AccelerationsList's tree walk, at any N.
-func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupBodies int) {
+// AccelerationsListPhi is AccelerationsList that also writes each body's
+// potential φᵢ (per unit mass, G-scaled) into phi unless phi is nil, from
+// the same lists and kernel calls as the accelerations (see
+// octree.AccelerationsListPhi).
+func (t *Tree) AccelerationsListPhi(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupBodies int, phi []float64) {
+	if s.N() <= allpairs.DirectMaxN {
+		allpairs.AllPairsPhi(r, pol, s, p, phi)
+		return
+	}
+	t.accelerationsList(r, pol, s, p, groupBodies, phi)
+}
+
+// accelerationsList is AccelerationsListPhi's tree walk, at any N.
+func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupBodies int, phi []float64) {
 	n := s.N()
 	eps2 := p.Eps2()
+	self := soa.SelfInv(eps2)
 	theta2 := p.Theta * p.Theta
-	posX, posY, posZ := s.PosX, s.PosY, s.PosZ
+	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
 
 	shift, span := t.groupShape(groupBodies)
 	numGroups := (n + span - 1) / span
@@ -53,12 +62,16 @@ func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System,
 		list := soa.GetList()
 		t.groupList(list, s, t.groupNode(g, shift), theta2)
 
-		// Evaluate: every group body against the same list.
+		// Evaluate: every group body against the same list, which holds
+		// the body itself (see allpairs.AllPairsPhi for the self term).
 		for b := b0; b < b1; b++ {
-			ax, ay, az := list.Accel(posX[b], posY[b], posZ[b], eps2)
+			ax, ay, az, pot := list.AccelPot(posX[b], posY[b], posZ[b], eps2)
 			s.AccX[b] = p.G * ax
 			s.AccY[b] = p.G * ay
 			s.AccZ[b] = p.G * az
+			if phi != nil {
+				phi[b] = p.G * (mass[b]*self - pot)
+			}
 		}
 		soa.PutList(list)
 	})

@@ -30,8 +30,8 @@ var criteria = []Criterion{CenterDistance, BoxDistance}
 func listError(tree *Tree, r *par.Runtime, s *body.System, p grav.Params, group int) (list, perBody float64) {
 	ref, walk := s.Clone(), s.Clone()
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
-	tree.Accelerations(r, par.ParUnseq, walk, p)
-	tree.accelerationsList(r, par.ParUnseq, s, p, group)
+	tree.Accelerations(r, par.ParUnseq, walk, p, nil)
+	tree.accelerationsList(r, par.ParUnseq, s, p, group, nil)
 	for i := 0; i < s.N(); i++ {
 		mag := ref.Acc(i).Norm2() + 1e-12
 		list += s.Acc(i).Sub(ref.Acc(i)).Norm2() / mag
@@ -272,8 +272,8 @@ func (o *oracle) walk(lo, hi vec.V3, theta2 float64, accept func(node int), leaf
 }
 
 // TestRecordWalksMatchOracle pins bit-exactness at LeafSize 1 and 4: the
-// same list for every group, and the same per-body accelerations and
-// potentials, as the eleven-array walks — on two inputs, under both
+// same list for every group, and the same per-body accelerations and the
+// potentials the walk writes beside them, as the eleven-array walks — on two inputs, under both
 // criteria, on a fresh tree and after three refits.
 func TestRecordWalksMatchOracle(t *testing.T) {
 	r := par.NewRuntime(0, par.Dynamic)
@@ -325,39 +325,24 @@ func matchOracle(t *testing.T, r *par.Runtime, at string, tree *Tree, o *oracle,
 	}
 
 	acc := s.Clone()
-	tree.Accelerations(r, par.ParUnseq, acc, p)
 	phi := make([]float64, n)
-	tree.Potential(r, par.ParUnseq, s, p, phi)
+	tree.Accelerations(r, par.ParUnseq, acc, p, phi)
 	for i := 0; i < n; i++ {
 		xi := s.Pos(i)
-		var ax, ay, az float64
+		var ax, ay, az, pot float64
 		o.walk(xi, xi, theta2,
 			func(node int) {
-				grav.Accumulate(o.comX[node]-xi.X, o.comY[node]-xi.Y, o.comZ[node]-xi.Z, o.m[node], p.Eps2(), &ax, &ay, &az)
+				grav.Accumulate(o.comX[node]-xi.X, o.comY[node]-xi.Y, o.comZ[node]-xi.Z, o.m[node], p.Eps2(), &ax, &ay, &az, &pot)
 			},
 			func(b int) {
 				if b != i {
-					grav.Accumulate(s.PosX[b]-xi.X, s.PosY[b]-xi.Y, s.PosZ[b]-xi.Z, s.Mass[b], p.Eps2(), &ax, &ay, &az)
+					grav.Accumulate(s.PosX[b]-xi.X, s.PosY[b]-xi.Y, s.PosZ[b]-xi.Z, s.Mass[b], p.Eps2(), &ax, &ay, &az, &pot)
 				}
 			})
 		if want := vec.New(p.G*ax, p.G*ay, p.G*az); acc.Acc(i) != want {
 			t.Fatalf("%s body %d: acceleration %v, oracle %v", at, i, acc.Acc(i), want)
 		}
-		if o.useBoxDist {
-			continue // Potential always opens by center distance
-		}
-		var want float64
-		o.walk(xi, xi, theta2,
-			func(node int) {
-				d := vec.V3{X: o.comX[node], Y: o.comY[node], Z: o.comZ[node]}.Sub(xi)
-				want -= o.m[node] / math.Sqrt(d.Norm2()+p.Eps2())
-			},
-			func(b int) {
-				if r2 := s.Pos(b).Sub(xi).Norm2() + p.Eps2(); b != i && r2 > 0 {
-					want -= s.Mass[b] / math.Sqrt(r2)
-				}
-			})
-		if want *= p.G; phi[i] != want {
+		if want := -p.G * pot; phi[i] != want {
 			t.Fatalf("%s body %d: potential %v, oracle %v", at, i, phi[i], want)
 		}
 	}
@@ -402,39 +387,38 @@ func TestBucketLeafTestedLikeInteriorNode(t *testing.T) {
 	}
 
 	// Reference: exact terms within the own leaf, the other leaf's monopole.
-	acc := s.Clone()
-	tree.Accelerations(r, par.ParUnseq, acc, p)
-	flat := s.Clone()
-	tree.accelerationsList(r, par.ParUnseq, flat, p, 4)
-	phi := make([]float64, 8)
-	tree.Potential(r, par.ParUnseq, s, p, phi)
+	acc, phi := s.Clone(), make([]float64, 8)
+	tree.Accelerations(r, par.ParUnseq, acc, p, phi)
+	flat, phiFlat := s.Clone(), make([]float64, 8)
+	tree.accelerationsList(r, par.ParUnseq, flat, p, 4, phiFlat)
 	for i := 0; i < 8; i++ {
 		own, other := 2, 3
 		if i >= 4 {
 			own, other = 3, 2
 		}
 		lo, hi := tree.nodeRange(own)
-		var ax, ay, az, want float64
+		var ax, ay, az, pot float64
 		xi := s.Pos(i)
 		for b := lo; b < hi; b++ {
 			if b != i {
 				d := s.Pos(b).Sub(xi)
-				grav.Accumulate(d.X, d.Y, d.Z, s.Mass[b], p.Eps2(), &ax, &ay, &az)
-				want -= s.Mass[b] / math.Sqrt(d.Norm2()+p.Eps2())
+				grav.Accumulate(d.X, d.Y, d.Z, s.Mass[b], p.Eps2(), &ax, &ay, &az, &pot)
 			}
 		}
 		nd := tree.nodes[other]
 		d := vec.New(nd.x, nd.y, nd.z).Sub(xi)
-		grav.Accumulate(d.X, d.Y, d.Z, nd.m, p.Eps2(), &ax, &ay, &az)
-		want -= nd.m / math.Sqrt(d.Norm2()+p.Eps2())
+		grav.Accumulate(d.X, d.Y, d.Z, nd.m, p.Eps2(), &ax, &ay, &az, &pot)
+		want := -p.G * pot
 		ref := vec.New(ax, ay, az)
 		for name, got := range map[string]vec.V3{"per-body": acc.Acc(i), "list": flat.Acc(i)} {
 			if got.Sub(ref).Norm() > 1e-12*ref.Norm() {
 				t.Errorf("%s body %d: %v, want monopole of the far leaf %v", name, i, got, ref)
 			}
 		}
-		if math.Abs(phi[i]-want) > 1e-12*math.Abs(want) {
-			t.Errorf("potential body %d: %v, want %v", i, phi[i], want)
+		for name, got := range map[string]float64{"per-body": phi[i], "list": phiFlat[i]} {
+			if math.Abs(got-want) > 1e-12*math.Abs(want) {
+				t.Errorf("%s potential body %d: %v, want %v", name, i, got, want)
+			}
 		}
 	}
 }
@@ -442,14 +426,14 @@ func TestBucketLeafTestedLikeInteriorNode(t *testing.T) {
 func TestGroupedEmptyAndDefaults(t *testing.T) {
 	r := par.NewRuntime(2, par.Dynamic)
 	empty := randomSystem(0, 413)
-	buildTree(t, Config{}, empty, r).accelerationsList(r, par.ParUnseq, empty, grav.DefaultParams(), 0)
+	buildTree(t, Config{}, empty, r).accelerationsList(r, par.ParUnseq, empty, grav.DefaultParams(), 0, nil)
 
 	// A non-positive group size selects the default of 32.
 	s := randomSystem(200, 417)
 	tree := buildTree(t, Config{}, s, r)
 	want := s.Clone()
-	tree.accelerationsList(r, par.ParUnseq, want, grav.DefaultParams(), 32)
-	tree.accelerationsList(r, par.ParUnseq, s, grav.DefaultParams(), 0)
+	tree.accelerationsList(r, par.ParUnseq, want, grav.DefaultParams(), 32, nil)
+	tree.accelerationsList(r, par.ParUnseq, s, grav.DefaultParams(), 0, nil)
 	for i := 0; i < s.N(); i++ {
 		if s.Acc(i) != want.Acc(i) {
 			t.Fatalf("body %d: group size 0 gave %v, 32 gave %v", i, s.Acc(i), want.Acc(i))
@@ -607,7 +591,7 @@ func TestAccelerationsListDirectUpToCutoff(t *testing.T) {
 		tree := buildTree(t, Config{}, s, r)
 		direct, walk := s.Clone(), s.Clone()
 		allpairs.AllPairs(r, par.ParUnseq, direct, p)
-		tree.accelerationsList(r, par.ParUnseq, walk, p, 0)
+		tree.accelerationsList(r, par.ParUnseq, walk, p, 0, nil)
 		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 		want := walk
 		if n <= allpairs.DirectMaxN {

@@ -198,7 +198,11 @@ type Sim struct {
 	breakdown metrics.Breakdown
 	step      int
 	haveAcc   bool
-	phiBuf    []float64
+	// phi is each body's potential (per unit mass, G-scaled) as the last
+	// force pass wrote it beside the accelerations — every solver but
+	// AllPairsCol. It describes the positions in sys whenever the cursor
+	// is idle with haveAcc set.
+	phi []float64
 
 	// Phase-cursor state: cursor marks the next phase of the in-flight
 	// step (curIdle between steps), pendingRebuild the structure decision
@@ -664,11 +668,16 @@ func (s *Sim) phaseStructure(rebuild bool) error {
 func (s *Sim) phaseForce() {
 	b := &s.breakdown
 	p := s.cfg.Params
+	phi := s.phi
+	if s.cfg.Algorithm != AllPairsCol && len(phi) != s.sys.N() {
+		phi = make([]float64, s.sys.N())
+		s.phi = phi
+	}
 
 	switch s.cfg.Algorithm {
 	case AllPairs:
 		b.Time(metrics.PhaseForce, func() {
-			allpairs.AllPairs(s.rt, s.pol.force, s.sys, p)
+			allpairs.AllPairsPhi(s.rt, s.pol.force, s.sys, p, phi)
 		})
 
 	case AllPairsCol:
@@ -685,18 +694,18 @@ func (s *Sim) phaseForce() {
 	case Octree:
 		b.Time(metrics.PhaseForce, func() {
 			if s.cfg.Layout == LayoutFlat {
-				s.tree.AccelerationsList(s.rt, s.pol.force, s.sys, p, s.cfg.Octree.GroupSize)
+				s.tree.AccelerationsListPhi(s.rt, s.pol.force, s.sys, p, s.cfg.Octree.GroupSize, phi)
 			} else {
-				s.tree.Accelerations(s.rt, s.pol.force, s.sys, p)
+				s.tree.Accelerations(s.rt, s.pol.force, s.sys, p, phi)
 			}
 		})
 
 	case BVH:
 		b.Time(metrics.PhaseForce, func() {
 			if s.cfg.Layout == LayoutFlat {
-				s.hbvh.AccelerationsList(s.rt, s.pol.force, s.sys, p, s.cfg.BVH.GroupBodies)
+				s.hbvh.AccelerationsListPhi(s.rt, s.pol.force, s.sys, p, s.cfg.BVH.GroupBodies, phi)
 			} else {
-				s.hbvh.Accelerations(s.rt, s.pol.force, s.sys, p)
+				s.hbvh.Accelerations(s.rt, s.pol.force, s.sys, p, phi)
 			}
 		})
 	}
@@ -712,14 +721,16 @@ type Diagnostics struct {
 }
 
 // Diagnostics computes conservation diagnostics. When exact is true the
-// potential is the O(N²) pairwise sum; otherwise it is approximated with a
-// traversal of the solver's own tree at the configured θ, which is what
-// large-N runs should use. Between steps that is the tree the last
-// committed step left: Diagnostics is an observer and a run's trajectory
-// does not depend on how often it is sampled. Systems of at most
-// allpairs.DirectMaxN bodies, whose list force pass is the pairwise sum
-// too, and the all-pairs solvers (which keep no tree and already pay
-// O(N²) a step) get the pairwise sum either way.
+// potential is the O(N²) pairwise sum, the independent oracle. Otherwise it
+// is ½·Σ mᵢφᵢ over the potentials the last force pass wrote beside the
+// accelerations: an O(N) reduce at the solver's own θ and layout, with no
+// tree walk and no build. KDK evaluates forces at each step's final
+// positions, so between steps those potentials describe the system as it
+// stands. Before the first step the sample runs that step's initial
+// structure and force phases, which the step then skips, so a run's
+// trajectory does not depend on whether or how often it is sampled. Mid-step
+// (a cancelled run stopped between phases) and under AllPairsCol, whose
+// pair scatter writes no potentials, the sample is the pairwise sum.
 func (s *Sim) Diagnostics(exact bool) Diagnostics {
 	d := Diagnostics{
 		Mass:          s.sys.TotalMass(),
@@ -731,74 +742,37 @@ func (s *Sim) Diagnostics(exact bool) Diagnostics {
 	return d
 }
 
-// structureCurrent reports whether the tree describes the positions in
-// s.sys. It does from the end of a structure phase until the next drift —
-// in particular at every committed step boundary, because the closing
-// half-kick moves no body — and does not before the first step of a new or
-// restored simulation.
-func (s *Sim) structureCurrent() bool {
-	switch s.cursor {
-	case curIdle:
-		return s.haveAcc
-	case curInitStructure, curStructure:
-		return false
-	}
-	return true
-}
-
-// observeStructure makes the tree describe the current positions for an
-// observer outside the step loop. It leaves a current tree alone: rebuilding
-// it would Hilbert-permute the bodies and replace the topology the next
-// refit step reuses, so sampling would change the trajectory. Otherwise it
-// builds one, and tells the reuse policy so.
-func (s *Sim) observeStructure() error {
-	if s.structureCurrent() {
-		return nil
-	}
-	switch s.cfg.Algorithm {
-	case BVH:
-		s.hbvh.BuildNoSort(s.rt, s.pol.build, s.sys)
-	case Octree:
-		box := bounds.OfPositions(s.rt, s.pol.reduce, s.sys.PosX, s.sys.PosY, s.sys.PosZ)
-		if err := s.tree.Build(s.rt, s.sys, box); err != nil {
-			return err
-		}
-		s.tree.ComputeMoments(s.rt, s.sys)
-		s.noteRebuild(box.MaxExtent())
-	}
-	return nil
+// initForces runs the first step's init-structure and init-force phases
+// ahead of it and leaves the cursor idle: the step then finds haveAcc set
+// and opens with its half-kick, exactly as after running them itself.
+func (s *Sim) initForces() error {
+	err := s.advance(nil, curUpdate1)
+	s.cursor = curIdle
+	return err
 }
 
 // potentialEnergy computes total gravitational potential energy.
 func (s *Sim) potentialEnergy(exact bool) float64 {
-	p := s.cfg.Params
-	// A failed build (node pool exhausted after every growth attempt) is
-	// pathological; the next step reports it, the sample falls back.
-	if exact || s.sys.N() <= allpairs.DirectMaxN || !s.hasStructure() || s.observeStructure() != nil {
-		pol := par.Par
-		if s.cfg.Sequential {
-			pol = par.Seq
+	if !exact && s.cfg.Algorithm != AllPairsCol && s.cursor == curIdle {
+		var err error
+		if !s.haveAcc {
+			// A failed build (node pool exhausted after every growth
+			// attempt) is pathological; the first step reports it, the
+			// sample falls back.
+			err = s.initForces()
 		}
-		return allpairs.PotentialEnergy(s.rt, pol, s.sys, p)
+		if err == nil {
+			var u float64
+			mass := s.sys.Mass
+			for i, phi := range s.phi {
+				u += 0.5 * mass[i] * phi
+			}
+			return u
+		}
 	}
-
-	n := s.sys.N()
-	if len(s.phiBuf) < n {
-		s.phiBuf = make([]float64, n)
+	pol := par.Par
+	if s.cfg.Sequential {
+		pol = par.Seq
 	}
-	phi := s.phiBuf[:n]
-
-	switch s.cfg.Algorithm {
-	case BVH:
-		s.hbvh.Potential(s.rt, s.pol.force, s.sys, p, phi)
-	case Octree:
-		s.tree.Potential(s.rt, s.pol.force, s.sys, p, phi)
-	}
-
-	var u float64
-	mass := s.sys.Mass
-	for i := 0; i < n; i++ {
-		u += 0.5 * mass[i] * phi[i]
-	}
-	return u
+	return allpairs.PotentialEnergy(s.rt, pol, s.sys, s.cfg.Params)
 }

@@ -298,30 +298,57 @@ func TestAllPairsColSequential(t *testing.T) {
 }
 
 func TestDiagnosticsApproxVsExact(t *testing.T) {
-	for _, a := range []Algorithm{Octree, BVH, AllPairs} {
-		sys := workload.Plummer(2000, 33)
-		sim, err := New(Config{Algorithm: a, DT: 0.01, Params: grav.Params{G: 1, Eps: 0.05, Theta: 0.4}}, sys)
+	for _, a := range Algorithms() {
+		for _, layout := range Layouts() {
+			sys := workload.Plummer(2000, 33)
+			sim, err := New(Config{Algorithm: a, Layout: layout, DT: 0.01, Params: grav.Params{G: 1, Eps: 0.05, Theta: 0.4}}, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Run(1); err != nil {
+				t.Fatal(err)
+			}
+			exact := sim.Diagnostics(true)
+			approx := sim.Diagnostics(false)
+			if math.Abs(exact.Potential-approx.Potential) > 0.02*math.Abs(exact.Potential) {
+				t.Errorf("%v %v: approx potential %v vs exact %v", a, layout, approx.Potential, exact.Potential)
+			}
+			if exact.Mass != approx.Mass {
+				t.Errorf("%v %v: mass differs", a, layout)
+			}
+		}
+	}
+}
+
+// Mid-step the last force pass's potentials describe no state the bodies
+// are in, and AllPairsCol's pair scatter writes none: there the sample is
+// the pairwise sum.
+func TestDiagnosticsFallsBackToPairwise(t *testing.T) {
+	for _, a := range []Algorithm{Octree, AllPairsCol} {
+		sim, err := New(Config{Algorithm: a, DT: 0.01, Params: grav.Params{G: 1, Eps: 0.05, Theta: 0.4}}, workload.Plummer(2000, 37))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sim.Run(1); err != nil {
 			t.Fatal(err)
 		}
-		exact := sim.Diagnostics(true)
-		approx := sim.Diagnostics(false)
-		if math.Abs(exact.Potential-approx.Potential) > 0.02*math.Abs(exact.Potential) {
-			t.Errorf("%v: approx potential %v vs exact %v", a, approx.Potential, exact.Potential)
+		if a == Octree {
+			if err := sim.advance(nil, curForce); err != nil || !sim.MidStep() {
+				t.Fatalf("advance to force: %v, MidStep %v", err, sim.MidStep())
+			}
 		}
-		if exact.Mass != approx.Mass {
-			t.Errorf("%v: mass differs", a)
+		if exact, approx := sim.Diagnostics(true).Potential, sim.Diagnostics(false).Potential; exact != approx {
+			t.Errorf("%v MidStep %v: Diagnostics(false) potential %v, pairwise %v", a, sim.MidStep(), approx, exact)
 		}
 	}
 }
 
 // Up to allpairs.DirectMaxN bodies the pairwise sum is no dearer than a
-// tree walk, so the flat force pass and Diagnostics(false) must both
-// return it bit for bit — not a θ-approximation; one body more and both
-// walk the tree.
+// tree walk, so the flat force pass returns it bit for bit — not a
+// θ-approximation — and Diagnostics(false), which reduces the potentials
+// that pass wrote, agrees with the pairwise energy to rounding (the reduce
+// ½·Σ mᵢφᵢ sums in another order than the pair loop). One body more and
+// both walk the tree: θ-sized differences.
 func TestDiagnosticsSmallNIsExact(t *testing.T) {
 	for _, a := range []Algorithm{Octree, BVH} {
 		for _, n := range []int{allpairs.DirectMaxN, allpairs.DirectMaxN + 1} {
@@ -335,8 +362,8 @@ func TestDiagnosticsSmallNIsExact(t *testing.T) {
 			}
 			small := n <= allpairs.DirectMaxN
 			exact, approx := sim.Diagnostics(true).Potential, sim.Diagnostics(false).Potential
-			if (exact == approx) != small {
-				t.Errorf("%v n=%d: Diagnostics(false) potential %v, pairwise %v", a, n, approx, exact)
+			if rel := math.Abs(approx-exact) / math.Abs(exact); small && rel > 1e-12 || !small && rel <= 1e-9 {
+				t.Errorf("%v n=%d: Diagnostics(false) potential %v, pairwise %v (relative difference %.3g)", a, n, approx, exact, rel)
 			}
 			// KDK's last force pass saw the final positions.
 			ref := sys.Clone()
@@ -354,12 +381,12 @@ func TestDiagnosticsSmallNIsExact(t *testing.T) {
 	}
 }
 
-// Diagnostics is an observer: sampling between steps must not change the
-// trajectory. Above allpairs.DirectMaxN it used to rebuild the tree it
-// measured, which under tree reuse replaced the topology the next refit step
-// walks — so a run's bytes depended on how often it was sampled. Compared by
-// body ID (tree solvers permute), bit for bit: both default solvers are
-// reproducible run to run.
+// Diagnostics is an observer: sampling must not change the trajectory. The
+// sample before step 0 runs that step's initial structure and force phases,
+// which the step then skips; every later sample reduces the potentials the
+// last force pass wrote and touches nothing else. Compared by body ID (tree
+// solvers permute), bit for bit: both default solvers are reproducible run
+// to run.
 func TestDiagnosticsDoesNotPerturbTrajectory(t *testing.T) {
 	const (
 		n     = 4 * allpairs.DirectMaxN
@@ -381,6 +408,9 @@ func TestDiagnosticsDoesNotPerturbTrajectory(t *testing.T) {
 				for k := 0; k < steps; k++ {
 					if sample {
 						sim.Diagnostics(false)
+						if sim.StepCount() != k || sim.MidStep() {
+							t.Fatalf("%v: sample before step %d left StepCount %d, MidStep %v", alg, k, sim.StepCount(), sim.MidStep())
+						}
 					}
 					if err := sim.Step(); err != nil {
 						t.Fatal(err)
@@ -402,12 +432,21 @@ func TestDiagnosticsDoesNotPerturbTrajectory(t *testing.T) {
 			if moved != 0 {
 				t.Errorf("%v threshold %v: sampling moved %d of %d bodies", alg, threshold, moved, n)
 			}
+			if plain.Rebuilds() != sampled.Rebuilds() || plain.Refits() != sampled.Refits() {
+				t.Errorf("%v threshold %v: %d rebuilds and %d refits sampled, %d and %d not", alg, threshold,
+					sampled.Rebuilds(), sampled.Refits(), plain.Rebuilds(), plain.Refits())
+			}
 
 			// After a committed step the sample touches nothing the next
-			// step reads: body order, topology, drift accounting.
+			// step reads: body order, topology, drift accounting; and it
+			// runs no phase, so it neither builds nor walks a tree.
 			order := append([]int32(nil), sampled.System().ID...)
 			drift, rebuilds := sampled.driftAcc, sampled.Rebuilds()
+			spent := sampled.Breakdown().Total()
 			sampled.Diagnostics(false)
+			if d := sampled.Breakdown().Total() - spent; d != 0 {
+				t.Errorf("%v threshold %v: Diagnostics ran %v of step phases", alg, threshold, d)
+			}
 			for i, id := range sampled.System().ID {
 				if id != order[i] {
 					t.Fatalf("%v threshold %v: Diagnostics permuted the bodies (slot %d)", alg, threshold, i)
@@ -605,5 +644,21 @@ func TestRunIsRunContextBackground(t *testing.T) {
 	}
 	if sim.StepCount() != 3 {
 		t.Fatalf("Run(3) advanced %d steps", sim.StepCount())
+	}
+}
+
+// BenchmarkDiagnostics times the energy sample the service takes after each
+// step request: a 2 048-body Plummer octree on one worker, sampled after a
+// step.
+func BenchmarkDiagnostics(b *testing.B) {
+	sim, err := New(Config{Algorithm: Octree, DT: 1e-3, Runtime: par.NewRuntime(1, par.Dynamic)}, workload.Plummer(2048, 38))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sim.Step(); err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		sim.Diagnostics(false)
 	}
 }

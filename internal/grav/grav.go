@@ -56,23 +56,28 @@ func (p Params) Validate() error {
 func (p Params) Eps2() float64 { return p.Eps * p.Eps }
 
 // Accumulate adds to (ax, ay, az) the acceleration a point mass m at offset
-// (dx, dy, dz) from the target body induces, excluding the factor G, which
-// callers hoist out of their inner loops:
+// (dx, dy, dz) from the target body induces, and to pot the term m/r of the
+// potential there, both excluding the factor G, which callers hoist out of
+// their inner loops:
 //
-//	Δa = m · d / (|d|² + eps2)^(3/2)
+//	Δa = m · d / (|d|² + eps2)^(3/2),  Δpot = m / (|d|² + eps2)^(1/2)
 //
-// A zero offset with zero softening contributes nothing (the self-
-// interaction convention, rather than producing NaN).
-func Accumulate(dx, dy, dz, m, eps2 float64, ax, ay, az *float64) {
+// The potential at the target is −G·pot. Δpot is the first product of Δa's
+// factor, so it costs one add and leaves Δa bit for bit as it was. A zero
+// offset with zero softening contributes nothing (the self-interaction
+// convention, rather than producing NaN).
+func Accumulate(dx, dy, dz, m, eps2 float64, ax, ay, az, pot *float64) {
 	r2 := dx*dx + dy*dy + dz*dz + eps2
 	if r2 == 0 {
 		return
 	}
 	inv := 1 / math.Sqrt(r2)
-	f := m * inv * inv * inv
+	mi := m * inv
+	f := mi * inv * inv
 	*ax += f * dx
 	*ay += f * dy
 	*az += f * dz
+	*pot += mi
 }
 
 // PairPotential returns the gravitational potential energy of two point

@@ -37,22 +37,23 @@ func TestValidateRejectsBadParams(t *testing.T) {
 
 func TestAccumulateInverseSquare(t *testing.T) {
 	// Unit mass at distance 2 along x, no softening: |Δa| = 1/4 toward it.
-	var ax, ay, az float64
-	Accumulate(2, 0, 0, 1, 0, &ax, &ay, &az)
-	if math.Abs(ax-0.25) > 1e-15 || ay != 0 || az != 0 {
-		t.Errorf("Accumulate = (%v, %v, %v)", ax, ay, az)
+	var ax, ay, az, pot float64
+	Accumulate(2, 0, 0, 1, 0, &ax, &ay, &az, &pot)
+	if math.Abs(ax-0.25) > 1e-15 || ay != 0 || az != 0 || pot != 0.5 {
+		t.Errorf("Accumulate = (%v, %v, %v), pot %v", ax, ay, az, pot)
 	}
 }
 
 func TestAccumulateZeroOffset(t *testing.T) {
-	var ax, ay, az float64
-	Accumulate(0, 0, 0, 5, 0, &ax, &ay, &az) // self-interaction, ε = 0
-	if ax != 0 || ay != 0 || az != 0 {
-		t.Errorf("self-interaction produced (%v, %v, %v)", ax, ay, az)
+	var ax, ay, az, pot float64
+	Accumulate(0, 0, 0, 5, 0, &ax, &ay, &az, &pot) // self-interaction, ε = 0
+	if ax != 0 || ay != 0 || az != 0 || pot != 0 {
+		t.Errorf("self-interaction produced (%v, %v, %v), pot %v", ax, ay, az, pot)
 	}
-	Accumulate(0, 0, 0, 5, 1e-6, &ax, &ay, &az) // softened: f·d = 0 anyway
-	if ax != 0 || ay != 0 || az != 0 {
-		t.Errorf("softened self-interaction produced (%v, %v, %v)", ax, ay, az)
+	// Softened: f·d = 0 anyway, but the potential term is m/ε.
+	Accumulate(0, 0, 0, 5, 1e-6, &ax, &ay, &az, &pot)
+	if ax != 0 || ay != 0 || az != 0 || pot != 5/math.Sqrt(1e-6) {
+		t.Errorf("softened self-interaction produced (%v, %v, %v), pot %v", ax, ay, az, pot)
 	}
 }
 
@@ -60,9 +61,9 @@ func TestAccumulateSoftening(t *testing.T) {
 	// With softening the force at distance d is m·d/(d²+ε²)^(3/2),
 	// strictly below the unsoftened value.
 	var hard, soft float64
-	var ay, az float64
-	Accumulate(1, 0, 0, 1, 0, &hard, &ay, &az)
-	Accumulate(1, 0, 0, 1, 0.5, &soft, &ay, &az)
+	var ay, az, pot float64
+	Accumulate(1, 0, 0, 1, 0, &hard, &ay, &az, &pot)
+	Accumulate(1, 0, 0, 1, 0.5, &soft, &ay, &az, &pot)
 	if soft >= hard {
 		t.Errorf("softened %v not below unsoftened %v", soft, hard)
 	}
@@ -97,8 +98,8 @@ func TestPropAccumulateDirection(t *testing.T) {
 		if r2 == 0 {
 			return true
 		}
-		var ax, ay, az float64
-		Accumulate(dx, dy, dz, m, 0, &ax, &ay, &az)
+		var ax, ay, az, pot float64
+		Accumulate(dx, dy, dz, m, 0, &ax, &ay, &az, &pot)
 		// Parallel to (dx,dy,dz) with positive scale.
 		dot := ax*dx + ay*dy + az*dz
 		if dot <= 0 {

@@ -1,8 +1,6 @@
 package octree
 
 import (
-	"math"
-
 	"nbody/internal/body"
 	"nbody/internal/grav"
 	"nbody/internal/par"
@@ -25,7 +23,11 @@ import (
 // when s < θ·d, otherwise its children are visited. A bucket leaf of the
 // key-sorted build (see isBucket) is tested like an internal node and, when
 // it fails, evaluated body by body.
-func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params) {
+//
+// Unless phi is nil, each body's potential φᵢ (per unit mass, G-scaled) is
+// written into phi, summed over the same accepted nodes and leaf bodies as
+// its acceleration.
+func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, phi []float64) {
 	n := s.N()
 	eps2 := p.Eps2()
 	theta2 := p.Theta * p.Theta
@@ -44,7 +46,7 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 	r.ForGrain(pol, n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			xi, yi, zi := posX[i], posY[i], posZ[i]
-			var ax, ay, az float64
+			var ax, ay, az, pot float64
 
 			node := int32(0)
 			for node >= 0 {
@@ -57,7 +59,7 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 					d2 := dx*dx + dy*dy + dz*dz
 					size := sizeAt[t.depthOf(node)]
 					if size*size < theta2*d2 {
-						grav.Accumulate(dx, dy, dz, t.m[node], eps2, &ax, &ay, &az)
+						grav.Accumulate(dx, dy, dz, t.m[node], eps2, &ax, &ay, &az, &pot)
 						node = t.advance(node)
 						continue
 					}
@@ -72,7 +74,7 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 					if int(b) == i {
 						continue
 					}
-					grav.Accumulate(posX[b]-xi, posY[b]-yi, posZ[b]-zi, mass[b], eps2, &ax, &ay, &az)
+					grav.Accumulate(posX[b]-xi, posY[b]-yi, posZ[b]-zi, mass[b], eps2, &ax, &ay, &az, &pot)
 				}
 				node = t.advance(node)
 			}
@@ -80,6 +82,9 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 			s.AccX[i] = p.G * ax
 			s.AccY[i] = p.G * ay
 			s.AccZ[i] = p.G * az
+			if phi != nil {
+				phi[i] = -p.G * pot
+			}
 		}
 	})
 }
@@ -107,68 +112,4 @@ func (t *Tree) advance(node int32) int32 {
 		node = t.parentOf(node)
 	}
 	return -1
-}
-
-// Potential estimates each body's gravitational potential energy with the
-// same traversal and opening criterion as Accelerations, writing φᵢ (the
-// potential per unit mass, G-scaled) into out. Total potential energy is
-// ½·Σ mᵢφᵢ. Used for O(N log N) energy diagnostics where the exact O(N²)
-// sum would dominate the runtime.
-func (t *Tree) Potential(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, out []float64) {
-	n := s.N()
-	eps2 := p.Eps2()
-	theta2 := p.Theta * p.Theta
-	rootSize := 2 * t.rootHalf
-
-	var sizeAt [260]float64
-	sz := rootSize
-	for d := range sizeAt {
-		sizeAt[d] = sz
-		sz *= 0.5
-	}
-
-	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
-
-	r.ForGrain(pol, n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xi, yi, zi := posX[i], posY[i], posZ[i]
-			var phi float64
-
-			node := int32(0)
-			for node >= 0 {
-				tok := t.child[node]
-				if tok >= 0 || t.isBucket(node, tok) {
-					dx := t.comX[node] - xi
-					dy := t.comY[node] - yi
-					dz := t.comZ[node] - zi
-					d2 := dx*dx + dy*dy + dz*dz
-					size := sizeAt[t.depthOf(node)]
-					if size*size < theta2*d2 {
-						phi -= t.m[node] / math.Sqrt(d2+eps2)
-						node = t.advance(node)
-						continue
-					}
-					if tok >= 0 {
-						node = tok
-						continue
-					}
-				}
-				for b := leafBody(tok); b >= 0; b = t.next[b] {
-					if int(b) == i {
-						continue
-					}
-					dx := posX[b] - xi
-					dy := posY[b] - yi
-					dz := posZ[b] - zi
-					r2 := dx*dx + dy*dy + dz*dz + eps2
-					if r2 > 0 {
-						phi -= mass[b] / math.Sqrt(r2)
-					}
-				}
-				node = t.advance(node)
-			}
-
-			out[i] = p.G * phi
-		}
-	})
 }

@@ -26,8 +26,8 @@ import (
 // conservative (size < θ·dist(com, group box)): accuracy is never worse
 // than per-body Barnes-Hut at equal θ, and θ = 0 remains exact. Group
 // bodies appear in their own near field; the self term contributes exactly
-// zero under the kernel convention, so no index test is needed (see
-// package soa).
+// zero acceleration under the kernel convention, so no index test is
+// needed (see package soa).
 //
 // Accepted nodes are monopoles, as on every octree path. Groups are runs
 // of consecutive bodies, so this traversal profits greatly from
@@ -37,20 +37,31 @@ import (
 // A system of at most allpairs.DirectMaxN bodies is summed pairwise
 // instead: there the direct sum is no slower than the walk and exact.
 func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupSize int) {
-	if s.N() <= allpairs.DirectMaxN {
-		allpairs.AllPairs(r, pol, s, p)
-		return
-	}
-	t.accelerationsList(r, pol, s, p, groupSize)
+	t.AccelerationsListPhi(r, pol, s, p, groupSize, nil)
 }
 
-// accelerationsList is AccelerationsList's tree walk, at any N.
-func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupSize int) {
+// AccelerationsListPhi is AccelerationsList that also writes each body's
+// potential φᵢ (per unit mass, G-scaled) into phi unless phi is nil: the
+// list a group's accelerations are summed from is the list of its
+// potential, and the kernel returns both, so ½·Σ mᵢφᵢ approximates the
+// potential energy at the same θ as the forces for one add per
+// interaction.
+func (t *Tree) AccelerationsListPhi(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupSize int, phi []float64) {
+	if s.N() <= allpairs.DirectMaxN {
+		allpairs.AllPairsPhi(r, pol, s, p, phi)
+		return
+	}
+	t.accelerationsList(r, pol, s, p, groupSize, phi)
+}
+
+// accelerationsList is AccelerationsListPhi's tree walk, at any N.
+func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupSize int, phi []float64) {
 	n := s.N()
 	if groupSize <= 0 {
 		groupSize = 32
 	}
 	eps2 := p.Eps2()
+	self := soa.SelfInv(eps2)
 	theta2 := p.Theta * p.Theta
 	rootSize := 2 * t.rootHalf
 
@@ -133,12 +144,16 @@ func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System,
 			node = t.advance(node)
 		}
 
-		// Evaluate: every group body against the same list.
+		// Evaluate: every group body against the same list, which holds
+		// the body itself (see allpairs.AllPairsPhi for the self term).
 		for b := b0; b < b1; b++ {
-			ax, ay, az := list.Accel(posX[b], posY[b], posZ[b], eps2)
+			ax, ay, az, pot := list.AccelPot(posX[b], posY[b], posZ[b], eps2)
 			s.AccX[b] = p.G * ax
 			s.AccY[b] = p.G * ay
 			s.AccZ[b] = p.G * az
+			if phi != nil {
+				phi[b] = p.G * (mass[b]*self - pot)
+			}
 		}
 		for n := int32(list.Len()); ; {
 			if old := t.longestList.Load(); n <= old || t.longestList.CompareAndSwap(old, n) {

@@ -26,7 +26,7 @@ func TestGroupedExactWhenThetaZero(t *testing.T) {
 
 			tree := buildTree(t, Config{}, s, r)
 			tree.ComputeMoments(r, s)
-			tree.accelerationsList(r, par.ParUnseq, s, p, groupSize)
+			tree.accelerationsList(r, par.ParUnseq, s, p, groupSize, nil)
 			for i := 0; i < n; i++ {
 				if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-10*(1+ref.Acc(i).Norm()) {
 					t.Fatalf("n=%d group=%d body %d: %v vs %v", n, groupSize, i, s.Acc(i), ref.Acc(i))
@@ -71,7 +71,7 @@ func TestGroupedConservativeAccuracy(t *testing.T) {
 	}
 
 	perBody := meanErr(Config{}, func(tree *Tree, s *parBody) {
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.Accelerations(r, par.ParUnseq, s, p, nil)
 	})
 	list := meanErr(Config{KeySorted: true}, func(tree *Tree, s *parBody) {
 		tree.AccelerationsList(r, par.ParUnseq, s, p, 32)
@@ -93,7 +93,7 @@ func TestGroupedWithChains(t *testing.T) {
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
 	tree := buildTree(t, Config{MaxDepth: 6}, s, r)
 	tree.ComputeMoments(r, s)
-	tree.accelerationsList(r, par.ParUnseq, s, p, 16)
+	tree.accelerationsList(r, par.ParUnseq, s, p, 16, nil)
 	for i := 0; i < s.N(); i++ {
 		if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-9*(1+ref.Acc(i).Norm()) {
 			t.Fatalf("body %d: %v vs %v", i, s.Acc(i), ref.Acc(i))
@@ -110,15 +110,15 @@ func TestGroupedEmptyAndDefaults(t *testing.T) {
 		t.Skip("empty build unsupported shape")
 	}
 	tree.ComputeMoments(r, s)
-	tree.accelerationsList(r, par.ParUnseq, s, grav.DefaultParams(), 0)
+	tree.accelerationsList(r, par.ParUnseq, s, grav.DefaultParams(), 0, nil)
 
 	// A non-positive group size selects the default of 32.
 	def := randomSystem(200, 317)
 	tree = buildTree(t, Config{}, def, r)
 	tree.ComputeMoments(r, def)
 	want := def.Clone()
-	tree.accelerationsList(r, par.ParUnseq, want, grav.DefaultParams(), 32)
-	tree.accelerationsList(r, par.ParUnseq, def, grav.DefaultParams(), 0)
+	tree.accelerationsList(r, par.ParUnseq, want, grav.DefaultParams(), 32, nil)
+	tree.accelerationsList(r, par.ParUnseq, def, grav.DefaultParams(), 0, nil)
 	for i := 0; i < def.N(); i++ {
 		if def.Acc(i) != want.Acc(i) {
 			t.Fatalf("body %d: group size 0 gave %v, 32 gave %v", i, def.Acc(i), want.Acc(i))
@@ -137,7 +137,7 @@ func TestAccelerationsListDirectUpToCutoff(t *testing.T) {
 		tree.ComputeMoments(r, s)
 		direct, walk := s.Clone(), s.Clone()
 		allpairs.AllPairs(r, par.ParUnseq, direct, p)
-		tree.accelerationsList(r, par.ParUnseq, walk, p, 0)
+		tree.accelerationsList(r, par.ParUnseq, walk, p, 0, nil)
 		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 		want := walk
 		if n <= allpairs.DirectMaxN {

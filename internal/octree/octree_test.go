@@ -2,6 +2,7 @@ package octree
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -322,7 +323,7 @@ func TestMasslessBodies(t *testing.T) {
 	r := par.NewRuntime(4, par.Dynamic)
 	tree := buildTree(t, Config{}, s, r)
 	tree.ComputeMoments(r, s)
-	tree.Accelerations(r, par.ParUnseq, s, grav.DefaultParams())
+	tree.Accelerations(r, par.ParUnseq, s, grav.DefaultParams(), nil)
 	for i := 0; i < s.N(); i++ {
 		if !s.Acc(i).IsFinite() {
 			t.Fatalf("body %d acceleration %v", i, s.Acc(i))
@@ -343,7 +344,7 @@ func TestForceExactWhenThetaZero(t *testing.T) {
 
 		tree := buildTree(t, Config{}, s, r)
 		tree.ComputeMoments(r, s)
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.Accelerations(r, par.ParUnseq, s, p, nil)
 
 		for i := 0; i < n; i++ {
 			d := s.Acc(i).Sub(ref.Acc(i)).Norm()
@@ -367,7 +368,7 @@ func TestForceApproximationQuality(t *testing.T) {
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
 	tree := buildTree(t, Config{}, s, r)
 	tree.ComputeMoments(r, s)
-	tree.Accelerations(r, par.ParUnseq, s, p)
+	tree.Accelerations(r, par.ParUnseq, s, p, nil)
 
 	var sumRel float64
 	for i := 0; i < n; i++ {
@@ -395,7 +396,7 @@ func TestForceErrorDecreasesWithTheta(t *testing.T) {
 		work := s.Clone()
 		tree := buildTree(t, Config{}, work, r)
 		tree.ComputeMoments(r, work)
-		tree.Accelerations(r, par.ParUnseq, work, p)
+		tree.Accelerations(r, par.ParUnseq, work, p, nil)
 		var sum float64
 		for i := 0; i < n; i++ {
 			sum += work.Acc(i).Sub(ref.Acc(i)).Norm() / (ref.Acc(i).Norm() + 1e-12)
@@ -426,7 +427,7 @@ func TestForceWithChains(t *testing.T) {
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
 	tree := buildTree(t, Config{MaxDepth: 4}, s, r)
 	tree.ComputeMoments(r, s)
-	tree.Accelerations(r, par.ParUnseq, s, p)
+	tree.Accelerations(r, par.ParUnseq, s, p, nil)
 
 	for i := 0; i < s.N(); i++ {
 		d := s.Acc(i).Sub(ref.Acc(i)).Norm()
@@ -436,25 +437,73 @@ func TestForceWithChains(t *testing.T) {
 	}
 }
 
-func TestPotentialMatchesExactAtThetaZero(t *testing.T) {
-	n := 500
-	s := randomSystem(n, 59)
-	r := par.NewRuntime(0, par.Dynamic)
-	p := grav.Params{G: 2, Eps: 1e-3, Theta: 0}
-
-	tree := buildTree(t, Config{}, s, r)
-	tree.ComputeMoments(r, s)
-	phi := make([]float64, n)
-	tree.Potential(r, par.ParUnseq, s, p, phi)
-
-	var treeU float64
-	for i := 0; i < n; i++ {
-		treeU += 0.5 * s.Mass[i] * phi[i]
-	}
+// checkPotentials holds the potentials both traversals of a built tree
+// write beside the accelerations to the pairwise sum: the energy ½·Σ mᵢφᵢ
+// within tol relative, or, when tol is 0, within the traversal's own
+// relative L2 force error against the pairwise accelerations.
+func checkPotentials(t *testing.T, at string, tree *Tree, r *par.Runtime, s *body.System, p grav.Params, tol float64) {
+	t.Helper()
+	ref := s.Clone()
+	allpairs.AllPairs(r, par.Seq, ref, p)
 	exactU := allpairs.PotentialEnergy(r, par.Par, s, p)
-	if math.Abs(treeU-exactU) > 1e-9*math.Abs(exactU) {
-		t.Errorf("tree potential %v vs exact %v", treeU, exactU)
+	phi := make([]float64, s.N())
+	for _, tr := range []struct {
+		name string
+		run  func()
+	}{
+		{"walk", func() { tree.Accelerations(r, par.ParUnseq, s, p, phi) }},
+		{"list", func() { tree.accelerationsList(r, par.ParUnseq, s, p, 0, phi) }},
+	} {
+		tr.run()
+		var u, d2, a2 float64
+		for i := 0; i < s.N(); i++ {
+			u += 0.5 * s.Mass[i] * phi[i]
+			d2 += s.Acc(i).Sub(ref.Acc(i)).Norm2()
+			a2 += ref.Acc(i).Norm2()
+		}
+		bound := tol
+		if bound == 0 {
+			bound = math.Sqrt(d2 / a2)
+		}
+		if rel := math.Abs(u-exactU) / math.Abs(exactU); !(rel <= bound) {
+			t.Errorf("%s %s: potential energy %v, pairwise %v: relative error %.3g, bound %.3g", at, tr.name, u, exactU, rel, bound)
+		}
 	}
+}
+
+// potentialCases runs check on both builds, softened and not, of an input
+// with two coincident bodies: their pair is −G·m²/ε softened and, like
+// their force, nothing unsoftened, and the list traversal, whose lists
+// hold each target itself, must take its self term back out.
+func potentialCases(t *testing.T, theta float64, check func(at string, tree *Tree, s *body.System, p grav.Params)) {
+	r := par.NewRuntime(0, par.Dynamic)
+	for _, eps := range []float64{1e-3, 0} {
+		for _, cfg := range []Config{{}, {KeySorted: true}} {
+			s := randomSystem(2000, 59)
+			s.SetPos(1, s.Pos(0))
+			tree := buildTree(t, cfg, s, r)
+			tree.ComputeMoments(r, s)
+			check(fmt.Sprintf("eps=%v sorted=%v", eps, cfg.KeySorted), tree, s, grav.Params{G: 2, Eps: eps, Theta: theta})
+		}
+	}
+}
+
+// θ = 0 opens every node: both traversals' potentials sum the pairwise
+// energy to rounding.
+func TestPotentialMatchesExactAtThetaZero(t *testing.T) {
+	r := par.NewRuntime(0, par.Dynamic)
+	potentialCases(t, 0, func(at string, tree *Tree, s *body.System, p grav.Params) {
+		checkPotentials(t, at, tree, r, s, p, 1e-12)
+	})
+}
+
+// At the shipped θ the potential energy is no worse than the forces it
+// comes with.
+func TestPotentialWithinForceErrorEnvelope(t *testing.T) {
+	r := par.NewRuntime(0, par.Dynamic)
+	potentialCases(t, grav.DefaultParams().Theta, func(at string, tree *Tree, s *body.System, p grav.Params) {
+		checkPotentials(t, at, tree, r, s, p, 0)
+	})
 }
 
 func TestStatsString(t *testing.T) {
@@ -509,7 +558,7 @@ func TestPropBuildAndExactForce(t *testing.T) {
 			return false
 		}
 		tree.ComputeMoments(r, s)
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.Accelerations(r, par.ParUnseq, s, p, nil)
 		for i := 0; i < n; i++ {
 			if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-9*(1+ref.Acc(i).Norm()) {
 				return false
@@ -561,7 +610,7 @@ func BenchmarkForce1e5(b *testing.B) {
 	p := grav.DefaultParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.Accelerations(r, par.ParUnseq, s, p, nil)
 	}
 }
 

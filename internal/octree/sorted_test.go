@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -60,9 +61,9 @@ func TestSortedBuildBucketOneMatchesConcurrent(t *testing.T) {
 		}
 
 		cas.ComputeMoments(r, plain)
-		cas.Accelerations(r, par.ParUnseq, plain, p)
+		cas.Accelerations(r, par.ParUnseq, plain, p, nil)
 		key.ComputeMoments(r, sorted)
-		key.Accelerations(r, par.ParUnseq, sorted, p)
+		key.Accelerations(r, par.ParUnseq, sorted, p, nil)
 		want, got := accByID(plain), accByID(sorted)
 		for id := range want {
 			if d := got[id].Sub(want[id]).Norm(); d > 1e-9*(1+want[id].Norm()) {
@@ -72,8 +73,8 @@ func TestSortedBuildBucketOneMatchesConcurrent(t *testing.T) {
 	}
 }
 
-// Tree, moments and accelerations of the sorted build are bit-identical for
-// any worker count. n is above SortByKeys's sequential cut-off, so the
+// Tree, moments, accelerations and the potentials both traversals write of
+// the sorted build are bit-identical for any worker count. n is above SortByKeys's sequential cut-off, so the
 // parallel radix sort and the parallel level passes run (and run under
 // -race).
 func TestSortedBuildBitIdenticalAcrossWorkers(t *testing.T) {
@@ -85,16 +86,19 @@ func TestSortedBuildBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 
 	type result struct {
-		tree *Tree
-		sys  *body.System
+		tree             *Tree
+		sys              *body.System
+		phiList, phiWalk []float64
 	}
 	run := func(workers int) result {
 		r := par.NewRuntime(workers, par.Dynamic)
 		s := base.Clone()
 		tree := buildTree(t, sortedCfg, s, r)
 		tree.ComputeMoments(r, s)
-		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
-		return result{tree, s}
+		res := result{tree, s, make([]float64, s.N()), make([]float64, s.N())}
+		tree.Accelerations(r, par.ParUnseq, s.Clone(), p, res.phiWalk)
+		tree.AccelerationsListPhi(r, par.ParUnseq, s, p, 0, res.phiList)
+		return res
 	}
 	ref := run(1)
 	if err := ref.tree.CheckInvariants(); err != nil {
@@ -122,6 +126,9 @@ func TestSortedBuildBitIdenticalAcrossWorkers(t *testing.T) {
 			!slices.Equal(ref.sys.AccY, got.sys.AccY) ||
 			!slices.Equal(ref.sys.AccZ, got.sys.AccZ) {
 			t.Errorf("%d workers: body order or accelerations differ from 1 worker", workers)
+		}
+		if !slices.Equal(ref.phiList, got.phiList) || !slices.Equal(ref.phiWalk, got.phiWalk) {
+			t.Errorf("%d workers: potentials differ from 1 worker", workers)
 		}
 	}
 }
@@ -227,10 +234,9 @@ func TestSortedBuildDegenerateInputs(t *testing.T) {
 			}
 			tree.ComputeMoments(r, s)
 			phi := make([]float64, s.N())
-			tree.Potential(r, par.ParUnseq, s, p, phi)
-			tree.Accelerations(r, par.ParUnseq, s, p)
+			tree.Accelerations(r, par.ParUnseq, s, p, phi)
 			walk := accByID(s)
-			tree.accelerationsList(r, par.ParUnseq, s, p, 0)
+			tree.accelerationsList(r, par.ParUnseq, s, p, 0, nil)
 			list := accByID(s)
 			for i := range walk {
 				if !walk[i].IsFinite() || !list[i].IsFinite() || math.IsNaN(phi[i]) || math.IsInf(phi[i], 0) {
@@ -253,8 +259,9 @@ func TestSortedBuildDegenerateInputs(t *testing.T) {
 	}
 }
 
-// θ = 0 opens every node and every bucket: all three traversals of the
-// sorted tree must equal the direct sum to rounding.
+// θ = 0 opens every node and every bucket: both traversals of the sorted
+// tree, and the potentials they write, must equal the direct sum to
+// rounding.
 func TestSortedBuildExactWhenThetaZero(t *testing.T) {
 	r := par.NewRuntime(0, par.Dynamic)
 	p := grav.Params{G: 2, Eps: 1e-3, Theta: 0}
@@ -273,20 +280,11 @@ func TestSortedBuildExactWhenThetaZero(t *testing.T) {
 				}
 			}
 		}
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.Accelerations(r, par.ParUnseq, s, p, nil)
 		check("walk")
-		tree.accelerationsList(r, par.ParUnseq, s, p, 0)
+		tree.accelerationsList(r, par.ParUnseq, s, p, 0, nil)
 		check("list")
-
-		phi := make([]float64, n)
-		tree.Potential(r, par.ParUnseq, s, p, phi)
-		var treeU float64
-		for i := 0; i < n; i++ {
-			treeU += 0.5 * s.Mass[i] * phi[i]
-		}
-		if exactU := allpairs.PotentialEnergy(r, par.Par, s, p); math.Abs(treeU-exactU) > 1e-9*math.Abs(exactU) {
-			t.Errorf("n=%d: tree potential %v vs exact %v", n, treeU, exactU)
-		}
+		checkPotentials(t, fmt.Sprintf("n=%d", n), tree, r, s, p, 1e-12)
 	}
 }
 

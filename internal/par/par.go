@@ -110,6 +110,12 @@ type Runtime struct {
 // shared-counter update across enough work to make self-scheduling cheap.
 const DefaultGrain = 64
 
+// streamChunks is how many chunks per worker StreamGrain cuts a loop into:
+// enough that dynamic scheduling still evens out a worker that starts late,
+// few enough that the workers claim from the shared cursor a handful of
+// times per loop instead of once per DefaultGrain iterations.
+const streamChunks = 4
+
 // NewRuntime returns a Runtime with the given number of workers and
 // scheduler. workers <= 0 selects runtime.GOMAXPROCS(0).
 func NewRuntime(workers int, sched Scheduler) *Runtime {
@@ -138,6 +144,15 @@ func (r *Runtime) Scheduler() Scheduler { return r.sched }
 
 // Grain returns the runtime's minimum dynamic chunk size.
 func (r *Runtime) Grain() int { return r.grain }
+
+// StreamGrain returns the grain for a loop of n iterations that all cost
+// the same, such as a gather: streamChunks chunks per worker, never less
+// than the runtime's grain. Claiming DefaultGrain iterations at a time
+// there only bounces the cursor's cache line between the cores.
+func (r *Runtime) StreamGrain(n int) int {
+	chunks := r.workers * streamChunks
+	return max(r.grain, (n+chunks-1)/chunks)
+}
 
 // String implements fmt.Stringer.
 func (r *Runtime) String() string {

@@ -241,6 +241,25 @@ func TestRuntimeAccessors(t *testing.T) {
 	}
 }
 
+// StreamGrain cuts a loop into streamChunks chunks per worker, and never
+// below the runtime's grain, so a short loop still runs inline.
+func TestStreamGrain(t *testing.T) {
+	r := NewRuntime(2, Dynamic)
+	for _, c := range []struct{ n, want int }{
+		{0, DefaultGrain},
+		{100, DefaultGrain},
+		{200_000, 25_000},
+		{200_001, 25_001},
+	} {
+		if got := r.StreamGrain(c.n); got != c.want {
+			t.Errorf("2 workers, n=%d: StreamGrain %d, want %d", c.n, got, c.want)
+		}
+	}
+	if got := NewRuntime(5, Dynamic).WithGrain(10_000).StreamGrain(100_000); got != 10_000 {
+		t.Errorf("grain 10000: StreamGrain %d, want the runtime's grain", got)
+	}
+}
+
 func TestStringers(t *testing.T) {
 	cases := map[string]string{
 		Seq.String():      "seq",

@@ -21,7 +21,7 @@ func SortBodies(r *par.Runtime, pol par.Policy, s *body.System, cube bounds.AABB
 	}
 	origin := cube.Min
 	posX, posY, posZ := s.PosX, s.PosY, s.PosZ
-	r.ForGrain(pol, s.N(), 0, func(lo, hi int) {
+	r.ForGrain(pol, s.N(), r.StreamGrain(s.N()), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			keys[i] = HilbertIndex3D(
 				gridCoord(posX[i], origin.X, inv, maxCoord),

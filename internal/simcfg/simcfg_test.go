@@ -301,10 +301,10 @@ func TestSmallSessionForcesAreExact(t *testing.T) {
 			}
 			done = steps
 			for i := 0; i < sys.N(); i++ {
-				var ax, ay, az float64
+				var ax, ay, az, pot float64
 				for j := 0; j < sys.N(); j++ {
 					if j != i {
-						grav.Accumulate(sys.PosX[j]-sys.PosX[i], sys.PosY[j]-sys.PosY[i], sys.PosZ[j]-sys.PosZ[i], sys.Mass[j], eps2, &ax, &ay, &az)
+						grav.Accumulate(sys.PosX[j]-sys.PosX[i], sys.PosY[j]-sys.PosY[i], sys.PosZ[j]-sys.PosZ[i], sys.Mass[j], eps2, &ax, &ay, &az, &pot)
 					}
 				}
 				want := vec.New(ax, ay, az).Scale(cfg.Params.G)

@@ -10,7 +10,7 @@ var useAVX = func() bool {
 }()
 
 //go:noescape
-func accelAVX(xs, ys, zs, ms *float64, n int, xi, yi, zi, eps2 float64) (ax, ay, az float64)
+func accelAVX(xs, ys, zs, ms *float64, n int, xi, yi, zi, eps2 float64) (ax, ay, az, pot float64)
 
 func cpuid1ecx() uint32
 

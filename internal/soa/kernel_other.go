@@ -6,6 +6,6 @@ package soa
 // the compiler drops the dispatch in Accel.
 const useAVX = false
 
-func accelAVX(xs, ys, zs, ms *float64, n int, xi, yi, zi, eps2 float64) (ax, ay, az float64) {
+func accelAVX(xs, ys, zs, ms *float64, n int, xi, yi, zi, eps2 float64) (ax, ay, az, pot float64) {
 	panic("soa: accelAVX without amd64")
 }

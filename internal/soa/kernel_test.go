@@ -6,18 +6,19 @@ import (
 	"testing"
 )
 
-// The tests here hold the dispatched kernel (Accel) to the portable loop
+// The tests here hold the dispatched kernel (AccelPot) to the portable loop
 // (accelGo, called directly). On a machine where Kernel() is "go" the two
 // are the same code and every comparison is trivially exact.
 
-// termSums returns Σ|f·d| per component over the softened terms — the scale
-// against which a difference in summation order is measured.
-func termSums(xs, ys, zs, ms []float64, xi, yi, zi, eps2 float64) (sx, sy, sz float64) {
+// termSums returns Σ|f·d| per component and Σ|m/r| over the softened terms —
+// the scale against which a difference in summation order is measured.
+func termSums(xs, ys, zs, ms []float64, xi, yi, zi, eps2 float64) (sx, sy, sz, sp float64) {
 	for j := range xs {
-		tx, ty, tz := accelGo(xs[j:j+1], ys[j:j+1], zs[j:j+1], ms[j:j+1], xi, yi, zi, eps2)
+		tx, ty, tz, tp := accelGo(xs[j:j+1], ys[j:j+1], zs[j:j+1], ms[j:j+1], xi, yi, zi, eps2)
 		sx += math.Abs(tx)
 		sy += math.Abs(ty)
 		sz += math.Abs(tz)
+		sp += math.Abs(tp)
 	}
 	return
 }
@@ -39,12 +40,12 @@ func agree(got, want, scale float64, n int) bool {
 
 func checkAgainstGo(t testing.TB, xs, ys, zs, ms []float64, lo, hi int, xi, yi, zi, eps2 float64) {
 	t.Helper()
-	ax, ay, az := Accel(xs, ys, zs, ms, lo, hi, xi, yi, zi, eps2)
-	gx, gy, gz := accelGo(xs[lo:hi], ys[lo:hi], zs[lo:hi], ms[lo:hi], xi, yi, zi, eps2)
-	sx, sy, sz := termSums(xs[lo:hi], ys[lo:hi], zs[lo:hi], ms[lo:hi], xi, yi, zi, eps2)
-	if n := hi - lo; !agree(ax, gx, sx, n) || !agree(ay, gy, sy, n) || !agree(az, gz, sz, n) {
-		t.Fatalf("[%d,%d) eps2=%v at (%v,%v,%v): %s kernel (%v,%v,%v), go loop (%v,%v,%v), Σ|term| (%v,%v,%v)",
-			lo, hi, eps2, xi, yi, zi, Kernel(), ax, ay, az, gx, gy, gz, sx, sy, sz)
+	ax, ay, az, ap := AccelPot(xs, ys, zs, ms, lo, hi, xi, yi, zi, eps2)
+	gx, gy, gz, gp := accelGo(xs[lo:hi], ys[lo:hi], zs[lo:hi], ms[lo:hi], xi, yi, zi, eps2)
+	sx, sy, sz, sp := termSums(xs[lo:hi], ys[lo:hi], zs[lo:hi], ms[lo:hi], xi, yi, zi, eps2)
+	if n := hi - lo; !agree(ax, gx, sx, n) || !agree(ay, gy, sy, n) || !agree(az, gz, sz, n) || !agree(ap, gp, sp, n) {
+		t.Fatalf("[%d,%d) eps2=%v at (%v,%v,%v): %s kernel (%v,%v,%v; %v), go loop (%v,%v,%v; %v), Σ|term| (%v,%v,%v; %v)",
+			lo, hi, eps2, xi, yi, zi, Kernel(), ax, ay, az, ap, gx, gy, gz, gp, sx, sy, sz, sp)
 	}
 }
 
@@ -64,19 +65,19 @@ func TestAccelMatchesGoEveryLengthAndOffset(t *testing.T) {
 				exact = append(exact, 1e-6)
 			}
 			for _, eps2 := range exact {
-				ax, ay, az := Accel(l.X, l.Y, l.Z, l.M, lo, lo+n, xi, yi, zi, eps2)
-				gx, gy, gz := accelGo(l.X[lo:lo+n], l.Y[lo:lo+n], l.Z[lo:lo+n], l.M[lo:lo+n], xi, yi, zi, eps2)
-				if ax != gx || ay != gy || az != gz {
-					t.Fatalf("n=%d lo=%d eps2=%v: (%v,%v,%v) != go loop (%v,%v,%v)", n, lo, eps2, ax, ay, az, gx, gy, gz)
+				ax, ay, az, ap := AccelPot(l.X, l.Y, l.Z, l.M, lo, lo+n, xi, yi, zi, eps2)
+				gx, gy, gz, gp := accelGo(l.X[lo:lo+n], l.Y[lo:lo+n], l.Z[lo:lo+n], l.M[lo:lo+n], xi, yi, zi, eps2)
+				if ax != gx || ay != gy || az != gz || ap != gp {
+					t.Fatalf("n=%d lo=%d eps2=%v: (%v,%v,%v; %v) != go loop (%v,%v,%v; %v)", n, lo, eps2, ax, ay, az, ap, gx, gy, gz, gp)
 				}
 			}
 		}
 	}
 }
 
-// Each vector lane must hold bit for bit the term the Go loop computes:
+// Each vector lane must hold bit for bit the terms the Go loop computes:
 // with every other source massless (an exact ±0 term), the one live source
-// decides the whole sum.
+// decides the whole sum, of the acceleration and of the potential.
 func TestAccelLaneTermIsExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	for trial := 0; trial < 200; trial++ {
@@ -86,10 +87,10 @@ func TestAccelLaneTermIsExact(t *testing.T) {
 		for k := range l.M {
 			ms := make([]float64, len(l.M))
 			ms[k] = l.M[k]
-			ax, ay, az := Accel(l.X, l.Y, l.Z, ms, 0, 8, xi, yi, zi, eps2)
-			gx, gy, gz := accelGo(l.X, l.Y, l.Z, ms, xi, yi, zi, eps2)
-			if ax != gx || ay != gy || az != gz {
-				t.Fatalf("source %d: %s kernel (%v,%v,%v) != go loop (%v,%v,%v)", k, Kernel(), ax, ay, az, gx, gy, gz)
+			ax, ay, az, ap := AccelPot(l.X, l.Y, l.Z, ms, 0, 8, xi, yi, zi, eps2)
+			gx, gy, gz, gp := accelGo(l.X, l.Y, l.Z, ms, xi, yi, zi, eps2)
+			if ax != gx || ay != gy || az != gz || ap != gp {
+				t.Fatalf("source %d: %s kernel (%v,%v,%v; %v) != go loop (%v,%v,%v; %v)", k, Kernel(), ax, ay, az, ap, gx, gy, gz, gp)
 			}
 		}
 	}
@@ -155,8 +156,8 @@ func FuzzAccelMatchesGo(f *testing.F) {
 			c := func() float64 { return (rng.Float64()*2 - 1) * math.Pow(10, 40*rng.Float64()-20) }
 			l.Add(c(), c(), c(), rng.Float64()*math.Pow(10, 40*rng.Float64()-20))
 		}
-		sx, sy, sz := termSums(l.X[lo:], l.Y[lo:], l.Z[lo:], l.M[lo:], xi, yi, zi, eps2)
-		if s := sx + sy + sz; !math.IsInf(s, 0) && s > 1e300 {
+		sx, sy, sz, sp := termSums(l.X[lo:], l.Y[lo:], l.Z[lo:], l.M[lo:], xi, yi, zi, eps2)
+		if s := sx + sy + sz + sp; !math.IsInf(s, 0) && s > 1e300 {
 			t.Skip("finite terms whose partial sums may overflow in one order only")
 		}
 		checkAgainstGo(t, l.X, l.Y, l.Z, l.M, int(lo), int(lo)+int(n), xi, yi, zi, eps2)
@@ -170,9 +171,10 @@ func TestAccelDoesNotAllocate(t *testing.T) {
 	var sink float64
 	for name, fn := range map[string]func(){
 		"List.Accel": func() { sink, _, _ = l.Accel(0.1, 0.2, 0.3, 1e-6) },
+		"AccelPot":   func() { sink, _, _, _ = AccelPot(l.X, l.Y, l.Z, l.M, 1, 66, 0.1, 0.2, 0.3, 1e-6) },
 		"Accel":      func() { sink, _, _ = Accel(l.X, l.Y, l.Z, l.M, 1, 66, 0.1, 0.2, 0.3, 1e-6) },
 		"Accel eps0": func() { sink, _, _ = Accel(l.X, l.Y, l.Z, l.M, 1, 66, 0.1, 0.2, 0.3, 0) },
-		"accelGo":    func() { sink, _, _ = accelGo(l.X, l.Y, l.Z, l.M, 0.1, 0.2, 0.3, 1e-6) },
+		"accelGo":    func() { sink, _, _, _ = accelGo(l.X, l.Y, l.Z, l.M, 0.1, 0.2, 0.3, 1e-6) },
 	} {
 		if a := testing.AllocsPerRun(100, fn); a != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", name, a)
@@ -193,7 +195,10 @@ func BenchmarkAccel(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/interaction")
 	}
 	b.Run("go", func(b *testing.B) {
-		run(b, func() (ax, ay, az float64) { return accelGo(l.X, l.Y, l.Z, l.M, 0.1, 0.2, 0.3, 1e-6) })
+		run(b, func() (ax, ay, az float64) {
+			ax, ay, az, _ = accelGo(l.X, l.Y, l.Z, l.M, 0.1, 0.2, 0.3, 1e-6)
+			return
+		})
 	})
 	b.Run("dispatch="+Kernel(), func(b *testing.B) {
 		run(b, func() (ax, ay, az float64) { return l.Accel(0.1, 0.2, 0.3, 1e-6) })

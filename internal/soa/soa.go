@@ -14,10 +14,13 @@
 // it) and takes ε² pre-squared.
 //
 // Self-interactions need no index test in the batched loop: a zero offset
-// contributes exactly zero under the kernel convention (softened: f·d with
-// d = 0; unsoftened: the r² == 0 guard), so a group body appearing in its
-// own near field is harmless. This is what lets the inner loop drop the
-// `source == target` branch the per-body walk kernels carry.
+// contributes exactly zero acceleration under the kernel convention
+// (softened: f·d with d = 0; unsoftened: the r² == 0 guard), so a group
+// body appearing in its own near field is harmless. This is what lets the
+// inner loop drop the `source == target` branch the per-body walk kernels
+// carry. The potential sum the kernel returns beside the acceleration does
+// see the self term, m/ε when softened; SelfInv gives callers the factor to
+// take it back out.
 package soa
 
 import (
@@ -75,25 +78,55 @@ func (l *List) AddBodies(xs, ys, zs, ms []float64, lo, hi int) {
 // Accel returns the acceleration the whole list induces at (xi, yi, zi),
 // excluding the factor G per the grav.Accumulate contract.
 func (l *List) Accel(xi, yi, zi, eps2 float64) (ax, ay, az float64) {
-	return Accel(l.X, l.Y, l.Z, l.M, 0, len(l.X), xi, yi, zi, eps2)
+	ax, ay, az, _ = l.AccelPot(xi, yi, zi, eps2)
+	return
 }
 
-// Accel is the shared tight kernel: the acceleration (excluding G) that
-// sources [lo, hi) of the flat arrays xs/ys/zs/ms induce at (xi, yi, zi).
+// AccelPot is Accel that also returns pot, the list's Σ mⱼ/rⱼ at the
+// target (see AccelPot).
+func (l *List) AccelPot(xi, yi, zi, eps2 float64) (ax, ay, az, pot float64) {
+	return AccelPot(l.X, l.Y, l.Z, l.M, 0, len(l.X), xi, yi, zi, eps2)
+}
+
+// Accel is AccelPot without the potential: the acceleration (excluding G)
+// that sources [lo, hi) of the flat arrays xs/ys/zs/ms induce at (xi, yi, zi).
+func Accel(xs, ys, zs, ms []float64, lo, hi int, xi, yi, zi, eps2 float64) (ax, ay, az float64) {
+	ax, ay, az, _ = AccelPot(xs, ys, zs, ms, lo, hi, xi, yi, zi, eps2)
+	return
+}
+
+// AccelPot is the shared tight kernel: the acceleration (excluding G) that
+// sources [lo, hi) of the flat arrays xs/ys/zs/ms induce at (xi, yi, zi),
+// and pot = Σ mⱼ/√(rⱼ² + ε²) over the same sources, so the potential there
+// is −G·pot. pot sums the product mⱼ·(1/r) the force term starts from, so
+// it costs one add per source and leaves the acceleration bit for bit as
+// it was. A source at the target's own position adds nothing unsoftened
+// (the r² == 0 guard) and m·SelfInv(eps2) softened.
 //
 // accelGo defines the result. Where the machine has AVX (see Kernel) the
 // softened branch runs whole blocks of four sources through accelAVX, which
 // computes bit for bit accelGo's term for every source and differs only in
 // the order the terms are summed; the len%4 tail and the eps2 == 0 branch
 // stay on accelGo.
-func Accel(xs, ys, zs, ms []float64, lo, hi int, xi, yi, zi, eps2 float64) (ax, ay, az float64) {
+func AccelPot(xs, ys, zs, ms []float64, lo, hi int, xi, yi, zi, eps2 float64) (ax, ay, az, pot float64) {
 	xs, ys, zs, ms = xs[lo:hi], ys[lo:hi], zs[lo:hi], ms[lo:hi]
 	if n4 := len(xs) &^ 3; useAVX && eps2 > 0 && n4 > 0 {
-		ax, ay, az = accelAVX(&xs[0], &ys[0], &zs[0], &ms[0], n4, xi, yi, zi, eps2)
-		tx, ty, tz := accelGo(xs[n4:], ys[n4:], zs[n4:], ms[n4:], xi, yi, zi, eps2)
-		return ax + tx, ay + ty, az + tz
+		ax, ay, az, pot = accelAVX(&xs[0], &ys[0], &zs[0], &ms[0], n4, xi, yi, zi, eps2)
+		tx, ty, tz, tp := accelGo(xs[n4:], ys[n4:], zs[n4:], ms[n4:], xi, yi, zi, eps2)
+		return ax + tx, ay + ty, az + tz, pot + tp
 	}
 	return accelGo(xs, ys, zs, ms, xi, yi, zi, eps2)
+}
+
+// SelfInv is the 1/r the kernel gives a target that is among its own
+// sources: 1/ε when softened, 0 unsoftened, where the r² == 0 guard drops
+// the term. A caller whose list holds the target subtracts m·SelfInv(eps2)
+// from pot.
+func SelfInv(eps2 float64) float64 {
+	if eps2 > 0 {
+		return 1 / math.Sqrt(eps2)
+	}
+	return 0
 }
 
 // Kernel names the arithmetic behind Accel on this machine: "avx" when the
@@ -113,7 +146,7 @@ func Kernel() string {
 // loop is branch-free — r² ≥ ε² > 0 makes the guard of grav.Accumulate
 // provably dead, so it is hoisted into the eps2 == 0 variant instead of
 // being tested per interaction.
-func accelGo(xs, ys, zs, ms []float64, xi, yi, zi, eps2 float64) (ax, ay, az float64) {
+func accelGo(xs, ys, zs, ms []float64, xi, yi, zi, eps2 float64) (ax, ay, az, pot float64) {
 	ys, zs, ms = ys[:len(xs)], zs[:len(xs)], ms[:len(xs)]
 	if eps2 > 0 {
 		for j := range xs {
@@ -122,10 +155,12 @@ func accelGo(xs, ys, zs, ms []float64, xi, yi, zi, eps2 float64) (ax, ay, az flo
 			dz := zs[j] - zi
 			r2 := dx*dx + dy*dy + dz*dz + eps2
 			inv := 1 / math.Sqrt(r2)
-			f := ms[j] * inv * inv * inv
+			mi := ms[j] * inv
+			f := mi * inv * inv
 			ax += f * dx
 			ay += f * dy
 			az += f * dz
+			pot += mi
 		}
 		return
 	}
@@ -138,10 +173,12 @@ func accelGo(xs, ys, zs, ms []float64, xi, yi, zi, eps2 float64) (ax, ay, az flo
 			continue
 		}
 		inv := 1 / math.Sqrt(r2)
-		f := ms[j] * inv * inv * inv
+		mi := ms[j] * inv
+		f := mi * inv * inv
 		ax += f * dx
 		ay += f * dy
 		az += f * dz
+		pot += mi
 	}
 	return
 }

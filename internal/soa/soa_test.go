@@ -9,9 +9,9 @@ import (
 )
 
 // refAccel is the reference: grav.Accumulate over every list entry.
-func refAccel(l *List, xi, yi, zi, eps2 float64) (ax, ay, az float64) {
+func refAccel(l *List, xi, yi, zi, eps2 float64) (ax, ay, az, pot float64) {
 	for j := range l.X {
-		grav.Accumulate(l.X[j]-xi, l.Y[j]-yi, l.Z[j]-zi, l.M[j], eps2, &ax, &ay, &az)
+		grav.Accumulate(l.X[j]-xi, l.Y[j]-yi, l.Z[j]-zi, l.M[j], eps2, &ax, &ay, &az, &pot)
 	}
 	return
 }
@@ -30,10 +30,10 @@ func TestAccelMatchesGravKernel(t *testing.T) {
 		l := randomList(rng, 257)
 		for trial := 0; trial < 10; trial++ {
 			xi, yi, zi := rng.Float64(), rng.Float64(), rng.Float64()
-			ax, ay, az := l.Accel(xi, yi, zi, eps2)
-			rx, ry, rz := refAccel(l, xi, yi, zi, eps2)
-			if math.Abs(ax-rx) > 1e-12 || math.Abs(ay-ry) > 1e-12 || math.Abs(az-rz) > 1e-12 {
-				t.Fatalf("eps2=%v: Accel = (%v,%v,%v), reference = (%v,%v,%v)", eps2, ax, ay, az, rx, ry, rz)
+			ax, ay, az, ap := l.AccelPot(xi, yi, zi, eps2)
+			rx, ry, rz, rp := refAccel(l, xi, yi, zi, eps2)
+			if math.Abs(ax-rx) > 1e-12 || math.Abs(ay-ry) > 1e-12 || math.Abs(az-rz) > 1e-12 || math.Abs(ap-rp) > 1e-12 {
+				t.Fatalf("eps2=%v: AccelPot = (%v,%v,%v; %v), reference = (%v,%v,%v; %v)", eps2, ax, ay, az, ap, rx, ry, rz, rp)
 			}
 		}
 	}
@@ -103,5 +103,31 @@ func TestListReserve(t *testing.T) {
 	l.Reserve(50) // shorter than the capacity: nothing to do
 	if &l.X[0] != x {
 		t.Error("Reserve below capacity reallocated")
+	}
+}
+
+// A target among its own sources adds exactly m·SelfInv(eps2) to pot —
+// softened, wherever it sits relative to the blocks of four; unsoftened,
+// nothing — so taking that back out leaves the potential of the others.
+func TestAccelPotSelfTerm(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 20))
+	const xi, yi, zi = 0.5, -0.25, 1.0
+	for _, eps2 := range []float64{0, 1e-4} {
+		for _, n := range []int{1, 4, 7, 13} {
+			for k := 0; k < n; k++ {
+				l := randomList(rng, n)
+				l.X[k], l.Y[k], l.Z[k] = xi, yi, zi
+				_, _, _, pot := l.AccelPot(xi, yi, zi, eps2)
+				self := l.M[k] * SelfInv(eps2)
+				l.M[k] = 0
+				_, _, _, others := l.AccelPot(xi, yi, zi, eps2)
+				if d := math.Abs(pot - self - others); d > 1e-13*pot {
+					t.Fatalf("eps2=%v n=%d self at %d: pot %v - self %v = %v, others %v", eps2, n, k, pot, self, pot-self, others)
+				}
+			}
+		}
+	}
+	if SelfInv(0) != 0 || SelfInv(0.25) != 2 {
+		t.Fatalf("SelfInv(0) = %v, SelfInv(0.25) = %v; want 0 and 2", SelfInv(0), SelfInv(0.25))
 	}
 }

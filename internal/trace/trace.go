@@ -48,7 +48,8 @@ func NewRecorderLimit(dt float64, max int) *Recorder {
 }
 
 // Record appends a sample taken from sim's current state. exact selects the
-// O(N²) potential (see core.Sim.Diagnostics).
+// O(N²) pairwise potential instead of the O(N) reduce of the potentials the
+// last force pass wrote (see core.Sim.Diagnostics).
 func (r *Recorder) Record(sim *core.Sim, exact bool) {
 	d := sim.Diagnostics(exact)
 	s := Sample{
