@@ -14,9 +14,7 @@
 // structure acts as a skip list during traversal: finishing the subtree of
 // node i continues at i+1 (if i is a left child) or at the first
 // right-sibling found while climbing — a jump across multiple levels
-// without revisiting interior nodes. A node's body count is not stored
-// either: its leaves are a contiguous run, so its body range follows from
-// its index.
+// without revisiting interior nodes.
 //
 // Because bodies are permuted into curve order, each leaf covers a
 // contiguous body range, and sibling subtrees cover adjacent runs of the
@@ -27,10 +25,12 @@
 // criterion measures the node's *box* extent — the paper's note that θ
 // means something slightly different here than in the octree.
 //
-// Per heap slot the tree keeps one packed record of what a walk reads —
-// centre of mass, mass and opening size — so a CenterDistance visit loads
-// one 40-byte record. The boxes are kept apart as cold arrays, read only by
-// the build's reduction, the BoxDistance criterion, NodeBox and Stats.
+// Per heap slot the tree keeps one walk.Node record — centre of mass, mass,
+// opening size, body range, first child and skip successor — which the flat
+// walk (package walk) reads as the octree's, and the per-body walk reads
+// for its moments and size. The boxes are kept apart as cold arrays, read
+// only by the build's reduction, the BoxDistance criterion, NodeBox and
+// Stats.
 package bvh
 
 import (
@@ -42,6 +42,7 @@ import (
 	"nbody/internal/par"
 	"nbody/internal/sfc"
 	"nbody/internal/vec"
+	"nbody/internal/walk"
 )
 
 // Criterion selects how the traversal decides whether a node is far enough
@@ -87,7 +88,7 @@ type Config struct {
 	// GroupBodies is the target number of bodies sharing one traversal in
 	// the flat interaction-list kernel (AccelerationsList), rounded up to
 	// a power-of-two number of whole leaves so that a group is the body
-	// range of one heap subtree. The default (0) selects 32.
+	// range of one heap subtree. The default (0) selects walk.GroupSize.
 	GroupBodies int
 }
 
@@ -102,25 +103,13 @@ type Tree struct {
 
 	// Per-node data in heap layout, indexed 1..2·numLeaves-1 (index 0
 	// unused): the hot record every walk reads, and the cold boxes.
-	nodes            []record
-	minX, minY, minZ []float64
-	maxX, maxY, maxZ []float64
+	nodes []walk.Node
+	boxes walk.Boxes
 
 	// Sort scratch.
 	keys []uint64
 	perm []int32
 }
-
-// record is what a traversal reads at a heap slot.
-type record struct {
-	x, y, z float64 // center of mass
-	m       float64
-	// size is the opening size, the longest edge of the node's box. It is
-	// negative exactly when the slot covers no bodies.
-	size float64
-}
-
-func (nd *record) empty() bool { return nd.size < 0 }
 
 // New returns an empty tree with the given configuration.
 func New(cfg Config) *Tree {
@@ -199,27 +188,26 @@ func (t *Tree) buildLevels(r *par.Runtime, pol par.Policy, s *body.System) {
 	if t.numLeaves != numLeaves || len(t.nodes) == 0 {
 		t.numLeaves = numLeaves
 		nodes := 2 * numLeaves
-		t.nodes = make([]record, nodes)
-		t.minX = make([]float64, nodes)
-		t.minY = make([]float64, nodes)
-		t.minZ = make([]float64, nodes)
-		t.maxX = make([]float64, nodes)
-		t.maxY = make([]float64, nodes)
-		t.maxZ = make([]float64, nodes)
+		t.nodes = make([]walk.Node, nodes)
+		bx := &t.boxes
+		for _, a := range []*[]float64{&bx.MinX, &bx.MinY, &bx.MinZ, &bx.MaxX, &bx.MaxY, &bx.MaxZ} {
+			*a = make([]float64, nodes)
+		}
 	}
 	t.levels = levels
 
 	mass := s.Mass
 	posX, posY, posZ := s.PosX, s.PosY, s.PosZ
+	bx := &t.boxes
 
 	// Leaf pass: leaf j (heap index numLeaves + j) covers bodies
 	// [j·leafSize, min(n, (j+1)·leafSize)).
 	r.ForGrain(pol, numLeaves, 0, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			node := numLeaves + j
-			b0 := j * leafSize
+			b0 := min(j*leafSize, n)
 			b1 := min(b0+leafSize, n)
-			if b0 >= n {
+			if b0 == b1 {
 				t.setEmpty(node)
 				continue
 			}
@@ -235,16 +223,16 @@ func (t *Tree) buildLevels(r *par.Runtime, pol par.Policy, s *body.System) {
 				ly += mass[b] * p.Y
 				lz += mass[b] * p.Z
 			}
-			t.minX[node], t.minY[node], t.minZ[node] = bmin.X, bmin.Y, bmin.Z
-			t.maxX[node], t.maxY[node], t.maxZ[node] = bmax.X, bmax.Y, bmax.Z
-			nd := record{m: lm, size: longestEdge(bmax.X-bmin.X, bmax.Y-bmin.Y, bmax.Z-bmin.Z)}
+			bx.MinX[node], bx.MinY[node], bx.MinZ[node] = bmin.X, bmin.Y, bmin.Z
+			bx.MaxX[node], bx.MaxY[node], bx.MaxZ[node] = bmax.X, bmax.Y, bmax.Z
+			nd := walk.Node{M: lm, Size: longestEdge(bmax.X-bmin.X, bmax.Y-bmin.Y, bmax.Z-bmin.Z), Lo: int32(b0), Hi: int32(b1)}
 			if lm > 0 {
-				nd.x, nd.y, nd.z = lx/lm, ly/lm, lz/lm
+				nd.X, nd.Y, nd.Z = lx/lm, ly/lm, lz/lm
 			} else {
 				c := bmin.Add(bmax).Scale(0.5)
-				nd.x, nd.y, nd.z = c.X, c.Y, c.Z
+				nd.X, nd.Y, nd.Z = c.X, c.Y, c.Z
 			}
-			t.nodes[node] = nd
+			t.store(node, nd)
 		}
 	})
 
@@ -257,36 +245,36 @@ func (t *Tree) buildLevels(r *par.Runtime, pol par.Policy, s *body.System) {
 				l, rgt := 2*node, 2*node+1
 				a, b := &t.nodes[l], &t.nodes[rgt]
 				switch {
-				case a.empty() && b.empty():
+				case a.Empty() && b.Empty():
 					t.setEmpty(node)
 					continue
-				case b.empty():
+				case b.Empty():
 					t.copyNode(node, l)
 					continue
-				case a.empty():
+				case a.Empty():
 					t.copyNode(node, rgt)
 					continue
 				}
-				minX := math.Min(t.minX[l], t.minX[rgt])
-				minY := math.Min(t.minY[l], t.minY[rgt])
-				minZ := math.Min(t.minZ[l], t.minZ[rgt])
-				maxX := math.Max(t.maxX[l], t.maxX[rgt])
-				maxY := math.Max(t.maxY[l], t.maxY[rgt])
-				maxZ := math.Max(t.maxZ[l], t.maxZ[rgt])
-				t.minX[node], t.minY[node], t.minZ[node] = minX, minY, minZ
-				t.maxX[node], t.maxY[node], t.maxZ[node] = maxX, maxY, maxZ
-				lm := a.m + b.m
-				nd := record{m: lm, size: longestEdge(maxX-minX, maxY-minY, maxZ-minZ)}
+				minX := math.Min(bx.MinX[l], bx.MinX[rgt])
+				minY := math.Min(bx.MinY[l], bx.MinY[rgt])
+				minZ := math.Min(bx.MinZ[l], bx.MinZ[rgt])
+				maxX := math.Max(bx.MaxX[l], bx.MaxX[rgt])
+				maxY := math.Max(bx.MaxY[l], bx.MaxY[rgt])
+				maxZ := math.Max(bx.MaxZ[l], bx.MaxZ[rgt])
+				bx.MinX[node], bx.MinY[node], bx.MinZ[node] = minX, minY, minZ
+				bx.MaxX[node], bx.MaxY[node], bx.MaxZ[node] = maxX, maxY, maxZ
+				lm := a.M + b.M
+				nd := walk.Node{M: lm, Size: longestEdge(maxX-minX, maxY-minY, maxZ-minZ), Lo: a.Lo, Hi: b.Hi}
 				if lm > 0 {
-					nd.x = (a.m*a.x + b.m*b.x) / lm
-					nd.y = (a.m*a.y + b.m*b.y) / lm
-					nd.z = (a.m*a.z + b.m*b.z) / lm
+					nd.X = (a.M*a.X + b.M*b.X) / lm
+					nd.Y = (a.M*a.Y + b.M*b.Y) / lm
+					nd.Z = (a.M*a.Z + b.M*b.Z) / lm
 				} else {
-					nd.x = 0.5 * (minX + maxX)
-					nd.y = 0.5 * (minY + maxY)
-					nd.z = 0.5 * (minZ + maxZ)
+					nd.X = 0.5 * (minX + maxX)
+					nd.Y = 0.5 * (minY + maxY)
+					nd.Z = 0.5 * (minZ + maxZ)
 				}
-				t.nodes[node] = nd
+				t.store(node, nd)
 			}
 		})
 		// The ForGrain return is the level barrier: the next coarser
@@ -305,50 +293,56 @@ func longestEdge(ex, ey, ez float64) float64 {
 	return ex
 }
 
-func (t *Tree) setEmpty(node int) {
-	t.minX[node], t.minY[node], t.minZ[node] = math.Inf(1), math.Inf(1), math.Inf(1)
-	t.maxX[node], t.maxY[node], t.maxZ[node] = math.Inf(-1), math.Inf(-1), math.Inf(-1)
-	t.nodes[node] = record{size: -1}
+// store writes nd, with node's first child and skip successor, to heap
+// slot node.
+func (t *Tree) store(node int, nd walk.Node) {
+	nd.Down, nd.Next = -1, int32(skipNext(node))
+	if node < t.numLeaves {
+		nd.Down = int32(2 * node)
+	}
+	if nd.Next == 0 {
+		nd.Next = -1
+	}
+	t.nodes[node] = nd
 }
 
+func (t *Tree) setEmpty(node int) {
+	bx := &t.boxes
+	bx.MinX[node], bx.MinY[node], bx.MinZ[node] = math.Inf(1), math.Inf(1), math.Inf(1)
+	bx.MaxX[node], bx.MaxY[node], bx.MaxZ[node] = math.Inf(-1), math.Inf(-1), math.Inf(-1)
+	t.store(node, walk.Node{Size: -1, Lo: int32(t.n), Hi: int32(t.n)})
+}
+
+// copyNode makes dst, whose other child is empty, a copy of its child src:
+// src's body range is dst's, because bodies fill the leaves from the left.
 func (t *Tree) copyNode(dst, src int) {
-	t.minX[dst], t.minY[dst], t.minZ[dst] = t.minX[src], t.minY[src], t.minZ[src]
-	t.maxX[dst], t.maxY[dst], t.maxZ[dst] = t.maxX[src], t.maxY[src], t.maxZ[src]
-	t.nodes[dst] = t.nodes[src]
+	bx := &t.boxes
+	bx.MinX[dst], bx.MinY[dst], bx.MinZ[dst] = bx.MinX[src], bx.MinY[src], bx.MinZ[src]
+	bx.MaxX[dst], bx.MaxY[dst], bx.MaxZ[dst] = bx.MaxX[src], bx.MaxY[src], bx.MaxZ[src]
+	t.store(dst, t.nodes[src])
 }
 
 // TotalMass returns the root's mass after Build.
-func (t *Tree) TotalMass() float64 { return t.nodes[1].m }
+func (t *Tree) TotalMass() float64 { return t.nodes[1].M }
 
 // CenterOfMass returns the root's center of mass after Build.
-func (t *Tree) CenterOfMass() (x, y, z float64) { return t.nodes[1].x, t.nodes[1].y, t.nodes[1].z }
+func (t *Tree) CenterOfMass() (x, y, z float64) { return t.nodes[1].X, t.nodes[1].Y, t.nodes[1].Z }
 
 // NodeBox returns node i's bounding box (heap index). Exposed for tests.
 func (t *Tree) NodeBox(i int) bounds.AABB {
+	bx := &t.boxes
 	return bounds.AABB{
-		Min: vec.V3{X: t.minX[i], Y: t.minY[i], Z: t.minZ[i]},
-		Max: vec.V3{X: t.maxX[i], Y: t.maxY[i], Z: t.maxZ[i]},
+		Min: vec.V3{X: bx.MinX[i], Y: bx.MinY[i], Z: bx.MinZ[i]},
+		Max: vec.V3{X: bx.MaxX[i], Y: bx.MaxY[i], Z: bx.MaxZ[i]},
 	}
 }
 
 // NodeCount returns the number of bodies under node i. Exposed for tests.
-func (t *Tree) NodeCount(i int) int {
-	lo, hi := t.nodeRange(i)
-	return hi - lo
-}
+func (t *Tree) NodeCount(i int) int { return int(t.nodes[i].Hi - t.nodes[i].Lo) }
 
 // LeafRange returns the body index range [lo, hi) covered by leaf j in
 // [0, NumLeaves). Exposed for tests.
-func (t *Tree) LeafRange(j int) (lo, hi int) { return t.nodeRange(t.numLeaves + j) }
-
-// nodeRange returns the body range [lo, hi) under heap slot i: the leaves
-// [first, end) of its subtree, times the leaf size, clipped to the bodies.
-func (t *Tree) nodeRange(i int) (lo, hi int) {
-	first, end := i, i+1
-	for first < t.numLeaves {
-		first, end = 2*first, 2*end
-	}
-	lo = min((first-t.numLeaves)*t.cfg.LeafSize, t.n)
-	hi = min((end-t.numLeaves)*t.cfg.LeafSize, t.n)
-	return lo, hi
+func (t *Tree) LeafRange(j int) (lo, hi int) {
+	nd := &t.nodes[t.numLeaves+j]
+	return int(nd.Lo), int(nd.Hi)
 }

@@ -4,6 +4,7 @@ import (
 	"nbody/internal/body"
 	"nbody/internal/grav"
 	"nbody/internal/par"
+	"nbody/internal/walk"
 )
 
 // Accelerations performs the CALCULATEFORCE step of the Hilbert-BVH
@@ -30,7 +31,6 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 	eps2 := p.Eps2()
 	theta2 := p.Theta * p.Theta
 	numLeaves := t.numLeaves
-	leafSize := t.cfg.LeafSize
 	useBoxDist := t.cfg.Criterion == BoxDistance
 	nodes := t.nodes
 
@@ -44,28 +44,23 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 			node := 1
 			for node != 0 {
 				nd := &nodes[node]
-				if nd.empty() {
+				if nd.Empty() {
 					node = skipNext(node)
 					continue
 				}
 				leaf := node >= numLeaves
-				var b0, b1 int
-				if leaf {
-					b0 = (node - numLeaves) * leafSize
-					b1 = min(b0+leafSize, n)
-				}
-				if !leaf || b1-b0 > 1 {
+				if !leaf || nd.Hi-nd.Lo > 1 {
 					// Interior node or bucket leaf: open or approximate
 					// by the configured criterion.
-					dx := nd.x - xi
-					dy := nd.y - yi
-					dz := nd.z - zi
+					dx := nd.X - xi
+					dy := nd.Y - yi
+					dz := nd.Z - zi
 					crit2 := dx*dx + dy*dy + dz*dz
 					if useBoxDist {
-						crit2 = t.boxDist2(node, xi, yi, zi)
+						crit2 = t.boxes.At(int32(node)).Dist2(walk.Point(xi, yi, zi))
 					}
-					if nd.size*nd.size < theta2*crit2 {
-						grav.Accumulate(dx, dy, dz, nd.m, eps2, &ax, &ay, &az, &pot)
+					if nd.Size*nd.Size < theta2*crit2 {
+						grav.Accumulate(dx, dy, dz, nd.M, eps2, &ax, &ay, &az, &pot)
 						node = skipNext(node)
 						continue
 					}
@@ -75,7 +70,7 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 					}
 				}
 				// Leaf: exact interactions over its contiguous body range.
-				for b := b0; b < b1; b++ {
+				for b := int(nd.Lo); b < int(nd.Hi); b++ {
 					if b == i {
 						continue
 					}
@@ -92,28 +87,6 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 			}
 		}
 	})
-}
-
-// boxDist2 returns the squared distance from (x, y, z) to node i's box
-// (zero inside).
-func (t *Tree) boxDist2(i int, x, y, z float64) float64 {
-	var d2 float64
-	if v := t.minX[i] - x; v > 0 {
-		d2 += v * v
-	} else if v := x - t.maxX[i]; v > 0 {
-		d2 += v * v
-	}
-	if v := t.minY[i] - y; v > 0 {
-		d2 += v * v
-	} else if v := y - t.maxY[i]; v > 0 {
-		d2 += v * v
-	}
-	if v := t.minZ[i] - z; v > 0 {
-		d2 += v * v
-	} else if v := z - t.maxZ[i]; v > 0 {
-		d2 += v * v
-	}
-	return d2
 }
 
 // skipNext returns the node visited after finishing the subtree rooted at

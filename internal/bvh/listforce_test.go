@@ -12,6 +12,7 @@ import (
 	"nbody/internal/rng"
 	"nbody/internal/soa"
 	"nbody/internal/vec"
+	"nbody/internal/walk"
 	"nbody/internal/workload"
 )
 
@@ -22,6 +23,11 @@ import (
 // directly: AccelerationsList sums such systems pairwise.
 
 var criteria = []Criterion{CenterDistance, BoxDistance}
+
+// accelerationsList is AccelerationsListPhi's tree walk, at any N.
+func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupBodies int, phi []float64) {
+	walk.Walk(r, pol, t.View(groupBodies), s, p, phi)
+}
 
 // listError runs the list walk on s — at every N, below
 // allpairs.DirectMaxN too — and returns its mean squared relative error
@@ -307,7 +313,8 @@ func matchOracle(t *testing.T, r *par.Runtime, at string, tree *Tree, o *oracle,
 	theta2 := p.Theta * p.Theta
 	n := s.N()
 
-	shift, span := tree.groupShape(32)
+	v := tree.View(32)
+	span := v.Span
 	for g := 0; g*span < n; g++ {
 		b0, b1 := g*span, min((g+1)*span, n)
 		lo, hi := vec.Splat(math.Inf(1)), vec.Splat(math.Inf(-1))
@@ -318,7 +325,7 @@ func matchOracle(t *testing.T, r *par.Runtime, at string, tree *Tree, o *oracle,
 		o.walk(lo, hi, theta2,
 			func(node int) { want.Add(o.comX[node], o.comY[node], o.comZ[node], o.m[node]) },
 			func(b int) { want.AddBodies(s.PosX, s.PosY, s.PosZ, s.Mass, b, b+1) })
-		tree.groupList(&got, s, tree.groupNode(g, shift), theta2)
+		v.Fill(&got, s, g, theta2)
 		if !sameList(&got, &want) {
 			t.Fatalf("%s group at %d: list of %d entries differs from the oracle's %d", at, b0, got.Len(), want.Len())
 		}
@@ -381,7 +388,8 @@ func TestBucketLeafTestedLikeInteriorNode(t *testing.T) {
 	}
 
 	var list soa.List
-	tree.groupList(&list, s, 2, p.Theta*p.Theta)
+	v := tree.View(4)
+	v.Fill(&list, s, 0, p.Theta*p.Theta)
 	if list.Len() != 5 {
 		t.Errorf("group list has %d entries, want 4 bodies + 1 pseudo-particle", list.Len())
 	}
@@ -396,7 +404,7 @@ func TestBucketLeafTestedLikeInteriorNode(t *testing.T) {
 		if i >= 4 {
 			own, other = 3, 2
 		}
-		lo, hi := tree.nodeRange(own)
+		lo, hi := int(tree.nodes[own].Lo), int(tree.nodes[own].Hi)
 		var ax, ay, az, pot float64
 		xi := s.Pos(i)
 		for b := lo; b < hi; b++ {
@@ -406,8 +414,8 @@ func TestBucketLeafTestedLikeInteriorNode(t *testing.T) {
 			}
 		}
 		nd := tree.nodes[other]
-		d := vec.New(nd.x, nd.y, nd.z).Sub(xi)
-		grav.Accumulate(d.X, d.Y, d.Z, nd.m, p.Eps2(), &ax, &ay, &az, &pot)
+		d := vec.New(nd.X, nd.Y, nd.Z).Sub(xi)
+		grav.Accumulate(d.X, d.Y, d.Z, nd.M, p.Eps2(), &ax, &ay, &az, &pot)
 		want := -p.G * pot
 		ref := vec.New(ax, ay, az)
 		for name, got := range map[string]vec.V3{"per-body": acc.Acc(i), "list": flat.Acc(i)} {
@@ -441,7 +449,7 @@ func TestGroupedEmptyAndDefaults(t *testing.T) {
 	}
 }
 
-// positionGroupList is groupList as it was before groups were subtrees:
+// positionGroupList is the group walk as it was before groups were subtrees:
 // the group is any body range [b0, b1), its box a min/max over the
 // bodies' positions, and its own bodies are reached leaf by leaf. It is
 // the oracle of the subtree walk.
@@ -484,19 +492,19 @@ func positionGroupList(t *Tree, list *soa.List, s *body.System, b0, b1 int, thet
 	}
 	boxDist2 := func(i int) float64 {
 		var d2 float64
-		if v := t.minX[i] - gMaxX; v > 0 {
+		if v := t.boxes.MinX[i] - gMaxX; v > 0 {
 			d2 += v * v
-		} else if v := gMinX - t.maxX[i]; v > 0 {
-			d2 += v * v
-		}
-		if v := t.minY[i] - gMaxY; v > 0 {
-			d2 += v * v
-		} else if v := gMinY - t.maxY[i]; v > 0 {
+		} else if v := gMinX - t.boxes.MaxX[i]; v > 0 {
 			d2 += v * v
 		}
-		if v := t.minZ[i] - gMaxZ; v > 0 {
+		if v := t.boxes.MinY[i] - gMaxY; v > 0 {
 			d2 += v * v
-		} else if v := gMinZ - t.maxZ[i]; v > 0 {
+		} else if v := gMinY - t.boxes.MaxY[i]; v > 0 {
+			d2 += v * v
+		}
+		if v := t.boxes.MinZ[i] - gMaxZ; v > 0 {
+			d2 += v * v
+		} else if v := gMinZ - t.boxes.MaxZ[i]; v > 0 {
 			d2 += v * v
 		}
 		return d2
@@ -505,7 +513,7 @@ func positionGroupList(t *Tree, list *soa.List, s *body.System, b0, b1 int, thet
 	node := 1
 	for node != 0 {
 		nd := &nodes[node]
-		if nd.empty() {
+		if nd.Empty() {
 			node = skipNext(node)
 			continue
 		}
@@ -520,10 +528,10 @@ func positionGroupList(t *Tree, list *soa.List, s *body.System, b0, b1 int, thet
 			if useBoxDist {
 				crit2 = boxDist2(node)
 			} else {
-				crit2 = pointDist2(nd.x, nd.y, nd.z)
+				crit2 = pointDist2(nd.X, nd.Y, nd.Z)
 			}
-			if nd.size*nd.size < theta2*crit2 {
-				list.Add(nd.x, nd.y, nd.z, nd.m)
+			if nd.Size*nd.Size < theta2*crit2 {
+				list.Add(nd.X, nd.Y, nd.Z, nd.M)
 				node = skipNext(node)
 				continue
 			}
@@ -537,8 +545,8 @@ func positionGroupList(t *Tree, list *soa.List, s *body.System, b0, b1 int, thet
 	}
 }
 
-// A walk group is one heap subtree: its box is the subtree root's box and
-// its own bodies enter the list as one range. Neither may change a list —
+// A walk group is one heap subtree, whose bodies enter the list as one
+// range when the walk reaches its node. That may not change a list —
 // against the position-pass walk over the same bodies, at every leaf
 // size, at the default group size and at one that is not a power-of-two
 // number of leaves, under both criteria, fresh and after three refits.
@@ -555,21 +563,22 @@ func TestSubtreeGroupsMatchPositionGroups(t *testing.T) {
 					if stale {
 						staleOrder(tree, r, s)
 					}
-					shift, span := tree.groupShape(groupBodies)
+					v := tree.View(groupBodies)
+					span := v.Span
 					if want := max(groupBodies, 32); span < want || span >= 2*want {
 						t.Fatalf("leaf=%d group=%d: span %d bodies, want the next power-of-two number of leaves", leafSize, groupBodies, span)
 					}
 					n := s.N()
 					for g := 0; g*span < n; g++ {
 						b0, b1 := g*span, min((g+1)*span, n)
-						node := tree.groupNode(g, shift)
-						if lo, hi := tree.nodeRange(node); lo != b0 || hi != b1 {
+						node := int(v.GroupNode) + g
+						if lo, hi := int(tree.nodes[node].Lo), int(tree.nodes[node].Hi); lo != b0 || hi != b1 {
 							t.Fatalf("leaf=%d group=%d: group %d is bodies [%d,%d), node %d holds [%d,%d)",
 								leafSize, groupBodies, g, b0, b1, node, lo, hi)
 						}
 						var want, got soa.List
 						positionGroupList(tree, &want, s, b0, b1, theta2)
-						tree.groupList(&got, s, node, theta2)
+						v.Fill(&got, s, g, theta2)
 						if !sameList(&got, &want) {
 							t.Fatalf("leaf=%d group=%d %v stale=%v group %d: list of %d entries, position walk %d",
 								leafSize, groupBodies, crit, stale, g, got.Len(), want.Len())

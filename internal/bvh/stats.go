@@ -32,7 +32,7 @@ func (t *Tree) Stats() Stats {
 	diagCount := 0
 	for j := 0; j < t.numLeaves; j++ {
 		node := t.numLeaves + j
-		if t.nodes[node].empty() {
+		if t.nodes[node].Empty() {
 			continue
 		}
 		st.Leaves++
@@ -49,12 +49,12 @@ func (t *Tree) Stats() Stats {
 	elongCount := 0
 	overlapping, pairs := 0, 0
 	for node := 1; node < t.numLeaves; node++ {
-		if t.nodes[node].empty() {
+		if t.nodes[node].Empty() {
 			continue
 		}
-		ex := t.maxX[node] - t.minX[node]
-		ey := t.maxY[node] - t.minY[node]
-		ez := t.maxZ[node] - t.minZ[node]
+		ex := t.boxes.MaxX[node] - t.boxes.MinX[node]
+		ey := t.boxes.MaxY[node] - t.boxes.MinY[node]
+		ez := t.boxes.MaxZ[node] - t.boxes.MinZ[node]
 		lo := math.Min(ex, math.Min(ey, ez))
 		hi := math.Max(ex, math.Max(ey, ez))
 		if lo > 0 {
@@ -62,9 +62,9 @@ func (t *Tree) Stats() Stats {
 			elongCount++
 		}
 		l, r := 2*node, 2*node+1
-		if !t.nodes[l].empty() && !t.nodes[r].empty() {
+		if !t.nodes[l].Empty() && !t.nodes[r].Empty() {
 			pairs++
-			if boxesOverlap(t, l, r) {
+			if t.boxes.At(int32(l)).Dist2(t.boxes.At(int32(r))) == 0 {
 				overlapping++
 			}
 		}
@@ -76,11 +76,4 @@ func (t *Tree) Stats() Stats {
 		st.SiblingOverlap = float64(overlapping) / float64(pairs)
 	}
 	return st
-}
-
-// boxesOverlap reports whether nodes a and b have intersecting boxes.
-func boxesOverlap(t *Tree, a, b int) bool {
-	return t.minX[a] <= t.maxX[b] && t.minX[b] <= t.maxX[a] &&
-		t.minY[a] <= t.maxY[b] && t.minY[b] <= t.maxY[a] &&
-		t.minZ[a] <= t.maxZ[b] && t.minZ[b] <= t.maxZ[a]
 }

@@ -31,15 +31,6 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 	n := s.N()
 	eps2 := p.Eps2()
 	theta2 := p.Theta * p.Theta
-	rootSize := 2 * t.rootHalf
-
-	// Precompute cell sizes per depth: size(d) = rootSize / 2^d.
-	var sizeAt [260]float64
-	sz := rootSize
-	for d := range sizeAt {
-		sizeAt[d] = sz
-		sz *= 0.5
-	}
 
 	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
 
@@ -53,13 +44,13 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 				tok := t.child[node]
 				if tok >= 0 || t.isBucket(node, tok) {
 					// Internal node or bucket: multipole-accept or open.
-					dx := t.comX[node] - xi
-					dy := t.comY[node] - yi
-					dz := t.comZ[node] - zi
+					nd := &t.nodes[node]
+					dx := nd.X - xi
+					dy := nd.Y - yi
+					dz := nd.Z - zi
 					d2 := dx*dx + dy*dy + dz*dz
-					size := sizeAt[t.depthOf(node)]
-					if size*size < theta2*d2 {
-						grav.Accumulate(dx, dy, dz, t.m[node], eps2, &ax, &ay, &az, &pot)
+					if nd.Size*nd.Size < theta2*d2 {
+						grav.Accumulate(dx, dy, dz, nd.M, eps2, &ax, &ay, &az, &pot)
 						node = t.advance(node)
 						continue
 					}
@@ -97,7 +88,7 @@ func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p g
 // exact at θ = 0. The concurrent build's max-depth chains are not buckets;
 // they are always evaluated body by body, as in the paper.
 func (t *Tree) isBucket(node, tok int32) bool {
-	return t.cfg.KeySorted && isBody(tok) && t.leafEnd[node]-tokenBody(tok) > 1
+	return t.cfg.KeySorted && isBody(tok) && t.nodes[node].Hi-t.nodes[node].Lo > 1
 }
 
 // advance returns the DFS successor of node once its subtree is finished

@@ -29,7 +29,8 @@ import (
 //     but the reads are strided.
 //
 // A key-sorted tree (Config.KeySorted) knows its levels and needs
-// neither: see gatherMoments.
+// neither: see gatherMoments. Either way the moments land in the node
+// records (walk.Node), beside the opening size normalizeMoments writes.
 func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
 	if t.cfg.KeySorted {
 		t.gatherMoments(r, s)
@@ -40,8 +41,8 @@ func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
 	// Reset accumulators and arrival counters for the allocated range.
 	r.ForGrain(par.ParUnseq, nodes, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			t.m[i] = 0
-			t.comX[i], t.comY[i], t.comZ[i] = 0, 0, 0
+			nd := &t.nodes[i]
+			nd.M, nd.X, nd.Y, nd.Z = 0, 0, 0, 0
 			t.counter[i] = 0
 		}
 	})
@@ -66,8 +67,8 @@ func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
 			lz += mb * posZ[b]
 		}
 		node := int32(i)
-		t.m[node] = lm
-		t.comX[node], t.comY[node], t.comZ[node] = lx, ly, lz
+		nd := &t.nodes[node]
+		nd.M, nd.X, nd.Y, nd.Z = lm, lx, ly, lz
 
 		// Climb: accumulate into the parent; the last arrival carries on.
 		for node != 0 {
@@ -81,22 +82,24 @@ func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
 				first := t.child[p]
 				var gm, gx, gy, gz float64
 				for c := first; c < first+8; c++ {
-					gm += t.m[c]
-					gx += t.comX[c]
-					gy += t.comY[c]
-					gz += t.comZ[c]
+					ch := &t.nodes[c]
+					gm += ch.M
+					gx += ch.X
+					gy += ch.Y
+					gz += ch.Z
 				}
-				t.m[p] = gm
-				t.comX[p], t.comY[p], t.comZ[p] = gx, gy, gz
+				pd := &t.nodes[p]
+				pd.M, pd.X, pd.Y, pd.Z = gm, gx, gy, gz
 			} else {
 				// Scatter the node's moments with relaxed atomic adds,
 				// then signal arrival; the fetch_add returning 7 marks
 				// the reduction at p complete (paper's scheme).
-				if m := t.m[node]; m != 0 {
-					atomicx.AddFloat64(&t.m[p], m)
-					atomicx.AddFloat64(&t.comX[p], t.comX[node])
-					atomicx.AddFloat64(&t.comY[p], t.comY[node])
-					atomicx.AddFloat64(&t.comZ[p], t.comZ[node])
+				if nd := &t.nodes[node]; nd.M != 0 {
+					pd := &t.nodes[p]
+					atomicx.AddFloat64(&pd.M, nd.M)
+					atomicx.AddFloat64(&pd.X, nd.X)
+					atomicx.AddFloat64(&pd.Y, nd.Y)
+					atomicx.AddFloat64(&pd.Z, nd.Z)
 				}
 				if atomic.AddInt32(&t.counter[p], 1) != 8 {
 					return
@@ -110,17 +113,28 @@ func (t *Tree) ComputeMoments(r *par.Runtime, s *body.System) {
 }
 
 // normalizeMoments converts the mass-weighted position sums the reduction
-// leaves in every node to centers of mass.
+// leaves in every node to centers of mass, and writes every node's opening
+// size: the edge of its cell, rootSize·2⁻ᵈ at depth d, or −1 when the node
+// holds no body.
 func (t *Tree) normalizeMoments(r *par.Runtime) {
+	var sizeAt [256]float64
+	sz := 2 * t.rootHalf
+	for d := range sizeAt {
+		sizeAt[d] = sz
+		sz *= 0.5
+	}
 	r.ForGrain(par.ParUnseq, t.NumNodes(), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			m := t.m[i]
-			if m == 0 {
-				continue
+			nd := &t.nodes[i]
+			nd.Size = -1
+			if t.child[i] != TokenEmpty {
+				nd.Size = sizeAt[t.depthOf(int32(i))]
 			}
-			t.comX[i] /= m
-			t.comY[i] /= m
-			t.comZ[i] /= m
+			if m := nd.M; m != 0 {
+				nd.X /= m
+				nd.Y /= m
+				nd.Z /= m
+			}
 		}
 	})
 }
@@ -136,7 +150,7 @@ func leafBody(tok int32) int32 {
 
 // TotalMass returns the root node's mass after ComputeMoments — the total
 // mass of the system, a conservation diagnostic.
-func (t *Tree) TotalMass() float64 { return t.m[0] }
+func (t *Tree) TotalMass() float64 { return t.nodes[0].M }
 
 // CenterOfMass returns the root node's center of mass after ComputeMoments.
-func (t *Tree) CenterOfMass() (x, y, z float64) { return t.comX[0], t.comY[0], t.comZ[0] }
+func (t *Tree) CenterOfMass() (x, y, z float64) { return t.nodes[0].X, t.nodes[0].Y, t.nodes[0].Z }

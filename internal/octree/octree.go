@@ -46,6 +46,7 @@ import (
 	"nbody/internal/bounds"
 	"nbody/internal/par"
 	"nbody/internal/vec"
+	"nbody/internal/walk"
 )
 
 // Token values stored in the child array.
@@ -78,9 +79,8 @@ type Config struct {
 	// atomic adds (the paper's variant; the default).
 	GatherMoments bool
 	// GroupSize is the number of consecutive bodies that share one walk
-	// and one interaction list in AccelerationsList (0 selects 32). The
-	// per-body traversal ignores it. Combine with KeySorted for compact
-	// groups.
+	// and one interaction list in AccelerationsList (0 selects
+	// walk.GroupSize). The per-body traversal ignores it.
 	GroupSize int
 	// KeySorted selects the key-sorted build: Build sorts the bodies
 	// along the Hilbert curve of the root cube (permuting the system like
@@ -108,13 +108,13 @@ var ErrPoolExhausted = errors.New("octree: node pool exhausted")
 type Tree struct {
 	cfg Config
 
-	// Per-node state. len(child) = len(m) = … = 1 + 8*capGroups.
+	// Per-node state, 1 + 8*capGroups entries each. nodes holds every
+	// node's moments and opening size on both builds, and on the
+	// key-sorted build also its body range and links: the view
+	// AccelerationsList walks (package walk).
 	child   []int32
 	counter []int32
-	m       []float64
-	comX    []float64
-	comY    []float64
-	comZ    []float64
+	nodes   []walk.Node
 
 	// Per-group state.
 	parent []int32
@@ -125,7 +125,6 @@ type Tree struct {
 
 	// Key-sorted build only (Config.KeySorted; see sorted.go).
 	bucket      int      // leaf capacity above the key depth cap
-	leafEnd     []int32  // per node: end of the body range starting at tokenBody(child)
 	levels      []int32  // levels[d] = groups of depth ≤ d
 	keys        []uint64 // Hilbert keys of the bodies, sorted
 	sortPerm    []int32
@@ -134,12 +133,6 @@ type Tree struct {
 
 	nGroups  atomic.Int32
 	overflow atomic.Bool
-
-	// longestList is the longest interaction list AccelerationsList has
-	// collected since the last Build; every walk reserves that much up
-	// front. Build resets it, so a long list is not reserved for longer
-	// than the tree that produced it.
-	longestList atomic.Int32
 
 	// Body position arrays of the system being built, captured for the
 	// duration of Build so the insertion loop avoids closure overhead.
@@ -218,10 +211,7 @@ func (t *Tree) grow(groups int) {
 	nodes := 1 + 8*groups
 	t.child = make([]int32, nodes)
 	t.counter = make([]int32, nodes)
-	t.m = make([]float64, nodes)
-	t.comX = make([]float64, nodes)
-	t.comY = make([]float64, nodes)
-	t.comZ = make([]float64, nodes)
+	t.nodes = make([]walk.Node, nodes)
 	t.parent = make([]int32, groups)
 	t.depth = make([]uint8, groups)
 }
@@ -250,7 +240,6 @@ func (t *Tree) capGroups() int {
 func (t *Tree) Build(r *par.Runtime, s *body.System, box bounds.AABB) error {
 	n := s.N()
 	t.nBodies = n
-	t.longestList.Store(0)
 
 	cube := box.Cube().Pad(box.MaxExtent()*1e-12 + math.SmallestNonzeroFloat64)
 	t.rootCenter = cube.Center()

@@ -8,6 +8,7 @@ import (
 	"nbody/internal/bounds"
 	"nbody/internal/par"
 	"nbody/internal/sfc"
+	"nbody/internal/walk"
 )
 
 // leafBucket is the largest number of bodies the key-sorted build leaves in
@@ -74,10 +75,12 @@ func countGroups(r *par.Runtime, keys []uint64, bucket, maxLevels int) int {
 //
 // Groups come out in breadth-first order (t.levels records where each depth
 // starts), which keeps child > parent for the stackless traversals and lets
-// gatherMoments reduce a whole level at a time. A leaf is the body range
-// [tokenBody(token), leafEnd); it is also chained through next like a
-// max-depth leaf of the concurrent build, so the per-body traversals, Stats
-// and CheckInvariants read both trees alike.
+// gatherMoments reduce a whole level at a time. The pass that creates a
+// node writes its record's body range [Lo, Hi), Down and Next (slots 0–6
+// are followed by their next sibling, slot 7 by its parent's successor). A
+// leaf is also chained through next like a max-depth leaf of the
+// concurrent build, so the per-body traversals, Stats and CheckInvariants
+// read both trees alike.
 func (t *Tree) buildSorted(r *par.Runtime, s *body.System, cube bounds.AABB) {
 	n := int32(s.N())
 	var keys []uint64
@@ -92,12 +95,11 @@ func (t *Tree) buildSorted(r *par.Runtime, s *body.System, cube bounds.AABB) {
 	groups := countGroups(r, keys, t.bucket, maxLevels)
 	t.nGroups.Store(int32(groups))
 	nodes := 1 + 8*groups
-	t.child, t.leafEnd = resize(t.child, nodes), resize(t.leafEnd, nodes)
+	t.child, t.nodes = resize(t.child, nodes), resize(t.nodes, nodes)
 	t.parent, t.depth = resize(t.parent, groups), resize(t.depth, groups)
-	t.m = resize(t.m, nodes)
-	t.comX, t.comY, t.comZ = resize(t.comX, nodes), resize(t.comY, nodes), resize(t.comZ, nodes)
-	child, leafEnd, parent, depths := t.child, t.leafEnd, t.parent, t.depth
+	child, recs, parent, depths := t.child, t.nodes, t.parent, t.depth
 
+	recs[0] = walk.Node{Hi: n, Down: -1, Next: -1}
 	t.levels = append(t.levels[:0], 0)
 	front := t.front[:0]
 	switch {
@@ -123,22 +125,25 @@ func (t *Tree) buildSorted(r *par.Runtime, s *body.System, cube bounds.AABB) {
 			for i := a; i < b; i++ {
 				e := cur[i]
 				first := int32(1 + 8*(base+i))
-				child[e.node] = first
+				child[e.node], recs[e.node].Down = first, first
+				after := recs[e.node].Next
 				parent[base+i], depths[base+i] = e.node, uint8(depth)
 				internal := int32(0)
 				lo := e.lo
 				for oct := int32(0); oct < 8; oct++ {
-					hi := e.hi
+					c := first + oct
+					hi, next := e.hi, after
 					if oct < 7 {
-						hi = digitEnd(keys, lo, e.hi, shift, uint64(oct))
+						hi, next = digitEnd(keys, lo, e.hi, shift, uint64(oct)), c+1
 					}
-					switch c := first + oct; {
+					recs[c] = walk.Node{Lo: lo, Hi: hi, Down: -1, Next: next}
+					switch {
 					case hi == lo:
 						child[c] = TokenEmpty
 					case split && hi-lo > bucket:
 						// Claimed by the next level; until then the
 						// node carries its range like a leaf.
-						child[c], leafEnd[c] = bodyToken(lo), hi
+						child[c] = bodyToken(lo)
 						internal++
 					default:
 						t.setLeaf(c, lo, hi)
@@ -158,12 +163,8 @@ func (t *Tree) buildSorted(r *par.Runtime, s *body.System, cube bounds.AABB) {
 					at := slots[i]
 					first := int32(1 + 8*(base+i))
 					for c := first; c < first+8; c++ {
-						tok := child[c]
-						if tok == TokenEmpty {
-							continue
-						}
-						if lo, hi := tokenBody(tok), leafEnd[c]; hi-lo > bucket {
-							nxt[at] = span{c, lo, hi}
+						if nd := &recs[c]; nd.Hi-nd.Lo > bucket {
+							nxt[at] = span{c, nd.Lo, nd.Hi}
 							at++
 						}
 					}
@@ -180,7 +181,7 @@ func (t *Tree) buildSorted(r *par.Runtime, s *body.System, cube bounds.AABB) {
 
 // setLeaf makes node c the leaf of the non-empty body range [lo, hi).
 func (t *Tree) setLeaf(c, lo, hi int32) {
-	t.child[c], t.leafEnd[c] = bodyToken(lo), hi
+	t.child[c] = bodyToken(lo)
 	for b := lo; b < hi-1; b++ {
 		t.next[b] = b + 1
 	}
@@ -224,17 +225,18 @@ func (t *Tree) gatherMoments(r *par.Runtime, s *body.System) {
 // gatherNode stores the raw sums Σm and Σm·x of node c, whose children
 // already hold theirs.
 func (t *Tree) gatherNode(c int32, s *body.System) {
+	nd := &t.nodes[c]
 	var m, x, y, z float64
-	switch tok := t.child[c]; {
-	case tok >= 0:
-		for k := tok; k < tok+8; k++ {
-			m += t.m[k]
-			x += t.comX[k]
-			y += t.comY[k]
-			z += t.comZ[k]
+	if nd.Down >= 0 {
+		for k := nd.Down; k < nd.Down+8; k++ {
+			ch := &t.nodes[k]
+			m += ch.M
+			x += ch.X
+			y += ch.Y
+			z += ch.Z
 		}
-	case tok != TokenEmpty:
-		for b := tokenBody(tok); b < t.leafEnd[c]; b++ {
+	} else {
+		for b := nd.Lo; b < nd.Hi; b++ {
 			mb := s.Mass[b]
 			m += mb
 			x += mb * s.PosX[b]
@@ -242,6 +244,5 @@ func (t *Tree) gatherNode(c int32, s *body.System) {
 			z += mb * s.PosZ[b]
 		}
 	}
-	t.m[c] = m
-	t.comX[c], t.comY[c], t.comZ[c] = x, y, z
+	nd.M, nd.X, nd.Y, nd.Z = m, x, y, z
 }

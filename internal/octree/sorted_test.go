@@ -114,12 +114,9 @@ func TestSortedBuildBitIdenticalAcrossWorkers(t *testing.T) {
 		same := slices.Equal(a.child[:nodes], b.child[:nodes]) &&
 			slices.Equal(a.parent[:groups], b.parent[:groups]) &&
 			slices.Equal(a.depth[:groups], b.depth[:groups]) &&
-			slices.Equal(a.m[:nodes], b.m[:nodes]) &&
-			slices.Equal(a.comX[:nodes], b.comX[:nodes]) &&
-			slices.Equal(a.comY[:nodes], b.comY[:nodes]) &&
-			slices.Equal(a.comZ[:nodes], b.comZ[:nodes])
+			slices.Equal(a.nodes[:nodes], b.nodes[:nodes])
 		if !same {
-			t.Errorf("%d workers: tree or moments differ from 1 worker", workers)
+			t.Errorf("%d workers: tree, records or moments differ from 1 worker", workers)
 		}
 		if !slices.Equal(ref.sys.ID, got.sys.ID) ||
 			!slices.Equal(ref.sys.AccX, got.sys.AccX) ||
@@ -161,7 +158,7 @@ func TestSortedLeavesLieInTheirKeysCells(t *testing.T) {
 			}
 			size := box.MaxExtent() / float64(uint64(1)<<d)
 			lo := box.Min.Add(vec.New(float64(cx), float64(cy), float64(cz)).Scale(size))
-			for b := tokenBody(tok); b < tree.leafEnd[node]; b++ {
+			for b := tokenBody(tok); b < tree.nodes[node].Hi; b++ {
 				if prefix := tree.keys[b] >> (3 * (sfc.MaxOrder3D - d)); prefix != path {
 					t.Fatalf("leaf %d at depth %d: body %d's key starts %o, the leaf's path is %o", node, d, b, prefix, path)
 				}
@@ -321,14 +318,15 @@ func TestSortedMomentsFollowDriftOnKeptTopology(t *testing.T) {
 	for node := int32(0); node < int32(tree.NumNodes()); node++ {
 		m, mx := direct(node)
 		if m == 0 {
-			if tree.m[node] != 0 {
-				t.Fatalf("node %d: mass %v in an empty range", node, tree.m[node])
+			if tree.nodes[node].M != 0 {
+				t.Fatalf("node %d: mass %v in an empty range", node, tree.nodes[node].M)
 			}
 			continue
 		}
-		com := vec.New(tree.comX[node], tree.comY[node], tree.comZ[node])
-		if math.Abs(tree.m[node]-m) > 1e-12*m || com.Sub(mx.Scale(1/m)).Norm() > 1e-11 {
-			t.Fatalf("node %d: moments (%v, %v), direct sum (%v, %v)", node, tree.m[node], com, m, mx.Scale(1/m))
+		nd := &tree.nodes[node]
+		com := vec.New(nd.X, nd.Y, nd.Z)
+		if math.Abs(nd.M-m) > 1e-12*m || com.Sub(mx.Scale(1/m)).Norm() > 1e-11 {
+			t.Fatalf("node %d: moments (%v, %v), direct sum (%v, %v)", node, nd.M, com, m, mx.Scale(1/m))
 		}
 	}
 }

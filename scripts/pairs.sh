@@ -12,11 +12,13 @@
 # working tree is built where it stands. `bench` is built once per side, and
 # driven from outside: its code, bounds and -compare gate are untouched.
 #
-# Prints every pair, then for each end-to-end metric of BENCHMARK.json: the
-# per-pair ratios (working tree / parent), how many pairs the working tree
-# won in the metric's better direction, the median and quartiles of the
-# ratios, and the parent's median and interquartile range. With PARENT =
-# HEAD and a clean tree it measures the host's A/A floor.
+# Prints every pair, then for each metric of BENCHMARK.json the runs report
+# (the end-to-end ones, or with `-trace 1` the per-layer ones such as
+# octree.force_ms): the per-pair ratios (working tree / parent), how many
+# pairs the working tree won in the metric's better direction, the median
+# and quartiles of the ratios, and the parent's median and interquartile
+# range. With PARENT = HEAD and a clean tree it measures the host's A/A
+# floor.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -81,7 +83,16 @@ while [ "$i" -le "$pairs" ]; do
 	i=$((i + 1))
 done
 
-jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json | while read -r metric better; do
+jq -r '.end_to_end[], .per_layer[] | "\(.name) \(.better)"' BENCHMARK.json | while read -r metric better; do
+	# Only the metrics some run reported: untraced runs report no per-layer ones.
+	found=
+	for f in "$tmp"/runs/*.json; do
+		if jq -e --arg m "$metric" '.metrics[$m]' "$f" >/dev/null 2>&1; then
+			found=1
+			break
+		fi
+	done
+	[ -n "$found" ] || continue
 	while read -r seed first; do
 		p=$(jq -r --arg m "$metric" '.metrics[$m].value // "nan"' "$tmp/runs/parent-$seed.json" 2>/dev/null || echo nan)
 		c=$(jq -r --arg m "$metric" '.metrics[$m].value // "nan"' "$tmp/runs/change-$seed.json" 2>/dev/null || echo nan)
