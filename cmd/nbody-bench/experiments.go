@@ -167,7 +167,7 @@ func runFig8(fs *flag.FlagSet, args []string) error {
 	var groups []plot.BarGroup
 
 	for _, alg := range []core.Algorithm{core.Octree, core.BVH} {
-		for _, sched := range []par.Scheduler{par.Dynamic, par.Static, par.Guided} {
+		for _, sched := range par.Schedulers() {
 			cfg := core.Config{Algorithm: alg, DT: galaxyDT, Runtime: c.runtime(sched)}
 			m, err := measure(cfg, base, *c.steps, *c.repeats)
 			if err != nil {

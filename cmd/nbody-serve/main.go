@@ -114,7 +114,7 @@ func run() error {
 	if *jobChunk <= 0 || *jobChunk > *maxSteps {
 		return fmt.Errorf("-job-chunk must be in [1, -max-steps-per-request] (got %d)", *jobChunk)
 	}
-	sched, err := parseScheduler(*schedStr)
+	sched, err := par.ParseScheduler(*schedStr)
 	if err != nil {
 		return err
 	}
@@ -286,16 +286,4 @@ func run() error {
 	}
 	log.Printf("drained cleanly")
 	return nil
-}
-
-func parseScheduler(s string) (par.Scheduler, error) {
-	switch s {
-	case "dynamic":
-		return par.Dynamic, nil
-	case "static":
-		return par.Static, nil
-	case "guided":
-		return par.Guided, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q", s)
 }

@@ -69,7 +69,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sched, err := parseScheduler(*schedStr)
+	sched, err := par.ParseScheduler(*schedStr)
 	if err != nil {
 		return err
 	}
@@ -190,18 +190,6 @@ func run() error {
 	fmt.Printf("\nthroughput: %.3e bodies·steps/s (%v per step)\n",
 		metrics.Throughput(sys.N(), stepsDone, elapsed), (elapsed / time.Duration(max(stepsDone, 1))).Round(time.Microsecond))
 	return nil
-}
-
-func parseScheduler(s string) (par.Scheduler, error) {
-	switch s {
-	case "dynamic":
-		return par.Dynamic, nil
-	case "static":
-		return par.Static, nil
-	case "guided":
-		return par.Guided, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q", s)
 }
 
 func printDiag(label string, d core.Diagnostics) {

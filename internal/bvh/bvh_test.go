@@ -14,6 +14,7 @@ import (
 	"nbody/internal/par"
 	"nbody/internal/rng"
 	"nbody/internal/vec"
+	"nbody/internal/walk"
 )
 
 func randomSystem(n int, seed uint64) *body.System {
@@ -455,22 +456,22 @@ func TestPotentialWithinForceErrorEnvelope(t *testing.T) {
 func TestPotentialsBitIdenticalAcrossWorkers(t *testing.T) {
 	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0.6}
 	base := randomSystem(20000, 47)
-	run := func(workers int) (walk, list []float64, sys *body.System) {
+	run := func(workers int) (phiWalk, phiList []float64, sys *body.System) {
 		r := par.NewRuntime(workers, par.Dynamic)
 		s := base.Clone()
 		tree := buildTree(t, Config{}, s, r)
-		walk, list = make([]float64, s.N()), make([]float64, s.N())
-		tree.Accelerations(r, par.ParUnseq, s.Clone(), p, walk)
-		tree.AccelerationsListPhi(r, par.ParUnseq, s, p, 0, list)
-		return walk, list, s
+		phiWalk, phiList = make([]float64, s.N()), make([]float64, s.N())
+		tree.Accelerations(r, par.ParUnseq, s.Clone(), p, phiWalk)
+		walk.Accelerations(r, par.ParUnseq, tree.View(0), s, p, phiList)
+		return phiWalk, phiList, s
 	}
 	refWalk, refList, ref := run(1)
 	for _, workers := range []int{2, 5} {
-		walk, list, s := run(workers)
+		phiWalk, phiList, s := run(workers)
 		if !slices.Equal(ref.ID, s.ID) || !slices.Equal(ref.AccX, s.AccX) || !slices.Equal(ref.AccY, s.AccY) || !slices.Equal(ref.AccZ, s.AccZ) {
 			t.Errorf("%d workers: body order or accelerations differ from 1 worker", workers)
 		}
-		if !slices.Equal(refWalk, walk) || !slices.Equal(refList, list) {
+		if !slices.Equal(refWalk, phiWalk) || !slices.Equal(refList, phiList) {
 			t.Errorf("%d workers: potentials differ from 1 worker", workers)
 		}
 	}

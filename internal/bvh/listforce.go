@@ -16,15 +16,7 @@ import (
 // test measures a node's box to the group box instead of its centre of
 // mass. A system of at most allpairs.DirectMaxN bodies is summed pairwise.
 func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupBodies int) {
-	t.AccelerationsListPhi(r, pol, s, p, groupBodies, nil)
-}
-
-// AccelerationsListPhi is AccelerationsList that also writes each body's
-// potential φᵢ (per unit mass, G-scaled) into phi unless phi is nil, from
-// the same lists and kernel calls as the accelerations (see
-// octree.AccelerationsListPhi).
-func (t *Tree) AccelerationsListPhi(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupBodies int, phi []float64) {
-	walk.Accelerations(r, pol, t.View(groupBodies), s, p, phi)
+	walk.Accelerations(r, pol, t.View(groupBodies), s, p, nil)
 }
 
 // View returns the tree as the flat walk reads it. A group is 2^shift

@@ -24,7 +24,7 @@ import (
 
 var criteria = []Criterion{CenterDistance, BoxDistance}
 
-// accelerationsList is AccelerationsListPhi's tree walk, at any N.
+// accelerationsList is AccelerationsList's tree walk, at any N, with φ.
 func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupBodies int, phi []float64) {
 	walk.Walk(r, pol, t.View(groupBodies), s, p, phi)
 }

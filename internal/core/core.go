@@ -4,6 +4,11 @@
 // Algorithm 2 (Concurrent Octree) and Algorithm 6 (Hilbert BVH), records
 // per-phase timings, and exposes conservation diagnostics.
 //
+// The two algorithms are one loop that differs only in which structure
+// each phase calls, so New chooses the octree or the BVH once and puts it
+// behind the solver seam (the unexported tree interface); the structure
+// and force phases ask the seam instead of switching on the algorithm.
+//
 // Each algorithm runs its phases under the execution policies the paper
 // prescribes: the octree build and multipole reduction need par (they
 // synchronize between iterations), all remaining phases run under
@@ -28,6 +33,7 @@ import (
 	"nbody/internal/octree"
 	"nbody/internal/par"
 	"nbody/internal/vec"
+	"nbody/internal/walk"
 )
 
 // Algorithm selects the force solver.
@@ -72,7 +78,7 @@ const (
 	// LayoutFlat (the default) evaluates forces through flat per-group
 	// interaction lists: tree walks collect accepted nodes and leaf bodies
 	// into dense SoA arrays that a tight branch-free loop then evaluates
-	// (octree/bvh AccelerationsList, package soa). Tree algorithms under
+	// (packages walk and soa). Tree algorithms under
 	// this layout use the conservative group opening criterion, so
 	// accuracy is never worse than the walk layout at equal θ.
 	LayoutFlat Layout = iota
@@ -192,8 +198,7 @@ type Sim struct {
 	sys  *body.System
 	rt   *par.Runtime
 	pol  policies
-	tree *octree.Tree
-	hbvh *bvh.Tree
+	tree tree // the solver seam; nil for the all-pairs baselines
 
 	breakdown metrics.Breakdown
 	step      int
@@ -235,7 +240,7 @@ type Sim struct {
 // policies bundles the per-phase execution policies.
 type policies struct {
 	reduce par.Policy // bounding box
-	build  par.Policy // tree construction (octree: par)
+	sync   par.Policy // par: BVH sort and build, pair-parallel atomics
 	force  par.Policy
 	update par.Policy
 }
@@ -293,11 +298,11 @@ func New(cfg Config, sys *body.System) (*Sim, error) {
 
 	switch cfg.Algorithm {
 	case Octree:
-		s.tree = octree.New(cfg.Octree)
+		s.tree = octreeSolver{octree.New(cfg.Octree)}
 	case BVH:
-		s.hbvh = bvh.New(cfg.BVH)
+		s.tree = bvhSolver{bvh.New(cfg.BVH)}
 	case AllPairs, AllPairsCol:
-		// no structure
+		// no structure: the force pass sums pairs directly
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", cfg.Algorithm)
 	}
@@ -329,10 +334,7 @@ func (s *Sim) Refits() int { return s.refits }
 
 // adaptiveReuse reports whether displacement-driven tree reuse is active.
 func (s *Sim) adaptiveReuse() bool {
-	if s.cfg.RefitThreshold <= 0 {
-		return false
-	}
-	return s.cfg.Algorithm == Octree || s.cfg.Algorithm == BVH
+	return s.cfg.RefitThreshold > 0 && s.tree != nil
 }
 
 // needRebuild decides between a full structure rebuild and the tree-reuse
@@ -584,131 +586,111 @@ func (s *Sim) commitStep() error {
 	return nil
 }
 
-// hasStructure reports whether the configured algorithm maintains a
-// spatial structure (and so whether the structure phase does any work).
-func (s *Sim) hasStructure() bool {
-	switch s.cfg.Algorithm {
-	case Octree, BVH:
-		return true
+// tree is the solver seam: the one place where the algorithm and the
+// layout are chosen. New picks the octree or the BVH behind it (nil for the
+// all-pairs baselines), and the structure and force phases call it without
+// asking which.
+type tree interface {
+	// rebuild sorts, builds and computes moments over the bodies in box,
+	// timing each sub-phase the tree has: the octree records no sort
+	// phase and the BVH no multipoles phase.
+	rebuild(s *Sim, box bounds.AABB) error
+	// refit keeps the structure and refreshes it for the moved bodies.
+	refit(s *Sim)
+	// force writes the accelerations, and φ into phi unless it is nil.
+	force(s *Sim, phi []float64)
+}
+
+// octreeSolver is the Concurrent Octree behind the seam. Its refit keeps
+// the topology and recomputes the centres of mass.
+type octreeSolver struct{ t *octree.Tree }
+
+func (o octreeSolver) rebuild(s *Sim, box bounds.AABB) error {
+	var err error
+	s.breakdown.Time(metrics.PhaseBuild, func() { err = o.t.Build(s.rt, s.sys, box) })
+	if err != nil {
+		return err
 	}
-	return false
+	s.breakdown.Time(metrics.PhaseMultipoles, func() { o.t.ComputeMoments(s.rt, s.sys) })
+	return nil
+}
+
+func (o octreeSolver) refit(s *Sim) { o.t.ComputeMoments(s.rt, s.sys) }
+
+func (o octreeSolver) force(s *Sim, phi []float64) {
+	if s.cfg.Layout == LayoutFlat {
+		walk.Accelerations(s.rt, s.pol.force, o.t.View(s.cfg.Octree.GroupSize), s.sys, s.cfg.Params, phi)
+	} else {
+		o.t.Accelerations(s.rt, s.pol.force, s.sys, s.cfg.Params, phi)
+	}
+}
+
+// bvhSolver is the Hilbert BVH behind the seam. Its refit recomputes boxes
+// and moments from the current positions (exact); only the leaves' curve
+// order goes stale until the next rebuild.
+type bvhSolver struct{ t *bvh.Tree }
+
+func (b bvhSolver) rebuild(s *Sim, box bounds.AABB) error {
+	s.breakdown.Time(metrics.PhaseSort, func() { b.t.Sort(s.rt, s.pol.sync, s.sys, box) })
+	s.breakdown.Time(metrics.PhaseBuild, func() { b.refit(s) })
+	return nil
+}
+
+func (b bvhSolver) refit(s *Sim) { b.t.BuildNoSort(s.rt, s.pol.sync, s.sys) }
+
+func (b bvhSolver) force(s *Sim, phi []float64) {
+	if s.cfg.Layout == LayoutFlat {
+		walk.Accelerations(s.rt, s.pol.force, b.t.View(s.cfg.BVH.GroupBodies), s.sys, s.cfg.Params, phi)
+	} else {
+		b.t.Accelerations(s.rt, s.pol.force, s.sys, s.cfg.Params, phi)
+	}
 }
 
 // phaseStructure refreshes the spatial structure for the coming force
 // pass, recording per-phase timings. rebuild selects a full rebuild
-// (bounds → sort → build → moments) versus the tree-reuse fast path —
-// a single refit pass for the octree and the BVH.
+// (bounds → sort → build → moments) versus the tree-reuse fast path, a
+// single refit pass timed on its own so breakdowns show what reuse costs.
 func (s *Sim) phaseStructure(rebuild bool) error {
-	b := &s.breakdown
-
-	switch s.cfg.Algorithm {
-	case AllPairs, AllPairsCol:
-		// No structure.
-		return nil
-
-	case Octree:
-		if !rebuild {
-			// Refit: topology is kept, centers of mass follow the moved
-			// bodies. Timed separately so Figure-8-style breakdowns show
-			// what reuse actually costs.
-			b.Time(metrics.PhaseRefit, func() {
-				s.tree.ComputeMoments(s.rt, s.sys)
-			})
-			s.refits++
-			return nil
-		}
-		var box bounds.AABB
-		b.Time(metrics.PhaseBoundingBox, func() {
-			box = bounds.OfPositions(s.rt, s.pol.reduce, s.sys.PosX, s.sys.PosY, s.sys.PosZ)
-		})
-		var err error
-		b.Time(metrics.PhaseBuild, func() {
-			err = s.tree.Build(s.rt, s.sys, box)
-		})
-		if err != nil {
-			return err
-		}
-		b.Time(metrics.PhaseMultipoles, func() {
-			s.tree.ComputeMoments(s.rt, s.sys)
-		})
-		s.noteRebuild(box.MaxExtent())
-		s.rebuilds++
-		return nil
-
-	case BVH:
-		if !rebuild {
-			// Refit: boxes and moments are recomputed from current
-			// positions (exact); only the Hilbert-order leaf compactness
-			// degrades until the next rebuild.
-			b.Time(metrics.PhaseRefit, func() {
-				s.hbvh.BuildNoSort(s.rt, s.pol.build, s.sys)
-			})
-			s.refits++
-			return nil
-		}
-		var box bounds.AABB
-		b.Time(metrics.PhaseBoundingBox, func() {
-			box = bounds.OfPositions(s.rt, s.pol.reduce, s.sys.PosX, s.sys.PosY, s.sys.PosZ)
-		})
-		b.Time(metrics.PhaseSort, func() {
-			s.hbvh.Sort(s.rt, s.pol.build, s.sys, box)
-		})
-		b.Time(metrics.PhaseBuild, func() {
-			s.hbvh.BuildNoSort(s.rt, s.pol.build, s.sys)
-		})
-		s.noteRebuild(box.MaxExtent())
-		s.rebuilds++
+	if s.tree == nil {
 		return nil
 	}
-	return fmt.Errorf("core: unknown algorithm %v", s.cfg.Algorithm)
+	if !rebuild {
+		s.breakdown.Time(metrics.PhaseRefit, func() { s.tree.refit(s) })
+		s.refits++
+		return nil
+	}
+	var box bounds.AABB
+	s.breakdown.Time(metrics.PhaseBoundingBox, func() {
+		box = bounds.OfPositions(s.rt, s.pol.reduce, s.sys.PosX, s.sys.PosY, s.sys.PosZ)
+	})
+	if err := s.tree.rebuild(s, box); err != nil {
+		return err
+	}
+	s.noteRebuild(box.MaxExtent())
+	s.rebuilds++
+	return nil
 }
 
 // phaseForce refreshes s.sys.Acc from the current structure (or directly,
 // for the all-pairs baselines), recording the force-phase timing.
 func (s *Sim) phaseForce() {
-	b := &s.breakdown
-	p := s.cfg.Params
 	phi := s.phi
 	if s.cfg.Algorithm != AllPairsCol && len(phi) != s.sys.N() {
 		phi = make([]float64, s.sys.N())
 		s.phi = phi
 	}
-
-	switch s.cfg.Algorithm {
-	case AllPairs:
-		b.Time(metrics.PhaseForce, func() {
-			allpairs.AllPairsPhi(s.rt, s.pol.force, s.sys, p, phi)
-		})
-
-	case AllPairsCol:
-		b.Time(metrics.PhaseForce, func() {
+	s.breakdown.Time(metrics.PhaseForce, func() {
+		switch {
+		case s.tree != nil:
+			s.tree.force(s, phi)
+		case s.cfg.Algorithm == AllPairs:
+			allpairs.AllPairsPhi(s.rt, s.pol.force, s.sys, s.cfg.Params, phi)
+		default:
 			// Pair-parallel accumulation synchronizes through atomics
 			// and therefore runs under par (the paper's requirement).
-			pol := par.Par
-			if s.cfg.Sequential {
-				pol = par.Seq
-			}
-			allpairs.AllPairsCol(s.rt, pol, s.sys, p)
-		})
-
-	case Octree:
-		b.Time(metrics.PhaseForce, func() {
-			if s.cfg.Layout == LayoutFlat {
-				s.tree.AccelerationsListPhi(s.rt, s.pol.force, s.sys, p, s.cfg.Octree.GroupSize, phi)
-			} else {
-				s.tree.Accelerations(s.rt, s.pol.force, s.sys, p, phi)
-			}
-		})
-
-	case BVH:
-		b.Time(metrics.PhaseForce, func() {
-			if s.cfg.Layout == LayoutFlat {
-				s.hbvh.AccelerationsListPhi(s.rt, s.pol.force, s.sys, p, s.cfg.BVH.GroupBodies, phi)
-			} else {
-				s.hbvh.Accelerations(s.rt, s.pol.force, s.sys, p, phi)
-			}
-		})
-	}
+			allpairs.AllPairsCol(s.rt, s.pol.sync, s.sys, s.cfg.Params)
+		}
+	})
 }
 
 // Diagnostics are conservation quantities for validating a run.
@@ -770,9 +752,5 @@ func (s *Sim) potentialEnergy(exact bool) float64 {
 			return u
 		}
 	}
-	pol := par.Par
-	if s.cfg.Sequential {
-		pol = par.Seq
-	}
-	return allpairs.PotentialEnergy(s.rt, pol, s.sys, s.cfg.Params)
+	return allpairs.PotentialEnergy(s.rt, s.pol.sync, s.sys, s.cfg.Params)
 }

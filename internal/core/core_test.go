@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -235,37 +236,40 @@ func TestRebuildEveryApproximation(t *testing.T) {
 	}
 }
 
+// Every solver records force and update; the trees record their own
+// structure phases and no other's; the all-pairs baselines record none.
 func TestBreakdownPhases(t *testing.T) {
-	sys := workload.GalaxyCollision(2000, 27)
-	sim, err := New(Config{Algorithm: BVH, DT: 0.001}, sys)
-	if err != nil {
-		t.Fatal(err)
+	bbox, sort, build, moments := metrics.PhaseBoundingBox, metrics.PhaseSort, metrics.PhaseBuild, metrics.PhaseMultipoles
+	force, update := metrics.PhaseForce, metrics.PhaseUpdate
+	want := map[Algorithm][]metrics.Phase{
+		AllPairs:    {force, update},
+		AllPairsCol: {force, update},
+		Octree:      {bbox, build, moments, force, update},
+		BVH:         {bbox, sort, build, force, update},
 	}
-	if err := sim.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	b := sim.Breakdown()
-	if b.Steps() != 3 {
-		t.Errorf("steps = %d", b.Steps())
-	}
-	for _, p := range []metrics.Phase{metrics.PhaseBoundingBox, metrics.PhaseSort, metrics.PhaseBuild, metrics.PhaseForce, metrics.PhaseUpdate} {
-		if b.Elapsed(p) <= 0 {
-			t.Errorf("phase %v has no recorded time", p)
+	for _, alg := range Algorithms() {
+		for _, layout := range Layouts() {
+			sim, err := New(Config{Algorithm: alg, Layout: layout, DT: 0.001}, workload.GalaxyCollision(2000, 27))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Run(3); err != nil {
+				t.Fatal(err)
+			}
+			b := sim.Breakdown()
+			if b.Steps() != 3 {
+				t.Errorf("%v/%v: steps = %d", alg, layout, b.Steps())
+			}
+			for _, p := range []metrics.Phase{bbox, sort, build, moments, metrics.PhaseRefit, force, update} {
+				if recorded := b.Elapsed(p) > 0; recorded != slices.Contains(want[alg], p) {
+					t.Errorf("%v/%v: phase %v recorded = %v", alg, layout, p, recorded)
+				}
+			}
+			tree := alg == Octree || alg == BVH
+			if sim.Refits() != 0 || (sim.Rebuilds() > 0) != tree {
+				t.Errorf("%v/%v: %d rebuilds, %d refits", alg, layout, sim.Rebuilds(), sim.Refits())
+			}
 		}
-	}
-	if b.Elapsed(metrics.PhaseMultipoles) != 0 {
-		t.Error("BVH recorded a separate multipole phase")
-	}
-
-	sim2, _ := New(Config{Algorithm: Octree, DT: 0.001}, workload.GalaxyCollision(2000, 27))
-	if err := sim2.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	if sim2.Breakdown().Elapsed(metrics.PhaseMultipoles) <= 0 {
-		t.Error("octree recorded no multipole phase")
-	}
-	if sim2.Breakdown().Elapsed(metrics.PhaseSort) != 0 {
-		t.Error("octree recorded a sort phase")
 	}
 }
 

@@ -110,7 +110,7 @@ func (s *Sim) RunPipelined(ctx context.Context, n int, o PipelineOpts) (int, err
 	// handle. The first step may be a resumption of an in-flight step: a
 	// single task finishing whatever phases remain (refit decisions and
 	// half-kicks already taken stay taken — resume, never redo).
-	structured := s.hasStructure()
+	structured := s.tree != nil
 	resume := s.MidStep()
 	submit := func(label string) *exec.Handle {
 		if resume {

@@ -19,17 +19,7 @@ import (
 // body ranges (Config.KeySorted; core sets it for every flat-layout
 // octree): AccelerationsList panics on a tree of the concurrent build.
 func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupSize int) {
-	t.AccelerationsListPhi(r, pol, s, p, groupSize, nil)
-}
-
-// AccelerationsListPhi is AccelerationsList that also writes each body's
-// potential φᵢ (per unit mass, G-scaled) into phi unless phi is nil: the
-// list a group's accelerations are summed from is the list of its
-// potential, and the kernel returns both, so ½·Σ mᵢφᵢ approximates the
-// potential energy at the same θ as the forces for one add per
-// interaction.
-func (t *Tree) AccelerationsListPhi(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupSize int, phi []float64) {
-	walk.Accelerations(r, pol, t.View(groupSize), s, p, phi)
+	walk.Accelerations(r, pol, t.View(groupSize), s, p, nil)
 }
 
 // View returns the key-sorted tree as the flat walk reads it, in groups of

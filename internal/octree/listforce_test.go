@@ -24,7 +24,7 @@ import (
 // bodies call the walk, accelerationsList, directly: AccelerationsList
 // sums such systems pairwise.
 
-// accelerationsList is AccelerationsListPhi's tree walk, at any N.
+// accelerationsList is AccelerationsList's tree walk, at any N, with φ.
 func (t *Tree) accelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupSize int, phi []float64) {
 	walk.Walk(r, pol, t.View(groupSize), s, p, phi)
 }

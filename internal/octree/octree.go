@@ -24,7 +24,7 @@
 // traversal of Figure 3.
 //
 // Coincident or pathologically clustered bodies would subdivide forever;
-// at MaxDepth the tree instead chains bodies in a per-leaf lock-free list
+// at DefaultMaxDepth the tree instead chains bodies in a per-leaf lock-free list
 // (an extension to the paper, which assumes distinct positions).
 //
 // That is the paper's build, and what Config.KeySorted == false runs.
@@ -68,11 +68,6 @@ func isBody(t int32) bool { return t <= bodyToken(0) }
 
 // Config selects the tree variants exercised by the ablation benchmarks.
 type Config struct {
-	// MaxDepth bounds the tree depth; bodies that would subdivide deeper
-	// are chained within a single leaf. The default (0) selects 48, deep
-	// enough that distinct float64 positions virtually always separate
-	// first.
-	MaxDepth int
 	// GatherMoments selects the ablation variant of CALCULATEMULTIPOLES
 	// in which the last-arriving thread gathers its children's moments
 	// with plain loads instead of every thread scattering them with
@@ -88,15 +83,16 @@ type Config struct {
 	// keys by counting instead of by concurrent insertion. It is a
 	// different tree, not a reordering of the same one: a leaf holds up to
 	// leafBucket bodies (a contiguous body range), subdivision stops at
-	// the 21 levels a 63-bit key resolves (MaxDepth still applies below
-	// that; bodies closer than 2⁻²¹ of the root cube share a leaf and are
-	// summed exactly), the pool is sized from counts so Build cannot fail,
+	// the 21 levels a 63-bit key resolves (bodies closer than 2⁻²¹ of the
+	// root cube share a leaf and are summed exactly), the pool is sized from counts so Build cannot fail,
 	// and tree, moments and accelerations are bit-identical for any worker
 	// count. GatherMoments is ignored: the sorted tree always gathers.
 	KeySorted bool
 }
 
-// DefaultMaxDepth is the subdivision bound used when Config.MaxDepth is 0.
+// DefaultMaxDepth bounds the concurrent build's depth; bodies that would
+// subdivide deeper are chained within a single leaf. 48 levels is deep
+// enough that distinct float64 positions virtually always separate first.
 const DefaultMaxDepth = 48
 
 // ErrPoolExhausted reports that the node pool was too small for the body
@@ -150,9 +146,6 @@ func New(cfg Config) *Tree { return newBucket(cfg, leafBucket) }
 // caller: at 1 that build must reproduce the concurrent one, which is how
 // the tests check it.
 func newBucket(cfg Config, bucket int) *Tree {
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = DefaultMaxDepth
-	}
 	return &Tree{cfg: cfg, bucket: bucket}
 }
 
@@ -301,7 +294,6 @@ func (t *Tree) insert(b int32, x, y, z float64) {
 	cx, cy, cz := t.rootCenter.X, t.rootCenter.Y, t.rootCenter.Z
 	half := t.rootHalf
 	depth := 0
-	maxDepth := t.cfg.MaxDepth
 
 	for {
 		tok := atomic.LoadInt32(&t.child[node])
@@ -345,7 +337,7 @@ func (t *Tree) insert(b int32, x, y, z float64) {
 			runtime.Gosched()
 
 		default: // body leaf
-			if depth >= maxDepth {
+			if depth >= DefaultMaxDepth {
 				// Chain the body onto the leaf's lock-free list.
 				t.next[b] = tokenBody(tok)
 				if atomic.CompareAndSwapInt32(&t.child[node], tok, bodyToken(b)) {

@@ -182,9 +182,8 @@ func TestCoincidentBodiesChain(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Set(i, 1, vec.New(0.5, 0.5, 0.5), vec.Zero)
 	}
-	// A second, separable body group so the tree is not a single leaf.
 	r := par.NewRuntime(4, par.Dynamic)
-	tree := buildTree(t, Config{MaxDepth: 8}, s, r)
+	tree := buildTree(t, Config{}, s, r)
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +191,14 @@ func TestCoincidentBodiesChain(t *testing.T) {
 	if st.Chained != 3 {
 		t.Errorf("expected 3 chained bodies, got %v", st)
 	}
-	if st.MaxDepth > 8 {
+	if st.MaxDepth > DefaultMaxDepth {
 		t.Errorf("depth cap violated: %v", st)
 	}
 }
 
 func TestNearCoincidentDeepSubdivision(t *testing.T) {
 	// Two bodies 1e-12 apart inside a unit box need ~40 levels; the
-	// default MaxDepth accommodates this without chaining.
+	// DefaultMaxDepth accommodates this without chaining.
 	s := body.NewSystem(3)
 	s.Set(0, 1, vec.New(0.1, 0.1, 0.1), vec.Zero)
 	s.Set(1, 1, vec.New(0.1+1e-12, 0.1, 0.1), vec.Zero)
@@ -425,7 +424,7 @@ func TestForceWithChains(t *testing.T) {
 	p := grav.Params{G: 1, Eps: 1e-2, Theta: 0}
 
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
-	tree := buildTree(t, Config{MaxDepth: 4}, s, r)
+	tree := buildTree(t, Config{}, s, r)
 	tree.ComputeMoments(r, s)
 	tree.Accelerations(r, par.ParUnseq, s, p, nil)
 

@@ -37,12 +37,12 @@ func sharedDigits(a, b uint64) int { return (bits.LeadingZeros64(a^b) - 1) / 3 }
 
 // countGroups returns the number of sibling groups the tree over the sorted
 // keys has: one per internal node, that is per run of more than bucket keys
-// that agree on their first d digits, for every depth d < maxLevels. Key i
+// that agree on their first d digits, for every depth d < sfc.MaxOrder3D. Key i
 // starts such a run at each depth beyond the digits it shares with its
 // predecessor, up to the digits it still shares with the key bucket places
 // on — so the pool is sized by one pass of subtractions, before any node is
 // written.
-func countGroups(r *par.Runtime, keys []uint64, bucket, maxLevels int) int {
+func countGroups(r *par.Runtime, keys []uint64, bucket int) int {
 	return par.ReduceRanges(r, par.ParUnseq, len(keys)-bucket, 0,
 		func(a, b int) int { return a + b },
 		func(acc, lo, hi int) int {
@@ -51,7 +51,7 @@ func countGroups(r *par.Runtime, keys []uint64, bucket, maxLevels int) int {
 				if i > 0 {
 					prev = sharedDigits(keys[i-1], keys[i])
 				}
-				if d := min(sharedDigits(keys[i], keys[i+bucket]), maxLevels-1); d > prev {
+				if d := min(sharedDigits(keys[i], keys[i+bucket]), sfc.MaxOrder3D-1); d > prev {
 					acc += d - prev
 				}
 			}
@@ -89,10 +89,9 @@ func (t *Tree) buildSorted(r *par.Runtime, s *body.System, cube bounds.AABB) {
 		sfc.SortBodies(r, par.Par, s, cube, t.keys, t.sortPerm)
 		keys = t.keys
 	}
-	maxLevels := min(t.cfg.MaxDepth, sfc.MaxOrder3D)
 	bucket := int32(t.bucket)
 
-	groups := countGroups(r, keys, t.bucket, maxLevels)
+	groups := countGroups(r, keys, t.bucket)
 	t.nGroups.Store(int32(groups))
 	nodes := 1 + 8*groups
 	t.child, t.nodes = resize(t.child, nodes), resize(t.nodes, nodes)
@@ -118,7 +117,7 @@ func (t *Tree) buildSorted(r *par.Runtime, s *body.System, cube bounds.AABB) {
 		t.levels = append(t.levels, int32(built))
 		t.slots = resize(t.slots, f)
 		slots, cur := t.slots, front
-		split := depth < maxLevels // may this level's children be internal?
+		split := depth < sfc.MaxOrder3D // may this level's children be internal?
 		shift := uint(3 * (sfc.MaxOrder3D - depth))
 
 		r.ForGrain(par.ParUnseq, f, 0, func(a, b int) {

@@ -13,6 +13,7 @@ import (
 	"nbody/internal/par"
 	"nbody/internal/sfc"
 	"nbody/internal/vec"
+	"nbody/internal/walk"
 )
 
 // The tests below cover the key-sorted build (Config.KeySorted): against
@@ -97,7 +98,7 @@ func TestSortedBuildBitIdenticalAcrossWorkers(t *testing.T) {
 		tree.ComputeMoments(r, s)
 		res := result{tree, s, make([]float64, s.N()), make([]float64, s.N())}
 		tree.Accelerations(r, par.ParUnseq, s.Clone(), p, res.phiWalk)
-		tree.AccelerationsListPhi(r, par.ParUnseq, s, p, 0, res.phiList)
+		walk.Accelerations(r, par.ParUnseq, tree.View(0), s, p, res.phiList)
 		return res
 	}
 	ref := run(1)

@@ -31,6 +31,7 @@ package par
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -94,6 +95,22 @@ func (s Scheduler) String() string {
 		return "guided"
 	}
 	return fmt.Sprintf("Scheduler(%d)", uint8(s))
+}
+
+// Schedulers lists every scheduling strategy. It is the one list
+// ParseScheduler, its error text and every front end's choices come from.
+func Schedulers() []Scheduler { return []Scheduler{Dynamic, Static, Guided} }
+
+// ParseScheduler converts a CLI/API name into one of Schedulers().
+func ParseScheduler(name string) (Scheduler, error) {
+	names := make([]string, 0, len(Schedulers()))
+	for _, s := range Schedulers() {
+		if s.String() == name {
+			return s, nil
+		}
+		names = append(names, s.String())
+	}
+	return 0, fmt.Errorf("par: unknown scheduler %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 // Runtime is a parallel execution environment: a worker count plus a

@@ -1,10 +1,31 @@
 package par
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// Every scheduler round-trips through its name, and an unknown name is an
+// error that lists them all.
+func TestParseScheduler(t *testing.T) {
+	for _, s := range Schedulers() {
+		got, err := ParseScheduler(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseScheduler(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	_, err := ParseScheduler("fifo")
+	if err == nil {
+		t.Fatal("ParseScheduler(\"fifo\") succeeded")
+	}
+	for _, name := range []string{"dynamic", "static", "guided"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %q", err, name)
+		}
+	}
+}
 
 // Skewed-load behaviour: with a workload where the last chunk is vastly
 // more expensive, dynamic scheduling must not assign all the heavy work to

@@ -318,12 +318,6 @@ func mintID(prefix string) string {
 	return prefix + "-" + hex.EncodeToString(b[:])
 }
 
-// alive reports whether name is probe-healthy (up, draining or not).
-func (rt *Router) alive(name string) bool {
-	s := rt.shards[name]
-	return s != nil && s.up.Load()
-}
-
 // routable reports whether name may take traffic right now: probe-healthy
 // AND not shedding behind an open circuit breaker. A breaker past its
 // cooldown no longer blocks here — the next send through forward()
